@@ -124,20 +124,13 @@ def export_hedge_report(report: HedgeReport, out_dir, prefix: str = "hedge") -> 
         fh.write(f"# ulhedge config={h} quantity=backtest-summary\n")
         fh.write("statistic,value\n")
         for i, t in enumerate(summary.checkpoint_times):
-            fh.write(f"cost_mean[t={t:.6g}],{summary.cost_mean[i]!r}\n")
-            fh.write(f"cost_se[t={t:.6g}],{summary.cost_se[i]!r}\n")
-            fh.write(f"cost_z[t={t:.6g}],{summary.cost_z[i]!r}\n")
-            fh.write(f"cov_price[t={t:.6g}],{summary.cov_price[i]!r}\n")
-            fh.write(f"cov_price_se[t={t:.6g}],{summary.cov_price_se[i]!r}\n")
-            fh.write(f"cov_price_z[t={t:.6g}],{summary.cov_price_z[i]!r}\n")
-            fh.write(f"cov_mart[t={t:.6g}],{summary.cov_mart[i]!r}\n")
-            fh.write(f"cov_mart_se[t={t:.6g}],{summary.cov_mart_se[i]!r}\n")
-            fh.write(f"cov_mart_z[t={t:.6g}],{summary.cov_mart_z[i]!r}\n")
+            for name in ("cost_mean", "cost_se", "cost_z", "cov_price", "cov_price_se",
+                         "cov_price_z", "cov_mart", "cov_mart_se", "cov_mart_z"):
+                fh.write(f"{name}[t={t:.6g}],{float(getattr(summary, name)[i])!r}\n")
         for name in ("price_lhs", "price_lhs_se", "price_rhs", "price_rhs_se",
                      "zeta0_pde", "cost_var_partial", "cost_var_full",
-                     "terminal_gap_max", "v_terminal_max"):
-            fh.write(f"{name},{getattr(summary, name)!r}\n")
-        fh.write(f"price_z,{summary.price_z!r}\n")
+                     "terminal_gap_max", "v_terminal_max", "price_z"):
+            fh.write(f"{name},{float(getattr(summary, name))!r}\n")
         for name, z in (("cost_mean_zero", summary.cost_z),
                         ("orthogonal_to_price", summary.cov_price_z),
                         ("orthogonal_to_martingale", summary.cov_mart_z),

@@ -18,7 +18,12 @@ class CoefficientBoundError(NumericalError):
 
 
 class DomainExcursionError(NumericalError):
-    """A simulated path left the domain a PDE solution was computed on."""
+    """A simulated path left the domain a PDE solution was computed on;
+    ``index`` locates the first offending point of the query (row first)."""
+
+    def __init__(self, message: str, index: tuple = ()):
+        super().__init__(message)
+        self.index = index
 
 
 class SurvivalFloorError(NumericalError):

@@ -7,10 +7,11 @@ price path.  The conditional law of the hidden factor (and of the survival
 process it drives) given the price history is therefore sampled *exactly*:
 particles are propagated with the observed price-Brownian increments plus
 fresh independent orthogonal noise, with no importance weights and no
-resampling.  Physical-measure projections (the projected drift feeding the
-innovation process, the observable hazard rate) reuse the same particles with
-per-particle inverse-density weights, and a Kushner-Stratonovich residual
-diagnostic checks the filter against the generator equation it should solve.
+resampling, so the martingale-measure averages never degenerate.  The
+physical-measure projections (projected drift, observable hazard rate) reuse
+the same particles with inverse-density weights, which can degenerate over
+long horizons or with a strong drift sensitivity.  A Kushner-Stratonovich
+residual checks the filter against the generator equation it should solve.
 
 Clouds are batched: axis 0 indexes worlds (observed paths), axis 1 particles.
 Each world draws its orthogonal noise from its own counter-based stream, so a
@@ -32,10 +33,6 @@ __all__ = [
     "ParticleCloud",
     "ProjectionSeries",
     "SmoothFunctional",
-    "init_cloud",
-    "step_cloud",
-    "project_mu",
-    "hazard_rate_partial",
     "run_filter",
     "ks_residual",
     "functional_constant",
@@ -89,6 +86,8 @@ class ParticleCloud:
     State arrays have shape (n_worlds, n_particles).  ``log_L`` accumulates
     the martingale-measure density kernel along (observed price, particle
     factor); its inverse exponential weights physical-measure projections.
+    Survival ``Y = exp(-Gamma_p)`` and the coefficients ``mu``, ``a`` and
+    ``gam`` at the current time are evaluated once per step and shared.
     """
 
     def __init__(self, config: ScenarioConfig, s_paths: np.ndarray,
@@ -112,23 +111,30 @@ class ParticleCloud:
 
         if world_indices is None:
             world_indices = np.arange(self.n_worlds)
+        self.world_indices = np.asarray(world_indices)
         self._streams = [rng.stream(config.seed, rng.FILTER, int(w))
-                         for w in np.asarray(world_indices)]
+                         for w in self.world_indices]
 
         shape = (self.n_worlds, self.n_particles)
         self.X = np.full(shape, config.x0, dtype=float)
         self.Gamma_p = np.zeros(shape)
         self.log_L = np.zeros(shape)
         self.k = 0
+        self._evaluate(c.gamma_fn(self.t, self.X))
+
+    def _evaluate(self, gam: np.ndarray) -> None:
+        """Cache Y and the coefficients at the current (t_k, S_k, X)."""
+        c = self.config.coefficients
+        self.Y = np.negative(self.Gamma_p)
+        np.exp(self.Y, out=self.Y)
+        self.mu = c.mu(self.t, self.s_now, self.X)
+        self.a = c.a(self.t, self.X)
+        self.gam = gam
 
     # -- state views ---------------------------------------------------------
     @property
     def t(self) -> float:
         return float(self.t_grid[self.k])
-
-    @property
-    def Y(self) -> np.ndarray:
-        return np.exp(-self.Gamma_p)
 
     @property
     def s_now(self) -> np.ndarray:
@@ -137,135 +143,128 @@ class ParticleCloud:
 
     def p_weights(self) -> np.ndarray:
         """Physical-measure weights exp(-log L), normalized per world."""
-        shifted = self.log_L.min(axis=1, keepdims=True) - self.log_L
-        w = np.exp(shifted)
-        return w / w.sum(axis=1, keepdims=True)
+        w = self.log_L.min(axis=1, keepdims=True) - self.log_L
+        np.exp(w, out=w)
+        w /= w.sum(axis=1, keepdims=True)
+        return w
 
     # -- evolution -------------------------------------------------------------
     def step(self) -> None:
-        """Advance every world one grid interval (Euler factor, exact density)."""
+        """Advance every world one grid interval (Euler factor, exact density).
+
+        Updates run in place, in the operation order of the formulas.
+        """
         if self.k >= self.config.n_steps:
             raise IndexError("cloud already at the terminal time")
         c = self.config.coefficients
         k = self.k
         t = self.t_grid[k]
-        s_k = self.s_now
-        sig = c.sigma(t, s_k)
-        mu = c.mu(t, s_k, self.X)
-        kernel = mu / sig
-        bad = np.abs(kernel) > c.c_bound
-        if np.any(bad):
+        dt = self.dt
+        kernel = self.mu / c.sigma(t, self.s_now)
+        if np.abs(kernel).max() > c.c_bound:
             raise NumericalError(
-                f"|mu/sigma| exceeded c_bound for {int(bad.sum())} particles at t={t:.4g}"
+                f"|mu/sigma| exceeded c_bound for {int((np.abs(kernel) > c.c_bound).sum())}"
+                f" particles at t={t:.4g}"
             )
-        a = c.a(t, self.X)
-        b = c.b(t, self.X)
+        a = self.a
         rho = c.rho
         dw = self.dW_obs[:, k][:, None]
 
         dB = np.empty((self.n_worlds, self.n_particles))
         for w, gen in enumerate(self._streams):
-            dB[w] = gen.standard_normal(self.n_particles)
-        dB *= np.sqrt(self.dt)
+            gen.standard_normal(out=dB[w])
+        dB *= np.sqrt(dt)
 
-        gam_old = c.gamma_fn(t, self.X)
-        x_new = self.X + (b - a * rho * kernel) * self.dt \
-            + a * (rho * dw + np.sqrt(1.0 - rho**2) * dB)
+        # x_new = X + (b - a rho kernel) dt + a (rho dw + sqrt(1 - rho^2) dB)
+        x_new = a * rho
+        x_new *= kernel
+        np.subtract(c.b(t, self.X), x_new, out=x_new)
+        x_new *= dt
+        x_new += self.X
+        dB *= np.sqrt(1.0 - rho**2)
+        dB += rho * dw
+        dB *= a
+        x_new += dB
         gam_new = c.gamma_fn(self.t_grid[k + 1], x_new)
-        self.Gamma_p = self.Gamma_p + 0.5 * (gam_old + gam_new) * self.dt
-        self.log_L = self.log_L - kernel * dw + 0.5 * kernel**2 * self.dt
+        # trapezoidal hazard and the density kernel: 0.5 x dt == x (0.5 dt) exactly
+        hazard = self.gam + gam_new
+        hazard *= 0.5 * dt
+        self.Gamma_p += hazard
+        self.log_L -= kernel * dw
+        kernel *= kernel
+        kernel *= 0.5 * dt
+        self.log_L += kernel
         self.X = x_new
         self.k = k + 1
         if not np.all(np.isfinite(self.X)):
             raise NumericalError(f"non-finite particle state at t={self.t_grid[self.k]:.4g}")
+        self._evaluate(gam_new)
 
     # -- conditional expectations ---------------------------------------------
     def pi(self, values: np.ndarray) -> np.ndarray:
         """Martingale-measure filter estimate: plain particle average."""
-        return values.mean(axis=1)
+        return values.mean(axis=-1)
 
     def pi_se(self, values: np.ndarray) -> np.ndarray:
-        return values.std(axis=1, ddof=1) / np.sqrt(self.n_particles)
+        return values.std(axis=-1, ddof=1) / np.sqrt(self.n_particles)
 
     def pi_functional(self, func: SmoothFunctional) -> np.ndarray:
         return self.pi(func.f(self.t, self.s_now, self.X, self.Y))
 
     def survival_ratio(self, values: np.ndarray) -> np.ndarray:
-        """pi(values * Y) / pi(Y): conditional expectation given survival."""
-        Y = self.Y
-        denom = self.pi(Y)
-        self._check_floor(denom)
-        return self.pi(values * Y) / denom
+        """pi(values * Y) / pi(Y): conditional expectation given survival.
 
-    def _weighted_survival_ratio(self, values: np.ndarray):
-        """Physical-measure projection ratio sum(w v Y) / sum(w Y) with SE."""
-        w = self.p_weights()
-        Y = self.Y
-        denom = (w * Y).sum(axis=1)
+        ``values`` is (n_worlds, n_particles), or a stack of such arrays
+        along leading axes; the survival mass is formed and checked once.
+        """
+        denom = self.pi(self.Y)
         self._check_floor(denom)
-        est = (w * values * Y).sum(axis=1) / denom
-        resid = w * Y * (values - est[:, None])
-        se = np.sqrt((resid**2).sum(axis=1)) / denom
-        return est, se
+        return self.pi(values * self.Y) / denom
+
+    def _weighted_survival_ratio(self, values: np.ndarray, with_se: bool):
+        """Physical-measure ratio sum(w v Y) / sum(w Y) (and SE, ``with_se``)."""
+        w = self.p_weights()
+        wY = w * self.Y
+        denom = wY.sum(axis=1)
+        self._check_floor(denom)
+        wv = w * values
+        wv *= self.Y
+        est = wv.sum(axis=1) / denom
+        if not with_se:
+            return est
+        resid = wY * (values - est[:, None])
+        return est, np.sqrt((resid**2).sum(axis=1)) / denom
 
     def _check_floor(self, denom: np.ndarray) -> None:
         if np.any(denom < self.config.survival_floor):
+            row = int(np.argmin(denom))
             raise SurvivalFloorError(
-                f"survival mass exhausted at t={self.t:.4g}"
-                f" (min mass {float(denom.min()):.3e})"
+                f"survival mass exhausted at step k={self.k} (t={self.t:.4g}),"
+                f" path {int(self.world_indices[row])}: mass {float(denom[row]):.3e}"
+                f" below the floor {self.config.survival_floor:.3e}"
             )
 
-    def projected_drift(self):
+    def projected_drift(self, with_se: bool = False):
         """Estimate of the physical predictable projection of mu on survival."""
-        c = self.config.coefficients
-        mu = c.mu(self.t, self.s_now, self.X)
-        return self._weighted_survival_ratio(mu)
+        return self._weighted_survival_ratio(self.mu, with_se)
 
-    def hazard_rate(self):
+    def hazard_rate(self, with_se: bool = False):
         """Estimate of the observable martingale hazard rate."""
-        c = self.config.coefficients
-        gam = c.gamma_fn(self.t, self.X)
-        return self._weighted_survival_ratio(gam)
+        return self._weighted_survival_ratio(self.gam, with_se)
 
     def generator_apply(self, func: SmoothFunctional) -> np.ndarray:
         """Per-particle generator of (S, X, Y) under the martingale measure."""
         c = self.config.coefficients
         t, s, x, y = self.t, self.s_now, self.X, self.Y
         sig = c.sigma(t, s)
-        a = c.a(t, x)
-        mu = c.mu(t, s, x)
-        drift_x = c.b(t, x) - c.rho * a * mu / sig
-        gam = c.gamma_fn(t, x)
+        a = self.a
+        drift_x = c.b(t, x) - c.rho * a * self.mu / sig
         return (func.f_t(t, s, x, y)
                 + drift_x * func.f_x(t, s, x, y)
-                - y * gam * func.f_y(t, s, x, y)
+                - y * self.gam * func.f_y(t, s, x, y)
                 + 0.5 * a**2 * func.f_xx(t, s, x, y)
                 + c.rho * a * sig * s * func.f_sx(t, s, x, y)
                 + 0.5 * sig**2 * s**2 * func.f_ss(t, s, x, y))
-
-
-# ---------------------------------------------------------------------------
-# operation-level wrappers
-# ---------------------------------------------------------------------------
-
-def init_cloud(config: ScenarioConfig, s_path, world_indices=None,
-               n_particles: int | None = None) -> ParticleCloud:
-    """All particles start at (x0, survival 1, unit density)."""
-    return ParticleCloud(config, s_path, world_indices, n_particles)
-
-
-def step_cloud(cloud: ParticleCloud) -> ParticleCloud:
-    cloud.step()
-    return cloud
-
-
-def project_mu(cloud: ParticleCloud):
-    """Projected drift for the interval starting at the cloud's current time."""
-    return cloud.projected_drift()
-
-
-def hazard_rate_partial(cloud: ParticleCloud):
-    return cloud.hazard_rate()
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +295,7 @@ def run_filter(config: ScenarioConfig, s_path, functionals=(),
     Always records pi(1), pi(id_y), the projected drift and the observable
     hazard rate; extra ``SmoothFunctional``s are recorded under their names.
     """
-    cloud = init_cloud(config, s_path, world_indices, n_particles)
+    cloud = ParticleCloud(config, s_path, world_indices, n_particles)
     n = config.n_steps
     shape = (cloud.n_worlds, n + 1)
     series = ProjectionSeries(t_grid=cloud.t_grid)
@@ -310,10 +309,10 @@ def run_filter(config: ScenarioConfig, s_path, functionals=(),
         series.estimates["pi_one"][:, k] = cloud.pi(ones)
         series.estimates["pi_y"][:, k] = cloud.pi(cloud.Y)
         series.std_errors["pi_y"][:, k] = cloud.pi_se(cloud.Y)
-        mu_est, mu_se = cloud.projected_drift()
+        mu_est, mu_se = cloud.projected_drift(with_se=True)
         series.estimates["proj_mu"][:, k] = mu_est
         series.std_errors["proj_mu"][:, k] = mu_se
-        hz, hz_se = cloud.hazard_rate()
+        hz, hz_se = cloud.hazard_rate(with_se=True)
         series.estimates["hazard"][:, k] = hz
         series.std_errors["hazard"][:, k] = hz_se
         for func in functionals:
@@ -333,7 +332,7 @@ def ks_residual(config: ScenarioConfig, s_path, func: SmoothFunctional,
     + S sigma pi(f_s)] dW_obs, evaluated with left-endpoint sums.  Shrinks at
     the usual O(sqrt(dt) + 1/sqrt(n_particles)) rate.
     """
-    cloud = init_cloud(config, s_path, world_indices, n_particles)
+    cloud = ParticleCloud(config, s_path, world_indices, n_particles)
     c = config.coefficients
     n = config.n_steps
     resid = np.zeros((cloud.n_worlds, n + 1))
@@ -343,9 +342,8 @@ def ks_residual(config: ScenarioConfig, s_path, func: SmoothFunctional,
     for k in range(n):
         t, s, x, y = cloud.t, cloud.s_now, cloud.X, cloud.Y
         sig = c.sigma(t, s)
-        a = c.a(t, x)
         pi_gen = cloud.pi(cloud.generator_apply(func))
-        gain = c.rho * cloud.pi(a * func.f_x(t, s, x, y)) \
+        gain = c.rho * cloud.pi(cloud.a * func.f_x(t, s, x, y)) \
             + cloud.pi(sig * s * func.f_s(t, s, x, y))
         cloud.step()
         drift_sum += pi_gen * cloud.dt

@@ -3,14 +3,15 @@
 The partial-information strategy multiplies the particle cloud against the
 solved value surface: with id_y the survival coordinate,
 
-    theta*_t = [pi(id_y dg/ds) + rho/(sigma S) pi(a id_y dg/dx)] / pi(id_y),
+    theta*_t = pi(id_y [dg/ds + rho a/(sigma S) dg/dx]) / pi(id_y),
 
 evaluated one grid point before the price increment it multiplies, so the
 position is a functional of the observable history only.  The book value is
-the survival-weighted projection of the same surface; the cost process is
-assembled pathwise as payments plus book value minus trading gains, and the
-backtest checks the martingale / orthogonality / pricing properties that
-characterize the locally risk-minimizing strategy.
+the survival-weighted projection of the same surface; both come from one
+gather of g, dg/ds and dg/dx per step.  The cost process is assembled
+pathwise as payments plus book value minus trading gains, and the backtest
+checks the martingale / orthogonality / pricing properties that characterize
+the locally risk-minimizing strategy.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
-from .filtering import init_cloud
+from .errors import ConfigError, DomainExcursionError
+from .filtering import ParticleCloud
 from .models import LinearPayoff, ScenarioConfig, validate
 from .pde import PdeSolution, interp_rows, solve_g, solve_gtilde, solve_phi
 from .simulate import PathBundle, simulate_paths
@@ -78,24 +79,28 @@ def payment_stream(bundle: PathBundle) -> PaymentStream:
 # strategies
 # ---------------------------------------------------------------------------
 
+def _name_world(exc: DomainExcursionError, bundle: PathBundle, k: int, row: int):
+    """The same excursion, naming the grid step and the global path index."""
+    return DomainExcursionError(
+        f"step k={k}, path {int(bundle.path_indices[row])}: {exc}", exc.index)
+
+
 def theta_full(bundle: PathBundle, g_sol: PdeSolution) -> np.ndarray:
     """Full-information strategy dg/ds + (rho a / (S sigma)) dg/dx on the path.
 
-    Interval-left values, zero after death.
+    Interval-left values, zero after death; every step is looked up at once.
     """
     c = bundle.config.coefficients
-    n = bundle.n_steps
-    theta = np.zeros((bundle.n_paths, n))
-    alive = bundle.alive_mask()
-    for k in range(n):
-        s_k, x_k = bundle.S[:, k], bundle.X[:, k]
-        th = g_sol.value_ds(k, s=s_k, x=x_k)
-        if c.rho != 0.0:
-            t = bundle.t_grid[k]
-            th = th + c.rho * c.a(t, x_k) / (s_k * c.sigma(t, s_k)) \
-                * g_sol.value_dx(k, s=s_k, x=x_k)
-        theta[:, k] = th
-    return theta * alive
+    k = np.arange(bundle.n_steps)
+    s, x = bundle.S[:, :-1], bundle.X[:, :-1]
+    t = bundle.t_grid[:-1]
+    try:
+        g_s = g_sol.value_ds(k, s=s, x=x)
+        g_x = g_sol.value_dx(k, s=s, x=x)
+    except DomainExcursionError as exc:
+        raise _name_world(exc, bundle, exc.index[1], exc.index[0]) from exc
+    theta = g_s + c.rho * c.a(t, x) / (s * c.sigma(t, s)) * g_x
+    return theta * bundle.alive_mask()
 
 
 @dataclass
@@ -126,14 +131,18 @@ def hedge_paths(config: ScenarioConfig, bundle: PathBundle, g_sol: PdeSolution,
 
     The cloud sees only the observed price paths; positions and book values
     at index k use the cloud state at k (information up to t_k) and apply to
-    the increment over [t_k, t_{k+1}).
+    the increment over [t_k, t_{k+1}).  Each step locates every world and
+    particle once, gathers g, dg/ds and dg/dx together, and projects g and
+    the position integrand with one survival ratio.
     """
     c = config.coefficients
     n = config.n_steps
     n_paths = bundle.n_paths
-    cloud = init_cloud(config, bundle.S, bundle.path_indices, n_particles)
+    # derive the gradient surfaces before the particle state exists, so that
+    # their temporaries never add to it at the peak
+    g_sol.d_s, g_sol.d_x
+    cloud = ParticleCloud(config, bundle.S, bundle.path_indices, n_particles)
     x_grid = g_sol.x_grid
-    rho = c.rho
 
     theta_star = np.zeros((n_paths, n))
     ratio = np.empty((n_paths, n + 1))
@@ -141,40 +150,32 @@ def hedge_paths(config: ScenarioConfig, bundle: PathBundle, g_sol: PdeSolution,
     pi_y = np.empty((n_paths, n + 1))
 
     for k in range(n + 1):
-        s_k = bundle.S[:, k]
-        Y = cloud.Y
-        piY = Y.mean(axis=1)
-        cloud._check_floor(piY)
-        pi_y[:, k] = piY
-
-        rows_g = g_sol.slice_at_s("value", k, s_k)
-        g_p = interp_rows(rows_g, x_grid, cloud.X)
-        ratio[:, k] = (Y * g_p).mean(axis=1) / piY
-
+        s_k = cloud.s_now
+        try:
+            rows = g_sol.slice_at_s(("value", "d_s", "d_x"), k, s_k[:, 0])
+            fields = interp_rows(rows, x_grid, cloud.X)
+        except DomainExcursionError as exc:
+            raise _name_world(exc, bundle, k, exc.index[0]) from exc
+        # fields[1] becomes the position integrand
+        correction = c.rho / (c.sigma(cloud.t, s_k) * s_k) * cloud.a
+        correction *= fields[2]
+        fields[1] += correction
+        ratio[:, k], theta_k = cloud.survival_ratio(fields[:2])
+        pi_y[:, k] = cloud.pi(cloud.Y)
         if k < n:
-            rows_gs = g_sol.slice_at_s("d_s", k, s_k)
-            gs_p = interp_rows(rows_gs, x_grid, cloud.X)
-            num = (Y * gs_p).mean(axis=1)
-            if rho != 0.0:
-                t = bundle.t_grid[k]
-                rows_gx = g_sol.slice_at_s("d_x", k, s_k)
-                gx_p = interp_rows(rows_gx, x_grid, cloud.X)
-                a_p = c.a(t, cloud.X)
-                sig = c.sigma(t, s_k)
-                num = num + rho / (sig * s_k) * (a_p * Y * gx_p).mean(axis=1)
-            theta_star[:, k] = num / piY
-            pfs_mu[:, k], _ = cloud.projected_drift()
+            theta_star[:, k] = theta_k
+            pfs_mu[:, k] = cloud.projected_drift()
             cloud.step()
 
-    alive = bundle.alive_mask()
-    theta_star *= alive
+    theta_star *= bundle.alive_mask()
     th_full = theta_full(bundle, g_sol)
 
     V = (1.0 - bundle.H) * ratio
     V[:, n] = 0.0
-    V_full = np.empty_like(V)
-    for k in range(n + 1):
-        V_full[:, k] = g_sol.value(k, s=bundle.S[:, k], x=bundle.X[:, k])
+    try:
+        V_full = g_sol.value(np.arange(n + 1), s=bundle.S, x=bundle.X)
+    except DomainExcursionError as exc:
+        raise _name_world(exc, bundle, exc.index[1], exc.index[0]) from exc
     V_full *= (1.0 - bundle.H)
     V_full[:, n] = 0.0
 

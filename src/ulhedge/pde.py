@@ -19,6 +19,10 @@ near the kink are ~alpha/n wide) and the terminal condition is seeded with its
 cell averages; the stored terminal slice remains the pointwise payoff.
 Boundary rows impose a vanishing second derivative by dropping the diffusion
 term; first-order terms there use one-sided differences into the domain.
+
+Every lookup uses one locate and one linear interpolation, s first, then x:
+point lookups gather cell corners, the hedging loop gathers particles from
+per-world rows (``slice_at_s``, then ``interp_rows``).
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ __all__ = ["PdeSolution", "solve_g", "solve_gtilde", "solve_phi",
            "feynman_kac_check", "ProbeResult", "interp_rows", "stretched_s_grid"]
 
 _EDGE_TOL = 1e-9
+_FIELD_ATTRS = {"value": "values", "d_s": "d_s", "d_x": "d_x"}
 _STRETCH_ALPHA = 0.4      # sinh cluster width as a fraction of the strike
 _RANNACHER_STEPS = 2
 
@@ -157,42 +162,44 @@ class PdeSolution:
             raise ValueError(f"time {t} is not on the solution grid")
         return k
 
-    def _interp(self, array: np.ndarray, k: int, s=None, x=None):
+    def _interp(self, array: np.ndarray, k, s=None, x=None):
+        """``array`` at time index k (int or array, broadcast against the
+        points) and points s, x: the arithmetic of slice_at_s + interp_rows."""
         if self.kind == "sx":
             if s is None or x is None:
                 raise ValueError("2D solution needs both s and x")
-            si, sw = _locate(self.s_grid, np.asarray(s, dtype=float), "s")
-            xi, xw = _locate(self.x_grid, np.asarray(x, dtype=float), "x")
-            a = array[k]
-            return ((1 - sw) * ((1 - xw) * a[si, xi] + xw * a[si, xi + 1])
-                    + sw * ((1 - xw) * a[si + 1, xi] + xw * a[si + 1, xi + 1]))
+            si, sw = _locate(self.s_grid, s, "s")
+            xi, xw = _locate(self.x_grid, x, "x")
+            lo = _lerp(array[k, si, xi], array[k, si + 1, xi], sw)
+            hi = _lerp(array[k, si, xi + 1], array[k, si + 1, xi + 1], sw)
+            return _lerp(lo, hi, xw)
         grid = self.s_grid if self.kind == "s" else self.x_grid
         q = s if self.kind == "s" else x
         if q is None:
             raise ValueError(f"1D solution needs the {self.kind} coordinate")
-        qi, qw = _locate(grid, np.asarray(q, dtype=float), self.kind)
-        a = array[k]
-        return (1 - qw) * a[qi] + qw * a[qi + 1]
+        qi, qw = _locate(grid, q, self.kind)
+        return _lerp(array[k, qi], array[k, qi + 1], qw)
 
-    def value(self, k: int, s=None, x=None):
+    def value(self, k, s=None, x=None):
         return self._interp(self.values, k, s, x)
 
-    def value_ds(self, k: int, s=None, x=None):
+    def value_ds(self, k, s=None, x=None):
         return self._interp(self.d_s, k, s, x)
 
-    def value_dx(self, k: int, s=None, x=None):
+    def value_dx(self, k, s=None, x=None):
         return self._interp(self.d_x, k, s, x)
 
-    def slice_at_s(self, array_name: str, k: int, s_vals) -> np.ndarray:
-        """Interpolate a field along s only, returning rows over the x grid.
-
-        Used by the hedging loop: one row per world (its observed price),
-        then cheap per-particle interpolation in x via ``interp_rows``.
-        """
-        array = {"value": self.values, "d_s": self.d_s, "d_x": self.d_x}[array_name]
-        si, sw = _locate(self.s_grid, np.asarray(s_vals, dtype=float), "s")
-        a = array[k]
-        return (1 - sw)[:, None] * a[si, :] + sw[:, None] * a[si + 1, :]
+    def slice_at_s(self, names, k: int, s_vals) -> np.ndarray:
+        """The named fields ("value", "d_s", "d_x") interpolated along s only:
+        shape (len(names), len(s_vals), n_x+1), one row over the x grid per
+        field and world, each world located once for all fields."""
+        si, sw = _locate(self.s_grid, s_vals, "s")
+        sw = sw[:, None]
+        out = np.empty((len(names), len(si), len(self.x_grid)))
+        for i, name in enumerate(names):
+            a = getattr(self, _FIELD_ATTRS[name])[k]
+            out[i] = _lerp(a[si], a[si + 1], sw)
+        return out
 
     def to_csv_rows(self, k: int):
         """Header and rows for CSV export of the time-k slice."""
@@ -208,42 +215,53 @@ class PdeSolution:
         return header, rows
 
 
-def _locate(grid: np.ndarray, q: np.ndarray, label: str):
-    span = len(grid) - 1
-    bad = (q < grid[0] - _EDGE_TOL * (1 + abs(grid[0]))) | \
-          (q > grid[-1] + _EDGE_TOL * (1 + abs(grid[-1])))
-    if np.any(bad):
-        qb = np.asarray(q)[bad]
+def _locate(grid: np.ndarray, q, label: str):
+    """Cell index and in-cell weight of every query point on axis ``label``.
+
+    The x axes are uniform (index arithmetic), the s axes may be stretched
+    (binary search).  A point beyond the edges raises a DomainExcursionError
+    carrying the position of the first such point in ``q``.
+    """
+    q = np.asarray(q, dtype=float)
+    lo, hi = grid[0], grid[-1]
+    lo_tol, hi_tol = lo - _EDGE_TOL * (1 + abs(lo)), hi + _EDGE_TOL * (1 + abs(hi))
+    if q.size and (q.min() < lo_tol or q.max() > hi_tol):
+        index = np.unravel_index(int(np.argmax((q < lo_tol) | (q > hi_tol))), q.shape)
         raise DomainExcursionError(
-            f"{label}-coordinate outside PDE domain [{grid[0]:.6g}, {grid[-1]:.6g}]:"
-            f" e.g. {float(np.ravel(qb)[0]):.6g}"
-        )
+            f"{label}-coordinate {float(q[index]):.6g} outside PDE domain"
+            f" [{lo:.6g}, {hi:.6g}]", index)
+    span = len(grid) - 1
+    if label == "x":
+        u = q - lo
+        u /= grid[1] - lo
+        np.clip(u, 0.0, span, out=u)
+        idx = u.astype(np.intp)
+        np.minimum(idx, span - 1, out=idx)
+        u -= idx
+        return idx, u
     idx = np.clip(np.searchsorted(grid, q, side="right") - 1, 0, span - 1)
     w = (q - grid[idx]) / (grid[idx + 1] - grid[idx])
     return idx, np.clip(w, 0.0, 1.0)
 
 
-def interp_rows(rows: np.ndarray, grid: np.ndarray, q: np.ndarray, label: str = "x"):
-    """Per-row linear interpolation on a UNIFORM grid: rows[r] sampled at q[r].
+def _lerp(lo, hi, w):
+    """(1 - w) lo + w hi, computed in place: lo and hi are fresh gathers."""
+    lo *= 1 - w
+    hi *= w
+    lo += hi
+    return lo
 
-    The hot path of the hedging loop (per-particle factor lookups); index
-    arithmetic instead of searchsorted.
-    """
-    h = grid[1] - grid[0]
-    u = (np.asarray(q, dtype=float) - grid[0]) / h
-    span = len(grid) - 1
-    if np.any((u < -_EDGE_TOL) | (u > span + _EDGE_TOL)):
-        bad = np.asarray(q)[(u < -_EDGE_TOL) | (u > span + _EDGE_TOL)]
-        raise DomainExcursionError(
-            f"{label}-coordinate outside PDE domain [{grid[0]:.6g}, {grid[-1]:.6g}]:"
-            f" e.g. {float(np.ravel(bad)[0]):.6g}"
-        )
-    u = np.clip(u, 0.0, span)
-    idx = np.minimum(u.astype(int), span - 1)
-    w = u - idx
-    lo = np.take_along_axis(rows, idx, axis=-1)
-    hi = np.take_along_axis(rows, idx + 1, axis=-1)
-    return (1 - w) * lo + w * hi
+
+def interp_rows(rows: np.ndarray, grid: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Linear interpolation of rows (n_fields, n_rows, n_x+1) at q (n_rows,
+    n_points), q[r] in row r of every field: one locate, then flat-index
+    ``take`` at row offset + cell, one field at a time to bound memory."""
+    cell, w = _locate(grid, q, "x")
+    cell += (np.arange(q.shape[0]) * rows.shape[-1])[:, None]
+    out = np.empty(rows.shape[:1] + q.shape)
+    for f, field in enumerate(rows.reshape(len(rows), -1)):
+        _lerp(field.take(cell, out=out[f]), field[1:].take(cell), w)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +346,6 @@ def _mixed_term(values, sig, aa, SS, rho, s_grid, x_grid):
     return out
 
 
-def _is_static(config: ScenarioConfig, probes) -> bool:
-    flat = [np.concatenate([np.ravel(np.asarray(p, dtype=float)) for p in probe])
-            for probe in probes]
-    return all(np.array_equal(flat[0], f) for f in flat[1:])
-
-
 # ---------------------------------------------------------------------------
 # solvers
 # ---------------------------------------------------------------------------
@@ -356,24 +368,22 @@ def solve_g(config: ScenarioConfig, time_refine: int = 1) -> PdeSolution:
     SS, XX = np.meshgrid(s_grid, x_grid, indexing="ij")
     rho = config.coefficients.rho
 
-    static = _is_static(
-        config, [_coeff_arrays_2d(config, t, SS, XX) for t in (0.0, 0.5 * T, T)])
-
     values = np.empty((config.n_steps + 1, grid.n_s + 1, grid.n_x + 1))
     values[-1] = contract.G(s_grid)[:, None]
     work = np.broadcast_to(_cell_average(contract.survival_payoff, T, s_grid)[:, None],
                            SS.shape).copy()
 
-    A = lu = None
+    # no coefficient, mortality or payoff family depends on t: one operator,
+    # one factorization and one killing factor serve every step
+    sig, aa, _, gam = _coeff_arrays_2d(config, 0.0, SS, XX)
+    A = _assemble_2d(config, 0.0, s_grid, x_grid)
+    try:
+        lu = splu(sp.identity(A.shape[0], format="csc") - 0.5 * dt * A)
+    except RuntimeError as exc:
+        raise NumericalError(f"PDE linear solve failed: {exc}") from exc
+    U = contract.U(0.0, SS)
+    decay = np.exp(-gam * dt)
     for step in range(n_t - 1, -1, -1):
-        t_new = step * dt
-        sig, aa, _, gam = _coeff_arrays_2d(config, t_new, SS, XX)
-        if A is None or not static:
-            A = _assemble_2d(config, t_new, s_grid, x_grid)
-            try:
-                lu = splu(sp.identity(A.shape[0], format="csc") - 0.5 * dt * A)
-            except RuntimeError as exc:
-                raise NumericalError(f"PDE linear solve failed: {exc}") from exc
         rhs = work + dt * _mixed_term(work, sig, aa, SS, rho, s_grid, x_grid)
         if step >= n_t - _RANNACHER_STEPS:
             # Rannacher start: two implicit half-steps reuse the CN factor
@@ -382,8 +392,7 @@ def solve_g(config: ScenarioConfig, time_refine: int = 1) -> PdeSolution:
         else:
             rhs = rhs.ravel() + 0.5 * dt * A.dot(work.ravel())
             work = lu.solve(rhs).reshape(work.shape)
-        U = contract.U(t_new, SS)
-        work = U + (work - U) * np.exp(-gam * dt)
+        work = U + (work - U) * decay
         if step % time_refine == 0:
             values[step // time_refine] = work
 
@@ -402,8 +411,11 @@ def _max_principle_gap(config: ScenarioConfig, values, s_grid) -> float:
 
 
 def _solve_1d(config: ScenarioConfig, grid, terminal_payoff, terminal_seed,
-              diff_coef_fn, drift_fn, gamma_fn, source_fn, time_refine: int):
-    """Shared backward march for the 1D problems (same scheme as solve_g)."""
+              diff_coef, drift, gamma, source, time_refine: int):
+    """Shared backward march for the 1D problems (same scheme as solve_g).
+
+    The coefficients are arrays over the grid: no family depends on t.
+    """
     T = config.contract.maturity
     n_t = config.n_steps * time_refine
     dt = T / n_t
@@ -415,31 +427,22 @@ def _solve_1d(config: ScenarioConfig, grid, terminal_payoff, terminal_seed,
     values[-1] = terminal_payoff
     work = terminal_seed.astype(float).copy()
 
-    probes = []
-    for t in (0.0, 0.5 * T, T):
-        probes.append((diff_coef_fn(t), drift_fn(t), gamma_fn(t), source_fn(t)))
-    static = _is_static(config, probes)
-
-    banded = cl = cc = cr = None
+    cl, cc, cr = diff_coef * wl, diff_coef * wc, diff_coef * wr
+    for arr in (cl, cc, cr):
+        arr[0] = arr[-1] = 0.0
+    dp = np.maximum(drift, 0.0) / np.append(h_edge, h_edge[-1])
+    dm = np.maximum(-drift, 0.0) / np.append(h_edge[0], h_edge)
+    dp[0], dm[0] = drift[0] / h_edge[0], 0.0
+    dm[-1], dp[-1] = -drift[-1] / h_edge[-1], 0.0
+    cl = cl + dm
+    cc = cc - dp - dm
+    cr = cr + dp
+    banded = np.zeros((3, n))
+    banded[0, 1:] = -0.5 * dt * cr[:-1]
+    banded[1, :] = 1.0 - 0.5 * dt * cc
+    banded[2, :-1] = -0.5 * dt * cl[1:]
+    decay = np.exp(-gamma * dt)
     for step in range(n_t - 1, -1, -1):
-        t_new = step * dt
-        if banded is None or not static:
-            dco = diff_coef_fn(t_new)
-            cl, cc, cr = dco * wl, dco * wc, dco * wr
-            for arr in (cl, cc, cr):
-                arr[0] = arr[-1] = 0.0
-            drift = np.asarray(drift_fn(t_new), dtype=float)
-            dp = np.maximum(drift, 0.0) / np.append(h_edge, h_edge[-1])
-            dm = np.maximum(-drift, 0.0) / np.append(h_edge[0], h_edge)
-            dp[0], dm[0] = drift[0] / h_edge[0], 0.0
-            dm[-1], dp[-1] = -drift[-1] / h_edge[-1], 0.0
-            cl = cl + dm
-            cc = cc - dp - dm
-            cr = cr + dp
-            banded = np.zeros((3, n))
-            banded[0, 1:] = -0.5 * dt * cr[:-1]
-            banded[1, :] = 1.0 - 0.5 * dt * cc
-            banded[2, :-1] = -0.5 * dt * cl[1:]
         if step >= n_t - _RANNACHER_STEPS:
             work = solve_banded((1, 1), banded, work)
             work = solve_banded((1, 1), banded, work)
@@ -450,9 +453,7 @@ def _solve_1d(config: ScenarioConfig, grid, terminal_payoff, terminal_seed,
             rhs[0] += 0.5 * dt * (cc[0] * work[0] + cr[0] * work[1])
             rhs[-1] += 0.5 * dt * (cl[-1] * work[-2] + cc[-1] * work[-1])
             work = solve_banded((1, 1), banded, rhs)
-        gam = gamma_fn(t_new)
-        src = source_fn(t_new)
-        work = src + (work - src) * np.exp(-gam * dt)
+        work = source + (work - source) * decay
         if step % time_refine == 0:
             values[step // time_refine] = work
     return values
@@ -470,10 +471,10 @@ def solve_gtilde(config: ScenarioConfig, time_refine: int = 1) -> PdeSolution:
         config, s_grid,
         terminal_payoff=payoff(T, s_grid),
         terminal_seed=_cell_average(payoff, T, s_grid),
-        diff_coef_fn=lambda t: 0.5 * c.sigma(t, s_grid) ** 2 * s_grid**2,
-        drift_fn=lambda t: zero,
-        gamma_fn=lambda t: zero,
-        source_fn=lambda t: zero,
+        diff_coef=0.5 * c.sigma(0.0, s_grid) ** 2 * s_grid**2,
+        drift=zero,
+        gamma=zero,
+        source=zero,
         time_refine=time_refine,
     )
     return PdeSolution(kind="s", t_grid=config.t_grid(), values=values, s_grid=s_grid)
@@ -495,10 +496,10 @@ def solve_phi(config: ScenarioConfig, time_refine: int = 1) -> PdeSolution:
         config, x_grid,
         terminal_payoff=ones,
         terminal_seed=ones,
-        diff_coef_fn=lambda t: 0.5 * np.broadcast_to(c.a(t, x_grid), x_grid.shape).astype(float),
-        drift_fn=lambda t: np.broadcast_to(c.b(t, x_grid), x_grid.shape).astype(float),
-        gamma_fn=lambda t: c.gamma_fn(t, x_grid),
-        source_fn=lambda t: np.zeros_like(x_grid),
+        diff_coef=0.5 * c.a(0.0, x_grid),
+        drift=c.b(0.0, x_grid),
+        gamma=c.gamma_fn(0.0, x_grid),
+        source=np.zeros_like(x_grid),
         time_refine=time_refine,
     )
     return PdeSolution(kind="x", t_grid=config.t_grid(), values=values, x_grid=x_grid)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -154,13 +155,16 @@ class TestCli:
         assert main(["simulate", str(bad), "--out-dir", str(tmp_path)]) == 2
 
     def test_numerical_failure_exits_three(self, tmp_path, capsys):
-        # PDE domain far too small: paths leave it and the hedge run aborts
-        text = SMALL_CONFIG.replace("s_max = 6.0", "s_max = 1.2")
-        path = tmp_path / "tight.ini"
-        path.write_text(text)
-        code = main(["hedge", str(path), "--out-dir", str(tmp_path), "--quiet"])
-        assert code == 3
-        assert "hedge" in capsys.readouterr().err
+        # PDE domain far too small in s, then in x: paths or particles leave
+        # it and the hedge run aborts, naming the step and the world
+        for old, new in (("s_max = 6.0", "s_max = 1.2"), ("x_max = 0.5", "x_max = 0.051")):
+            path = tmp_path / "tight.ini"
+            path.write_text(SMALL_CONFIG.replace(old, new))
+            code = main(["hedge", str(path), "--out-dir", str(tmp_path), "--quiet"])
+            assert code == 3
+            err = capsys.readouterr().err
+            assert "hedge" in err
+            assert re.search(r"step k=\d+, path \d+: [sx]-coordinate", err), err
 
     def test_worker_count_leaves_outputs_identical(self, config_file, tmp_path):
         outs = []
@@ -179,6 +183,16 @@ class TestCli:
         assert main(["hedge", config_file, "--out-dir", str(out), "--quiet"]) == 0
         assert (out / "hedge_summary.csv").exists()
         assert (out / "manifest.json").exists()
+
+    def test_summary_values_are_plain_floats(self, config_file, tmp_path):
+        out = tmp_path / "h"
+        assert main(["hedge", config_file, "--out-dir", str(out), "--quiet"]) == 0
+        lines = (out / "hedge_summary.csv").read_text().splitlines()[2:]
+        values = [line.split(",", 1)[1] for line in lines
+                  if not line.startswith("test_")]
+        assert len(values) == 8 * 9 + 10 + 2
+        for value in values:
+            float(value)
 
     def test_byte_identical_reruns(self, config_file, tmp_path):
         outs = []

@@ -4,16 +4,13 @@ import pytest
 import ulhedge as uh
 from ulhedge.errors import SurvivalFloorError
 from ulhedge.filtering import (
+    ParticleCloud,
     SmoothFunctional,
     functional_constant,
     functional_coord_x,
     functional_survival,
-    hazard_rate_partial,
-    init_cloud,
     ks_residual,
-    project_mu,
     run_filter,
-    step_cloud,
 )
 from ulhedge.oracles import affine_hazard_rate, ou_mean
 from ulhedge.simulate import simulate_paths
@@ -25,7 +22,7 @@ class TestInitCloud:
     def test_initial_dirac_law(self):
         cfg = make_config(x0=0.07, n_particles=50)
         b = simulate_paths(cfg.with_updates(n_paths=1), "P")
-        cloud = init_cloud(cfg, b.S[:1])
+        cloud = ParticleCloud(cfg, b.S[:1])
         assert np.all(cloud.X == 0.07)
         assert np.all(cloud.Y == 1.0)
         assert float(cloud.pi(cloud.Y)[0]) == 1.0
@@ -38,7 +35,7 @@ class TestInitCloud:
         z = 0.83
         dt = cfg.dt
         s = np.array([[1.0, 1.0 + 0.2 * np.sqrt(dt) * z, 1.0 + 0.2 * np.sqrt(dt) * z]])
-        cloud = init_cloud(cfg, s)
+        cloud = ParticleCloud(cfg, s)
         assert abs(cloud.dW_obs[0, 0] - np.sqrt(dt) * z) <= 1e-14
 
     def test_sigma_zero_rejected(self):
@@ -47,7 +44,7 @@ class TestInitCloud:
             m0=0.0, m1=0.0, sigma0=0.0, factor=uh.FrozenFactor(),
             gamma=uh.ConstantGamma(0.0), rho=0.0, c_bound=5.0))
         with pytest.raises(uh.NumericalError):
-            init_cloud(bad, np.array([[1.0, 1.0, 1.0]]))
+            ParticleCloud(bad, np.array([[1.0, 1.0, 1.0]]))
 
 
 class TestStepCloud:
@@ -55,10 +52,10 @@ class TestStepCloud:
         cfg = make_config(factor=uh.FrozenFactor(), gamma=uh.LinearGamma(),
                           x0=0.06, n_particles=30, n_paths=1)
         b = simulate_paths(cfg, "P")
-        cloud = init_cloud(cfg, b.S[:1])
+        cloud = ParticleCloud(cfg, b.S[:1])
         f = functional_coord_x()
         for _ in range(cfg.n_steps):
-            step_cloud(cloud)
+            cloud.step()
             assert np.all(cloud.X == 0.06)
         # deterministic survival: Y equals the bundle's own survival exactly
         assert np.abs(cloud.Y - b.Y[0, -1]).max() <= 1e-14
@@ -68,9 +65,9 @@ class TestStepCloud:
         cfg = make_config(factor=uh.OUFactor(1.0, 0.05, 0.2), n_paths=1,
                           n_particles=40)
         b = simulate_paths(cfg, "P")
-        cloud = init_cloud(cfg, b.S[:1])
+        cloud = ParticleCloud(cfg, b.S[:1])
         for _ in range(cfg.n_steps):
-            step_cloud(cloud)
+            cloud.step()
         assert np.all(cloud.Y == 1.0)
 
     def test_rho_zero_filter_ignores_observed_path(self):
@@ -92,11 +89,11 @@ class TestStepCloud:
         cfg = make_config(m1=0.3, rho=0.7, factor=uh.OUFactor(1.0, 0.05, 0.2),
                           n_paths=1, n_particles=400, seed=4)
         b = simulate_paths(cfg, "P")
-        cloud = init_cloud(cfg, b.S[:1])
+        cloud = ParticleCloud(cfg, b.S[:1])
         mean_increments = []
         for _ in range(cfg.n_steps):
             x_before = cloud.X.mean()
-            step_cloud(cloud)
+            cloud.step()
             mean_increments.append(cloud.X.mean() - x_before)
         corr = np.corrcoef(mean_increments, cloud.dW_obs[0])[0, 1]
         assert corr > 0.95, f"corr {corr:.3f}"
@@ -108,20 +105,20 @@ class TestProjectMu:
                           factor=uh.OUFactor(1.0, 0.05, 0.2), n_paths=1,
                           n_particles=100)
         b = simulate_paths(cfg, "P")
-        cloud = init_cloud(cfg, b.S[:1])
+        cloud = ParticleCloud(cfg, b.S[:1])
         for _ in range(cfg.n_steps // 2):
-            step_cloud(cloud)
-        est, _ = project_mu(cloud)
+            cloud.step()
+        est = cloud.projected_drift()
         assert abs(float(est[0]) - 0.04) <= 1e-14
 
     def test_dirac_projection_is_pointwise_drift(self):
         cfg = make_config(m0=0.01, m1=0.6, factor=uh.FrozenFactor(), x0=0.09,
                           gamma=uh.ConstantGamma(0.02), n_paths=1, n_particles=64)
         b = simulate_paths(cfg, "P")
-        cloud = init_cloud(cfg, b.S[:1])
+        cloud = ParticleCloud(cfg, b.S[:1])
         for _ in range(10):
-            step_cloud(cloud)
-        est, _ = project_mu(cloud)
+            cloud.step()
+        est = cloud.projected_drift()
         assert abs(float(est[0]) - (0.01 + 0.6 * 0.09)) <= 1e-14
 
     def test_ou_mean_oracle(self):
@@ -146,11 +143,11 @@ class TestProjectMu:
                           n_steps=50, n_paths=1, n_particles=16)
         cfg = cfg.with_updates(survival_floor=1e-6)
         b = simulate_paths(cfg, "P")
-        cloud = init_cloud(cfg, b.S[:1])
-        with pytest.raises(SurvivalFloorError):
+        cloud = ParticleCloud(cfg, b.S[:1])
+        with pytest.raises(SurvivalFloorError, match=r"step k=\d+ .*, path 0: mass"):
             for _ in range(cfg.n_steps):
-                step_cloud(cloud)
-                project_mu(cloud)
+                cloud.step()
+                cloud.projected_drift()
 
 
 class TestHazardRatePartial:
@@ -159,19 +156,19 @@ class TestHazardRatePartial:
                           factor=uh.OUFactor(1.0, 0.05, 0.2),
                           n_paths=1, n_particles=128)
         b = simulate_paths(cfg, "P")
-        cloud = init_cloud(cfg, b.S[:1])
+        cloud = ParticleCloud(cfg, b.S[:1])
         for _ in range(cfg.n_steps):
-            step_cloud(cloud)
-        est, _ = hazard_rate_partial(cloud)
+            cloud.step()
+        est = cloud.hazard_rate()
         assert abs(float(est[0]) - 0.07) <= 1e-14
 
     def test_dirac_hazard_tracks_deterministic_factor(self):
         cfg = make_config(factor=uh.FrozenFactor(), gamma=uh.LinearGamma(),
                           x0=0.06, n_paths=1, n_particles=32)
         b = simulate_paths(cfg, "P")
-        cloud = init_cloud(cfg, b.S[:1])
-        step_cloud(cloud)
-        est, _ = hazard_rate_partial(cloud)
+        cloud = ParticleCloud(cfg, b.S[:1])
+        cloud.step()
+        est = cloud.hazard_rate()
         assert abs(float(est[0]) - 0.06) <= 1e-14
 
     def test_cir_riccati_oracle(self):

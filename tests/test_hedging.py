@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 import ulhedge as uh
-from ulhedge.filtering import init_cloud
+from ulhedge.filtering import ParticleCloud
 from ulhedge.hedging import (
     backtest,
     closed_form_theta,
@@ -179,23 +181,56 @@ class TestThetaPartial:
         export_bundle(b, tmp_path)
         _, _, s_exported = read_matrix(os.path.join(tmp_path, "paths_S.csv"))
         _, _, h_exported = read_matrix(os.path.join(tmp_path, "paths_H.csv"))
-        cloud = init_cloud(cfg, s_exported, world_indices=b.path_indices)
+        cloud = ParticleCloud(cfg, s_exported, world_indices=b.path_indices)
         c = cfg.coefficients
         theta = np.zeros((10, cfg.n_steps))
         for k in range(cfg.n_steps):
             s_k = s_exported[:, k]
             Y = cloud.Y
-            rows_gs = g_sol.slice_at_s("d_s", k, s_k)
-            num = (Y * interp_rows(rows_gs, g_sol.x_grid, cloud.X)).mean(axis=1)
+            gs, gx = interp_rows(g_sol.slice_at_s(("d_s", "d_x"), k, s_k),
+                                 g_sol.x_grid, cloud.X)
+            num = (Y * gs).mean(axis=1)
             t = cloud.t
-            rows_gx = g_sol.slice_at_s("d_x", k, s_k)
-            gx = interp_rows(rows_gx, g_sol.x_grid, cloud.X)
             num = num + c.rho / (c.sigma(t, s_k) * s_k) \
                 * (c.a(t, cloud.X) * Y * gx).mean(axis=1)
             theta[:, k] = num / Y.mean(axis=1)
             cloud.step()
         theta *= 1.0 - h_exported[:, :-1]
         assert np.abs(theta - series.theta_star).max() <= 1e-12
+
+    def test_batch_matches_worlds_one_at_a_time(self):
+        # the flat-index gathers offset each world's rows: a batch of worlds
+        # must hedge exactly as the same worlds run alone
+        cfg = cir_scenario(recovery=uh.LinearPayoff(0.2), n_steps=30,
+                           n_particles=40, seed=69)
+        g_sol = solve_g(cfg)
+        idx = np.array([7, 2, 31, 3, 18])
+        batch = hedge_paths(cfg, simulate_paths(cfg, "P", path_indices=idx), g_sol)
+        for row, path in enumerate(idx):
+            alone = hedge_paths(cfg, simulate_paths(cfg, "P", path_indices=[path]),
+                                g_sol)
+            for name in ("theta_star", "V", "pfs_mu", "pi_y"):
+                assert np.array_equal(getattr(alone, name)[0],
+                                      getattr(batch, name)[row]), (name, path)
+
+    def test_excursion_names_step_and_path(self):
+        # x_max just above x0: particles leave the x-domain on the first step
+        cfg = cir_scenario(grid=uh.PdeGrid(100, 30, 6.0, -0.08, 0.051),
+                           n_steps=20, n_particles=50, seed=70)
+        b = simulate_paths(cfg, "P", path_indices=np.arange(40, 46))
+        with pytest.raises(uh.DomainExcursionError) as info:
+            hedge_paths(cfg, b, solve_g(cfg))
+        msg = str(info.value)
+        k, path = (int(v) for v in re.search(r"step k=(\d+), path (\d+):", msg).groups())
+        assert "x-coordinate" in msg and "[-0.08, 0.051]" in msg
+        # the named world's cloud is inside the domain before step k, not at k
+        row = int(np.flatnonzero(b.path_indices == path)[0])
+        cloud = ParticleCloud(cfg, b.S[row:row + 1], world_indices=[path])
+        for _ in range(k - 1):
+            cloud.step()
+        assert cloud.X.max() <= 0.051
+        cloud.step()
+        assert cloud.X.max() > 0.051
 
 
 class TestValueAndCost:
