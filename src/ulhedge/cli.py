@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import acceptance, csvio
-from .config_io import load_config
+from .config_io import config_hash, load_config
 from .errors import ConfigError, NumericalError
 from .filtering import run_filter
 from .hedging import backtest, closed_form_theta
@@ -48,7 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--paths", type=int, default=None, help="override n_paths")
         p.add_argument("--particles", type=int, default=None, help="override n_particles")
         p.add_argument("--out-dir", default=".", help="artifact directory")
-        p.add_argument("--format", choices=["csv"], default="csv")
         p.add_argument("--workers", type=int, default=1, help="worker processes")
         p.add_argument("--quiet", action="store_true")
     return parser
@@ -144,7 +143,6 @@ def cmd_closed_form(args) -> int:
     bundle = simulate_paths(config, "P", workers=args.workers)
     theta, gtilde, phi = closed_form_theta(config, bundle)
     manifest.mark("closed_form")
-    from .config_io import config_hash
     path = os.path.join(args.out_dir, "closed_form_theta_star.csv")
     csvio.write_matrix(path, theta, [f"t={t:.10g}" for t in bundle.t_grid[:-1]],
                        config_hash(config), meta="quantity=theta_star pipeline=closed-form")

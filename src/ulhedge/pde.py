@@ -7,18 +7,22 @@ Three problems are solved on tensor-product grids:
   and the death-benefit source.
 * ``solve_gtilde`` -- 1D in s: the driftless price diffusion alone (the
   Black-Scholes-type survival-benefit price used in the uncorrelated case).
-* ``solve_phi``    -- 1D in x: factor diffusion killed at the mortality rate
-  with terminal value 1 (the pure survival transform).
+* ``solve_phi``    -- 1D in x: factor diffusion (a^2/2 times Phi_xx) with the
+  physical drift, killed at the mortality rate, terminal value 1 (the pure
+  survival transform).
 
-Numerics: Crank-Nicolson in time with a Rannacher start (two implicit-Euler
-steps split in half) to damp the payoff kink, killing and source integrated
-exactly over each step (g <- U + (g - U) exp(-gamma dt)) so spatially constant
-and affine solutions stay exact, and the mixed derivative lagged one level.
+One stencil and one march serve all three: ``_axis_stencil`` discretizes one
+axis (nonuniform second differences, upwinded drift; edge rows drop the
+diffusion and difference the drift one-sided into the domain), ``_operator``
+sums the axis stencils into one sparse matrix, and ``_march`` steps backward
+with Crank-Nicolson from a Rannacher start (two implicit half-steps reusing
+the CN factor) to damp the payoff kink, integrating killing and source
+exactly over each step (g <- U + (g - U) exp(-gamma dt)) so spatially
+constant and affine solutions stay exact.  The 2D problem adds its mixed
+derivative, lagged one level.
 When a payoff carries a strike the s-grid is sinh-stretched around it (cells
 near the kink are ~alpha/n wide) and the terminal condition is seeded with its
 cell averages; the stored terminal slice remains the pointwise payoff.
-Boundary rows impose a vanishing second derivative by dropping the diffusion
-term; first-order terms there use one-sided differences into the domain.
 
 Every lookup uses one locate and one linear interpolation, s first, then x:
 point lookups gather cell corners, the hedging loop gathers particles from
@@ -31,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
 from scipy.sparse.linalg import splu
 
 from . import rng
@@ -89,26 +92,6 @@ def _cell_average(payoff, t: float, grid: np.ndarray) -> np.ndarray:
         b = np.minimum(hi, strike)
         num = np.where(lo < strike, (strike - lo) ** 2 - np.maximum(strike - b, 0.0) ** 2, 0.0)
     return num / (2.0 * (hi - lo))
-
-
-def _second_diff_weights(grid: np.ndarray):
-    """Three-point second-derivative weights on a possibly nonuniform grid.
-
-    Exact on linear functions for any spacing (the affine-contract tests rely
-    on this).  Boundary rows are zeroed by the callers.
-    """
-    n = len(grid)
-    hminus = np.empty(n)
-    hplus = np.empty(n)
-    h = np.diff(grid)
-    hminus[1:] = h
-    hminus[0] = h[0]
-    hplus[:-1] = h
-    hplus[-1] = h[-1]
-    wl = 2.0 / (hminus * (hminus + hplus))
-    wc = -2.0 / (hminus * hplus)
-    wr = 2.0 / (hplus * (hminus + hplus))
-    return wl, wc, wr
 
 
 # ---------------------------------------------------------------------------
@@ -268,76 +251,72 @@ def interp_rows(rows: np.ndarray, grid: np.ndarray, q: np.ndarray) -> np.ndarray
 # operator assembly
 # ---------------------------------------------------------------------------
 
-def _coeff_arrays_2d(config: ScenarioConfig, t: float, SS, XX):
+def _axis_stencil(grid: np.ndarray, diff, drift, axis: int):
+    """Lower, centre and upper weights of diff q_qq + drift q_q along ``axis``.
+
+    ``diff`` and ``drift`` are coefficient arrays over the whole grid (the
+    drift may be a scalar).  Second differences use the three-point weights
+    of the possibly nonuniform ``grid``, exact on linear functions for any
+    spacing (the affine-contract tests rely on this); the drift is upwinded.
+    On the edge rows the diffusion is dropped (vanishing second derivative)
+    and the drift is differenced one-sided into the domain, so the first
+    node has no lower and the last no upper neighbour.
+    """
+    h = np.diff(grid)
+    hm = np.append(h[0], h)      # spacing to the lower neighbour
+    hp = np.append(h, h[-1])     # spacing to the upper neighbour
+    weights = [2.0 / (hm * (hm + hp)), -2.0 / (hm * hp), 2.0 / (hp * (hm + hp))]
+    for w in weights:
+        w[[0, -1]] = 0.0
+    along = (-1,) + (1,) * (np.ndim(diff) - axis - 1)
+    wl, wc, wr = (w.reshape(along) for w in weights)
+    drift = np.broadcast_to(drift, np.shape(diff))
+    up, down = np.maximum(drift, 0.0), np.maximum(-drift, 0.0)
+    first, last = (slice(None),) * axis + (0,), (slice(None),) * axis + (-1,)
+    up[first], down[first] = drift[first], 0.0
+    up[last], down[last] = 0.0, -drift[last]
+    up /= hp.reshape(along)
+    down /= hm.reshape(along)
+    return diff * wl + down, diff * wc - up - down, diff * wr + up
+
+
+def _operator(*stencils) -> sp.csc_matrix:
+    """Sparse operator of the summed axis stencils on the C-ordered grid.
+
+    Axis k couples nodes at stride prod(shape[k+1:]) as flattened diagonals;
+    no wrap from the end of one row to the start of the next appears,
+    because an edge node's outward weight is zero.  Zero weights are not
+    stored.
+    """
+    shape = stencils[0][1].shape
+    diagonals, offsets = [sum(c for _, c, _ in stencils).ravel()], [0]
+    for axis, (lower, _, upper) in enumerate(stencils):
+        stride = int(np.prod(shape[axis + 1:]))
+        diagonals += [lower.ravel()[stride:], upper.ravel()[:-stride]]
+        offsets += [-stride, stride]
+    A = sp.diags(diagonals, offsets, format="csc")
+    A.eliminate_zeros()
+    return A
+
+
+def _coeff_arrays_2d(config: ScenarioConfig, SS, XX):
     c = config.coefficients
-    sig = c.sigma(t, SS)
-    aa = c.a(t, XX)
-    drift = c.b(t, XX) - c.rho * aa * c.market_price_of_risk(t, SS, XX, check=False)
-    gam = c.gamma_fn(t, XX)
+    sig = c.sigma(0.0, SS)
+    aa = c.a(0.0, XX)
+    drift = c.b(0.0, XX) - c.rho * aa * c.market_price_of_risk(0.0, SS, XX, check=False)
+    gam = c.gamma_fn(0.0, XX)
     return sig, aa, drift, gam
 
 
-def _assemble_2d(config: ScenarioConfig, t: float, s_grid, x_grid) -> sp.csc_matrix:
+def _assemble_2d(s_grid, x_grid, sig, aa, drift) -> sp.csc_matrix:
     """Spatial operator (diffusions + upwinded x-drift), no reaction, no mixed."""
-    n1, n2 = len(s_grid), len(x_grid)
-    hx = x_grid[1] - x_grid[0]
-    SS, XX = np.meshgrid(s_grid, x_grid, indexing="ij")
-    sig, aa, drift, _ = _coeff_arrays_2d(config, t, SS, XX)
-
-    wl, wc, wr = _second_diff_weights(s_grid)
-    half_s = 0.5 * sig**2 * SS**2
-    sl = half_s * wl[:, None]
-    sc = half_s * wc[:, None]
-    sr = half_s * wr[:, None]
-    for arr in (sl, sc, sr):
-        arr[0, :] = 0.0
-        arr[-1, :] = 0.0
-
-    dxc = np.broadcast_to(0.5 * aa**2 / hx**2, (n1, n2)).copy()
-    dxc[:, 0] = 0.0
-    dxc[:, -1] = 0.0
-
-    drift = np.broadcast_to(drift, (n1, n2))
-    dp = np.maximum(drift, 0.0) / hx
-    dm = np.maximum(-drift, 0.0) / hx
-    dp = dp.copy()
-    dm = dm.copy()
-    # one-sided difference into the domain at the x edges
-    dp[:, 0] = drift[:, 0] / hx
-    dm[:, 0] = 0.0
-    dm[:, -1] = -drift[:, -1] / hx
-    dp[:, -1] = 0.0
-
-    P = np.arange(n1)[:, None] * n2 + np.arange(n2)[None, :]
-    rows, cols, vals = [], [], []
-
-    def add(mask, shift, coef):
-        rows.append(P[mask])
-        cols.append(P[mask] + shift)
-        vals.append(coef[mask])
-
-    full = np.ones((n1, n2), dtype=bool)
-    has_sp = np.zeros_like(full); has_sp[:-1, :] = True
-    has_sm = np.zeros_like(full); has_sm[1:, :] = True
-    has_xp = np.zeros_like(full); has_xp[:, :-1] = True
-    has_xm = np.zeros_like(full); has_xm[:, 1:] = True
-
-    add(full, 0, sc - 2.0 * dxc - dp - dm)
-    add(has_sp, n2, sr)
-    add(has_sm, -n2, sl)
-    add(has_xp, 1, dxc + dp)
-    add(has_xm, -1, dxc + dm)
-
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n1 * n2, n1 * n2),
-    ).tocsc()
+    half_s = 0.5 * sig**2 * s_grid[:, None] ** 2
+    return _operator(_axis_stencil(s_grid, half_s, 0.0, axis=0),
+                     _axis_stencil(x_grid, 0.5 * aa**2, drift, axis=1))
 
 
 def _mixed_term(values, sig, aa, SS, rho, s_grid, x_grid):
     """rho a sigma s g_sx, centered, zero on the boundary ring."""
-    if rho == 0.0:
-        return np.zeros_like(values)
     hx = x_grid[1] - x_grid[0]
     ds = np.gradient(values, s_grid, axis=0)
     out = np.zeros_like(values)
@@ -346,11 +325,38 @@ def _mixed_term(values, sig, aa, SS, rho, s_grid, x_grid):
     return out
 
 
+def _march(values, A, seed, dt: float, gamma, source, explicit=None) -> None:
+    """Fill ``values[:-1]`` backward from the terminal ``seed``.
+
+    Each step solves dw/dt + A w + explicit(w) = gamma (w - source):
+    Crank-Nicolson in A, except for a Rannacher start of two implicit
+    half-steps that reuse the CN factor; the lagged ``explicit`` term enters
+    the right-hand side; killing and source are integrated exactly over the
+    step (w <- source + (w - source) exp(-gamma dt)), so spatially constant
+    and affine solutions stay exact.
+    """
+    try:
+        lu = splu(sp.identity(A.shape[0], format="csc") - 0.5 * dt * A)
+    except RuntimeError as exc:
+        raise NumericalError(f"PDE linear solve failed: {exc}") from exc
+    decay = np.exp(-gamma * dt)
+    n_t = len(values) - 1
+    work = seed
+    for step in range(n_t - 1, -1, -1):
+        rhs = work if explicit is None else work + dt * explicit(work)
+        if step >= n_t - _RANNACHER_STEPS:
+            work = lu.solve(lu.solve(rhs.ravel()))
+        else:
+            work = lu.solve(rhs.ravel() + 0.5 * dt * A.dot(work.ravel()))
+        work = source + (work.reshape(seed.shape) - source) * decay
+        values[step] = work
+
+
 # ---------------------------------------------------------------------------
 # solvers
 # ---------------------------------------------------------------------------
 
-def solve_g(config: ScenarioConfig, time_refine: int = 1) -> PdeSolution:
+def solve_g(config: ScenarioConfig) -> PdeSolution:
     """Solve the 2D value problem for the endowment contract.
 
     Returns g with g(T, s, x) = G(T, s); the interior equation balances the
@@ -360,8 +366,6 @@ def solve_g(config: ScenarioConfig, time_refine: int = 1) -> PdeSolution:
     grid = config.pde_grid
     contract = config.contract
     T = contract.maturity
-    n_t = config.n_steps * time_refine
-    dt = T / n_t
     s_grid = stretched_s_grid(grid.n_s, grid.s_max,
                               _strike_of(contract.survival_payoff))
     x_grid = np.linspace(grid.x_min, grid.x_max, grid.n_x + 1)
@@ -370,31 +374,15 @@ def solve_g(config: ScenarioConfig, time_refine: int = 1) -> PdeSolution:
 
     values = np.empty((config.n_steps + 1, grid.n_s + 1, grid.n_x + 1))
     values[-1] = contract.G(s_grid)[:, None]
-    work = np.broadcast_to(_cell_average(contract.survival_payoff, T, s_grid)[:, None],
-                           SS.shape).copy()
-
+    seed = np.broadcast_to(_cell_average(contract.survival_payoff, T, s_grid)[:, None],
+                           SS.shape)
     # no coefficient, mortality or payoff family depends on t: one operator,
     # one factorization and one killing factor serve every step
-    sig, aa, _, gam = _coeff_arrays_2d(config, 0.0, SS, XX)
-    A = _assemble_2d(config, 0.0, s_grid, x_grid)
-    try:
-        lu = splu(sp.identity(A.shape[0], format="csc") - 0.5 * dt * A)
-    except RuntimeError as exc:
-        raise NumericalError(f"PDE linear solve failed: {exc}") from exc
-    U = contract.U(0.0, SS)
-    decay = np.exp(-gam * dt)
-    for step in range(n_t - 1, -1, -1):
-        rhs = work + dt * _mixed_term(work, sig, aa, SS, rho, s_grid, x_grid)
-        if step >= n_t - _RANNACHER_STEPS:
-            # Rannacher start: two implicit half-steps reuse the CN factor
-            half = lu.solve(rhs.ravel())
-            work = lu.solve(half).reshape(work.shape)
-        else:
-            rhs = rhs.ravel() + 0.5 * dt * A.dot(work.ravel())
-            work = lu.solve(rhs).reshape(work.shape)
-        work = U + (work - U) * decay
-        if step % time_refine == 0:
-            values[step // time_refine] = work
+    sig, aa, drift, gam = _coeff_arrays_2d(config, SS, XX)
+    mixed = None if rho == 0.0 else (
+        lambda w: _mixed_term(w, sig, aa, SS, rho, s_grid, x_grid))
+    _march(values, _assemble_2d(s_grid, x_grid, sig, aa, drift), seed,
+           T / config.n_steps, gam, contract.U(0.0, SS), mixed)
 
     sol = PdeSolution(kind="sx", t_grid=np.linspace(0.0, T, config.n_steps + 1),
                       values=values, s_grid=s_grid, x_grid=x_grid)
@@ -411,76 +399,37 @@ def _max_principle_gap(config: ScenarioConfig, values, s_grid) -> float:
 
 
 def _solve_1d(config: ScenarioConfig, grid, terminal_payoff, terminal_seed,
-              diff_coef, drift, gamma, source, time_refine: int):
-    """Shared backward march for the 1D problems (same scheme as solve_g).
-
-    The coefficients are arrays over the grid: no family depends on t.
-    """
-    T = config.contract.maturity
-    n_t = config.n_steps * time_refine
-    dt = T / n_t
-    n = len(grid)
-    wl, wc, wr = _second_diff_weights(grid)
-    h_edge = np.diff(grid)
-
-    values = np.empty((config.n_steps + 1, n))
+              diff_coef, drift, gamma, source):
+    """Shared backward march for the 1D problems: the 2D problem's stencil
+    and march on one axis.  The coefficients are arrays over the grid or
+    scalars: no family depends on t."""
+    values = np.empty((config.n_steps + 1, len(grid)))
     values[-1] = terminal_payoff
-    work = terminal_seed.astype(float).copy()
-
-    cl, cc, cr = diff_coef * wl, diff_coef * wc, diff_coef * wr
-    for arr in (cl, cc, cr):
-        arr[0] = arr[-1] = 0.0
-    dp = np.maximum(drift, 0.0) / np.append(h_edge, h_edge[-1])
-    dm = np.maximum(-drift, 0.0) / np.append(h_edge[0], h_edge)
-    dp[0], dm[0] = drift[0] / h_edge[0], 0.0
-    dm[-1], dp[-1] = -drift[-1] / h_edge[-1], 0.0
-    cl = cl + dm
-    cc = cc - dp - dm
-    cr = cr + dp
-    banded = np.zeros((3, n))
-    banded[0, 1:] = -0.5 * dt * cr[:-1]
-    banded[1, :] = 1.0 - 0.5 * dt * cc
-    banded[2, :-1] = -0.5 * dt * cl[1:]
-    decay = np.exp(-gamma * dt)
-    for step in range(n_t - 1, -1, -1):
-        if step >= n_t - _RANNACHER_STEPS:
-            work = solve_banded((1, 1), banded, work)
-            work = solve_banded((1, 1), banded, work)
-        else:
-            rhs = work.copy()
-            rhs[1:-1] += 0.5 * dt * (cl[1:-1] * work[:-2] + cc[1:-1] * work[1:-1]
-                                     + cr[1:-1] * work[2:])
-            rhs[0] += 0.5 * dt * (cc[0] * work[0] + cr[0] * work[1])
-            rhs[-1] += 0.5 * dt * (cl[-1] * work[-2] + cc[-1] * work[-1])
-            work = solve_banded((1, 1), banded, rhs)
-        work = source + (work - source) * decay
-        if step % time_refine == 0:
-            values[step // time_refine] = work
+    _march(values, _operator(_axis_stencil(grid, diff_coef, drift, axis=0)),
+           terminal_seed, config.contract.maturity / config.n_steps, gamma, source)
     return values
 
 
-def solve_gtilde(config: ScenarioConfig, time_refine: int = 1) -> PdeSolution:
+def solve_gtilde(config: ScenarioConfig) -> PdeSolution:
     """Solve the 1D survival-benefit price: dg/dt + s^2 sigma^2 g_ss / 2 = 0."""
     grid = config.pde_grid
     c = config.coefficients
     payoff = config.contract.survival_payoff
     s_grid = stretched_s_grid(grid.n_s, grid.s_max, _strike_of(payoff))
-    zero = np.zeros_like(s_grid)
     T = config.contract.maturity
     values = _solve_1d(
         config, s_grid,
         terminal_payoff=payoff(T, s_grid),
         terminal_seed=_cell_average(payoff, T, s_grid),
         diff_coef=0.5 * c.sigma(0.0, s_grid) ** 2 * s_grid**2,
-        drift=zero,
-        gamma=zero,
-        source=zero,
-        time_refine=time_refine,
+        drift=0.0,
+        gamma=0.0,
+        source=0.0,
     )
     return PdeSolution(kind="s", t_grid=config.t_grid(), values=values, s_grid=s_grid)
 
 
-def solve_phi(config: ScenarioConfig, time_refine: int = 1) -> PdeSolution:
+def solve_phi(config: ScenarioConfig) -> PdeSolution:
     """Solve the survival transform: dPhi/dt + b Phi_x + a^2 Phi_xx / 2 = gamma Phi.
 
     Phi(t, X_t) is the conditional expectation of exp(-int_t^T gamma) given
@@ -496,11 +445,10 @@ def solve_phi(config: ScenarioConfig, time_refine: int = 1) -> PdeSolution:
         config, x_grid,
         terminal_payoff=ones,
         terminal_seed=ones,
-        diff_coef=0.5 * c.a(0.0, x_grid),
+        diff_coef=0.5 * c.a(0.0, x_grid) ** 2,
         drift=c.b(0.0, x_grid),
         gamma=c.gamma_fn(0.0, x_grid),
-        source=np.zeros_like(x_grid),
-        time_refine=time_refine,
+        source=0.0,
     )
     return PdeSolution(kind="x", t_grid=config.t_grid(), values=values, x_grid=x_grid)
 

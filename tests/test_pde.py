@@ -4,7 +4,8 @@ import pytest
 import ulhedge as uh
 from ulhedge.errors import DomainExcursionError
 from ulhedge.oracles import affine_survival, black_scholes_call, black_scholes_delta
-from ulhedge.pde import feynman_kac_check, solve_g, solve_gtilde, solve_phi
+from ulhedge.pde import (_assemble_2d, _coeff_arrays_2d, feynman_kac_check, solve_g,
+                         solve_gtilde, solve_phi, stretched_s_grid)
 
 from conftest import make_config
 
@@ -143,8 +144,55 @@ class TestPhi:
         x_band = np.linspace(0.01, 0.45, 45)
         oracle = np.array([affine_survival(factor, uh.LinearGamma(), float(x), 1.0)
                            for x in x_band])
-        rel = np.abs(phi.value(0, x=x_band) - oracle) / oracle
-        assert rel.max() <= 0.01
+        err = np.abs(phi.value(0, x=x_band) - oracle)
+        assert (err / oracle).max() <= 0.01
+        assert err.max() <= 1e-3
+
+
+REDUCTION_GRID = uh.PdeGrid(100, 60, 4.0, -0.08, 0.5)
+
+
+def g_against_phi(factor):
+    """Constant survival payoff 1, no recovery, m0 = m1 = rho = 0: g = Phi at every s."""
+    cfg = make_config(factor=factor, gamma=uh.AffineGamma(0.01, 1.0),
+                      survival=uh.ConstantPayoff(1.0), grid=REDUCTION_GRID)
+    return solve_g(cfg).values, solve_phi(cfg).values[:, None, :]
+
+
+def g_against_gtilde():
+    """Frozen factor, rho = 0, constant hazard, call payoff: g = exp(-gamma (T - t)) g~."""
+    cfg = make_config(gamma=uh.ConstantGamma(0.1), grid=REDUCTION_GRID)
+    g = solve_g(cfg)
+    survival = np.exp(-0.1 * (1.0 - g.t_grid))[:, None]
+    return g.values, (survival * solve_gtilde(cfg).values)[:, :, None]
+
+
+@pytest.mark.parametrize("reduction", [
+    pytest.param(lambda: g_against_phi(uh.CIRFactor(1.2, 0.06, 0.25)), id="phi-cir"),
+    pytest.param(lambda: g_against_phi(uh.OUFactor(1.0, 0.05, 0.1)), id="phi-ou"),
+    pytest.param(g_against_gtilde, id="gtilde-frozen"),
+])
+def test_1d_and_2d_problems_share_one_operator(reduction):
+    g, reduced = reduction()
+    assert np.abs(g - reduced).max() <= 1e-12
+
+
+def test_assembly_has_no_row_wrap_and_annihilates_constants():
+    # the P-hat drift b - rho a mu/sigma = 0.05 + 3.5 x points out of both x edges
+    cfg = make_config(m1=2.0, rho=-0.9, factor=uh.OUFactor(1.0, 0.05, 0.5), c_bound=10.0)
+    g = cfg.pde_grid
+    s_grid = stretched_s_grid(g.n_s, g.s_max, 1.0)
+    x_grid = np.linspace(g.x_min, g.x_max, g.n_x + 1)
+    SS, XX = np.meshgrid(s_grid, x_grid, indexing="ij")
+    sig, aa, drift, _ = _coeff_arrays_2d(cfg, SS, XX)
+    A = _assemble_2d(s_grid, x_grid, sig, aa, drift).tocoo()
+    (ri, rj), (ci, cj) = np.divmod(A.row, g.n_x + 1), np.divmod(A.col, g.n_x + 1)
+    # the stride-1 diagonals run across row ends: (i, n_x) and (i+1, 0) must not couple
+    assert not np.any((rj == g.n_x) & (ci == ri + 1) & (cj == 0))
+    assert not np.any((rj == 0) & (ci == ri - 1) & (cj == g.n_x))
+    assert np.all(np.abs(ri - ci) + np.abs(rj - cj) <= 1)
+    ones = np.ones(A.shape[0])
+    assert np.all(np.abs(A @ ones) <= 1e-14 * (abs(A) @ ones))
 
 
 class TestFeynmanKac:
