@@ -439,9 +439,8 @@ def criterion_determinism(seed: int) -> CriterionResult:
     def run_digest(workers: int) -> str:
         digest = hashlib.sha256()
         with tempfile.TemporaryDirectory() as tmp:
-            bundle = simulate_paths(cfg, "P", workers=workers)
-            files = export_bundle(bundle, tmp)
-            rep = backtest(cfg, chunk_size=130 if workers > 1 else 4000)
+            files = export_bundle(simulate_paths(cfg, "P"), tmp)
+            rep = backtest(cfg, chunk_size=130 if workers > 1 else 4000, workers=workers)
             files += export_hedge_report(rep, tmp)
             for path in sorted(files):
                 with open(path, "rb") as fh:

@@ -48,8 +48,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--paths", type=int, default=None, help="override n_paths")
         p.add_argument("--particles", type=int, default=None, help="override n_particles")
         p.add_argument("--out-dir", default=".", help="artifact directory")
-        p.add_argument("--workers", type=int, default=1, help="worker processes")
         p.add_argument("--quiet", action="store_true")
+        if name in ("hedge", "solve"):   # perfbench/run.py passes it to solve too
+            p.add_argument("--workers", type=int, default=1,
+                           help="processes running the backtest's chunks (solve ignores it)")
     return parser
 
 
@@ -79,7 +81,7 @@ def cmd_simulate(args) -> int:
     config = _load(args)
     manifest = csvio.RunManifest.start(config, "simulate")
     for measure in ("P", "P_hat"):
-        bundle = simulate_paths(config, measure, workers=args.workers)
+        bundle = simulate_paths(config, measure)
         manifest.mark(f"simulate_{measure}")
         prefix = "paths" if measure == "P" else "paths_hat"
         manifest.add_outputs(csvio.export_bundle(bundle, args.out_dir, prefix=prefix))
@@ -109,7 +111,7 @@ def cmd_solve(args) -> int:
 def cmd_filter(args) -> int:
     config = _load(args)
     manifest = csvio.RunManifest.start(config, "filter")
-    bundle = simulate_paths(config, "P", workers=args.workers)
+    bundle = simulate_paths(config, "P")
     manifest.mark("simulate")
     series = run_filter(config, bundle.S, world_indices=bundle.path_indices)
     manifest.mark("filter")
@@ -140,7 +142,7 @@ def cmd_hedge(args) -> int:
 def cmd_closed_form(args) -> int:
     config = _load(args)
     manifest = csvio.RunManifest.start(config, "closed-form")
-    bundle = simulate_paths(config, "P", workers=args.workers)
+    bundle = simulate_paths(config, "P")
     theta, gtilde, phi = closed_form_theta(config, bundle)
     manifest.mark("closed_form")
     path = os.path.join(args.out_dir, "closed_form_theta_star.csv")

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng
-from .errors import NumericalError, SurvivalFloorError
+from .errors import CoefficientBoundError, NumericalError, SurvivalFloorError
 from .models import ScenarioConfig
 
 __all__ = [
@@ -162,9 +162,11 @@ class ParticleCloud:
         dt = self.dt
         kernel = self.mu / c.sigma(t, self.s_now)
         if np.abs(kernel).max() > c.c_bound:
-            raise NumericalError(
-                f"|mu/sigma| exceeded c_bound for {int((np.abs(kernel) > c.c_bound).sum())}"
-                f" particles at t={t:.4g}"
+            over = np.abs(kernel) > c.c_bound
+            row = int(np.argmax(over.any(axis=1)))
+            raise CoefficientBoundError(
+                f"|mu/sigma| exceeded c_bound = {c.c_bound:.6g} at {self._where(row)}:"
+                f" {int(over[row].sum())} particle(s)"
             )
         a = self.a
         rho = c.rho
@@ -197,7 +199,8 @@ class ParticleCloud:
         self.X = x_new
         self.k = k + 1
         if not np.all(np.isfinite(self.X)):
-            raise NumericalError(f"non-finite particle state at t={self.t_grid[self.k]:.4g}")
+            row = int(np.argmin(np.isfinite(self.X).all(axis=1)))
+            raise NumericalError(f"non-finite particle state at {self._where(row)}")
         self._evaluate(gam_new)
 
     # -- conditional expectations ---------------------------------------------
@@ -235,12 +238,16 @@ class ParticleCloud:
         resid = wY * (values - est[:, None])
         return est, np.sqrt((resid**2).sum(axis=1)) / denom
 
+    def _where(self, row: int) -> str:
+        """The current step and the global index of world ``row``, for messages."""
+        return f"step k={self.k} (t={self.t:.4g}), path {int(self.world_indices[row])}"
+
     def _check_floor(self, denom: np.ndarray) -> None:
         if np.any(denom < self.config.survival_floor):
             row = int(np.argmin(denom))
             raise SurvivalFloorError(
-                f"survival mass exhausted at step k={self.k} (t={self.t:.4g}),"
-                f" path {int(self.world_indices[row])}: mass {float(denom[row]):.3e}"
+                f"survival mass exhausted at {self._where(row)}:"
+                f" mass {float(denom[row]):.3e}"
                 f" below the floor {self.config.survival_floor:.3e}"
             )
 

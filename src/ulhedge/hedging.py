@@ -11,11 +11,14 @@ the survival-weighted projection of the same surface; both come from one
 gather of g, dg/ds and dg/dx per step.  The cost process is assembled
 pathwise as payments plus book value minus trading gains, and the backtest
 checks the martingale / orthogonality / pricing properties that characterize
-the locally risk-minimizing strategy.
+the locally risk-minimizing strategy.  Each world is hedged from its own
+path and streams, so the backtest's chunk loop is the one place where worlds
+are split, run in parallel and joined.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,8 +128,8 @@ class HedgeSeries:
     terminal_gap: np.ndarray
 
 
-def hedge_paths(config: ScenarioConfig, bundle: PathBundle, g_sol: PdeSolution,
-                n_particles: int | None = None) -> HedgeSeries:
+def hedge_paths(config: ScenarioConfig, bundle: PathBundle,
+                g_sol: PdeSolution) -> HedgeSeries:
     """Run the filter-based hedge along every world of a bundle.
 
     The cloud sees only the observed price paths; positions and book values
@@ -141,7 +144,7 @@ def hedge_paths(config: ScenarioConfig, bundle: PathBundle, g_sol: PdeSolution,
     # derive the gradient surfaces before the particle state exists, so that
     # their temporaries never add to it at the peak
     g_sol.d_s, g_sol.d_x
-    cloud = ParticleCloud(config, bundle.S, bundle.path_indices, n_particles)
+    cloud = ParticleCloud(config, bundle.S, bundle.path_indices)
     x_grid = g_sol.x_grid
 
     theta_star = np.zeros((n_paths, n))
@@ -320,9 +323,40 @@ def _cov_with_se(u: np.ndarray, v: np.ndarray):
     return prod.mean(axis=0), prod.std(axis=0, ddof=1) / np.sqrt(n)
 
 
-def backtest(config: ScenarioConfig, n_particles: int | None = None,
-             chunk_size: int = 4000, workers: int = 1) -> HedgeReport:
+def _backtest_chunk(config: ScenarioConfig, g_sol: PdeSolution, bounds: tuple) -> tuple:
+    """Simulate the worlds lo <= i < hi under P_hat and P and hedge them.
+
+    Returns the per-world arrays ``backtest`` joins, in its unpacking order.
+    """
+    idx = np.arange(*bounds)
+    claim_hat = payment_stream(simulate_paths(config, "P_hat", path_indices=idx)).terminal
+    bundle = simulate_paths(config, "P", path_indices=idx)
+    h = hedge_paths(config, bundle, g_sol)
+    return (bundle.stopped().S, h.N, h.V, h.V_full, h.theta_star, h.theta_full,
+            h.pfs_mu, h.pi_y, h.terminal_gap, bundle.alive_mask(),
+            bundle.death_step(), claim_hat)
+
+
+_worker_inputs = ()   # (config, g_sol), set once in each pool worker by its initializer
+
+
+def _init_worker(*inputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _worker_chunk(bounds: tuple) -> tuple:
+    return _backtest_chunk(*_worker_inputs, bounds)
+
+
+def backtest(config: ScenarioConfig, chunk_size: int = 4000,
+             workers: int = 1) -> HedgeReport:
     """Simulate physical-measure worlds, hedge each one, test optimality.
+
+    The worlds go in at least ``min(workers, n_paths)`` chunks of at most
+    ``chunk_size``, run by a process pool when ``workers > 1``; the pool
+    initializer hands each worker the solved surface once.  The result is
+    bit-identical for any chunk size and worker count.
 
     Checks, across paths: (1) cost increments have zero mean at the block
     checkpoints, (2) cost increments are uncorrelated with the stopped price
@@ -336,28 +370,22 @@ def backtest(config: ScenarioConfig, n_particles: int | None = None,
     g_sol = solve_g(config)
     n, n_paths = config.n_steps, config.n_paths
 
-    parts = []
-    for lo in range(0, n_paths, chunk_size):
-        idx = np.arange(lo, min(lo + chunk_size, n_paths))
-        bundle = simulate_paths(config, "P", path_indices=idx, workers=workers)
-        parts.append((bundle, hedge_paths(config, bundle, g_sol, n_particles)))
+    n_chunks = max(-(-n_paths // chunk_size), min(workers, n_paths))
+    bounds = np.linspace(0, n_paths, n_chunks + 1).astype(int)
+    chunks = list(zip(bounds[:-1], bounds[1:]))
+    if workers > 1:
+        with ProcessPoolExecutor(workers, initializer=_init_worker,
+                                 initargs=(config, g_sol)) as pool:
+            parts = list(pool.map(_worker_chunk, chunks))
+    else:
+        parts = [_backtest_chunk(config, g_sol, b) for b in chunks]
+    (S_stopped, N, V, V_full, theta_star, th_full, pfs_mu, pi_y, terminal_gap,
+     alive, death_step, claim_hat) = (np.concatenate(col) for col in zip(*parts))
+    del parts
+    t_grid = config.t_grid()
 
-    def cat(sel, axis=0):
-        return np.concatenate([sel(b, h) for b, h in parts], axis=axis)
-
-    S_stopped = cat(lambda b, h: b.stopped().S)
-    N = cat(lambda b, h: h.N)
-    V = cat(lambda b, h: h.V)
-    V_full = cat(lambda b, h: h.V_full)
-    theta_star = cat(lambda b, h: h.theta_star)
-    th_full = cat(lambda b, h: h.theta_full)
-    pfs_mu = cat(lambda b, h: h.pfs_mu)
-    pi_y = cat(lambda b, h: h.pi_y)
-    terminal_gap = cat(lambda b, h: h.terminal_gap)
-    alive = cat(lambda b, h: b.alive_mask())
-    t_grid = parts[0][0].t_grid
-
-    C = cost_process(N, V, theta_star, S_stopped)
+    gains = trading_gains(theta_star, S_stopped)
+    C = N + V - gains   # cost_process, keeping the gains for the price identity
     C_full = cost_process(N, V_full, th_full, S_stopped)
 
     # martingale part of the stopped price under the observable flow
@@ -374,13 +402,9 @@ def backtest(config: ScenarioConfig, n_particles: int | None = None,
     cov_p, cov_p_se = _cov_with_se(dC, dS)
     cov_m, cov_m_se = _cov_with_se(dC, dMb)
 
-    gains_T = trading_gains(theta_star, S_stopped)[:, -1]
-    lhs = N[:, -1] - gains_T
+    lhs = N[:, -1] - gains[:, -1]
     price_lhs = float(lhs.mean())
     price_lhs_se = float(lhs.std(ddof=1) / np.sqrt(n_paths))
-
-    bundle_hat = simulate_paths(config, "P_hat")
-    claim_hat = payment_stream(bundle_hat).terminal
     price_rhs = float(claim_hat.mean())
     price_rhs_se = float(claim_hat.std(ddof=1) / np.sqrt(claim_hat.size))
 
@@ -396,10 +420,9 @@ def backtest(config: ScenarioConfig, n_particles: int | None = None,
         cost_var_partial=float((C[:, -1] - C[:, 0]).var(ddof=1)),
         cost_var_full=float((C_full[:, -1] - C_full[:, 0]).var(ddof=1)),
         terminal_gap_max=float(terminal_gap.max()) if terminal_gap.size else 0.0,
-        v_terminal_max=float(np.abs(V[np.arange(n_paths),
-                                      cat(lambda b, h: b.death_step())]).max()),
+        v_terminal_max=float(np.abs(V[np.arange(n_paths), death_step]).max()),
         n_paths=n_paths,
-        n_particles=n_particles or config.n_particles,
+        n_particles=config.n_particles,
     )
     series = HedgeSeries(t_grid=t_grid, theta_star=theta_star, theta_full=th_full,
                          V=V, V_full=V_full, pfs_mu=pfs_mu, pi_y=pi_y, N=N,

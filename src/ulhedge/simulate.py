@@ -1,16 +1,16 @@
 """Monte Carlo worlds: correlated (W, B, S, X) paths, survival and death.
 
 Paths live on the uniform grid t_k = k T / n_steps.  Row ``i`` of every array
-is world ``i`` and is driven by its own counter-based stream, so results do
-not depend on chunking or worker count.  The price is advanced in log space
-(positivity is structural); the cumulative hazard uses the trapezoidal rule;
-the death time is the first grid time at which the cumulative hazard crosses
-an independent unit-exponential draw.
+is world ``i`` and is driven by its own counter-based stream, so a world does
+not depend on the others simulated with it (the backtest's chunks rely on
+this).  The price is advanced in log space (positivity is structural); the
+cumulative hazard uses the trapezoidal rule; the death time is the first grid
+time at which the cumulative hazard crosses an independent unit-exponential
+draw.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,7 +203,15 @@ def sample_death_time(t_grid: np.ndarray, Gamma: np.ndarray, exp_draw: np.ndarra
     return tau, H
 
 
-def _build_bundle(config, measure, path_indices) -> PathBundle:
+def simulate_paths(config: ScenarioConfig, measure: str = "P",
+                   path_indices=None) -> PathBundle:
+    """Simulate a batch of worlds under P or the minimal martingale measure.
+
+    The same per-path streams drive both measures, so a P run and a P_hat run
+    with one config are coupled by common random numbers.
+    """
+    if path_indices is None:
+        path_indices = np.arange(config.n_paths)
     t_grid = config.t_grid()
     dW, dB = draw_brownian_increments(config.seed, path_indices,
                                       config.n_steps, config.dt)
@@ -226,46 +234,6 @@ def _build_bundle(config, measure, path_indices) -> PathBundle:
         H=H,
         path_indices=np.asarray(path_indices, dtype=np.int64),
     )
-
-
-def _chunk_job(args):
-    config, measure, indices = args
-    return _build_bundle(config, measure, indices)
-
-
-def concat_bundles(parts: list[PathBundle]) -> PathBundle:
-    first = parts[0]
-    cat = lambda name: np.concatenate([getattr(p, name) for p in parts], axis=0)
-    return PathBundle(
-        config=first.config, measure=first.measure, t_grid=first.t_grid,
-        W=cat("W"), B=cat("B"), S=cat("S"), X=cat("X"),
-        Gamma=cat("Gamma"), Y=cat("Y"), tau=cat("tau"), H=cat("H"),
-        path_indices=cat("path_indices"),
-    )
-
-
-def simulate_paths(config: ScenarioConfig, measure: str = "P",
-                   path_indices=None, workers: int = 1) -> PathBundle:
-    """Simulate a batch of worlds under P or the minimal martingale measure.
-
-    The same per-path streams drive both measures, so a P run and a P_hat run
-    with one config are coupled by common random numbers.
-    """
-    if measure not in ("P", "P_hat"):
-        raise ValueError(f"unknown measure tag '{measure}'")
-    if path_indices is None:
-        path_indices = np.arange(config.n_paths)
-    path_indices = np.asarray(path_indices)
-    if workers <= 1 or path_indices.size < 2 * workers:
-        return _build_bundle(config, measure, path_indices)
-    # identical output regardless of worker count because every path owns its
-    # stream and chunks are concatenated in submission order
-    bounds = np.linspace(0, path_indices.size, workers + 1).astype(int)
-    jobs = [(config, measure, path_indices[lo:hi])
-            for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_chunk_job, jobs))
-    return concat_bundles(parts)
 
 
 def innovation_increments(bundle: PathBundle, pfs_mu: np.ndarray) -> np.ndarray:

@@ -170,9 +170,10 @@ class TestCli:
         outs = []
         for tag, workers in (("w1", "1"), ("w2", "2")):
             out = tmp_path / tag
-            assert main(["simulate", config_file, "--out-dir", str(out),
+            assert main(["hedge", config_file, "--out-dir", str(out),
                          "--workers", workers, "--quiet"]) == 0
             outs.append(out)
+        assert sorted(os.listdir(outs[0])) == sorted(os.listdir(outs[1]))
         for name in sorted(os.listdir(outs[0])):
             if name == "manifest.json":
                 continue

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,21 @@ class TestProjectMu:
             for _ in range(cfg.n_steps):
                 cloud.step()
                 cloud.projected_drift()
+
+    def test_c_bound_breach_names_step_and_path(self):
+        # |mu/sigma| = |x| / 0.2 passes c_bound = 1 once a particle leaves |x| <= 0.2
+        cfg = make_config(m1=1.0, sigma=0.2, c_bound=1.0, x0=0.05,
+                          factor=uh.OUFactor(1.0, 0.05, 0.5), n_steps=50,
+                          n_paths=2, n_particles=20)
+        cloud = ParticleCloud(cfg, np.ones((2, cfg.n_steps + 1)), world_indices=[7, 3])
+        with pytest.raises(uh.CoefficientBoundError) as info:
+            for _ in range(cfg.n_steps):
+                cloud.step()
+        k, path = re.search(r"c_bound = 1 at step k=(\d+) \(t=[^)]*\), path (\d+): \d+ particle",
+                            str(info.value)).groups()
+        assert int(k) == cloud.k >= 1
+        row = [7, 3].index(int(path))   # the named world has a particle past the bound
+        assert np.abs(cloud.mu[row]).max() / 0.2 > 1.0
 
 
 class TestHazardRatePartial:

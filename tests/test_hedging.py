@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -356,3 +357,18 @@ class TestBacktest:
         # invalid configs are rejected up front
         with pytest.raises(uh.ConfigError):
             backtest(cfg.with_updates(n_paths=0))
+
+    def test_chunks_and_workers_leave_results_identical(self):
+        cfg = cir_scenario(recovery=uh.LinearPayoff(0.2), n_steps=20, n_paths=30,
+                           n_particles=16, seed=73)
+        runs = [backtest(cfg, chunk_size=size, workers=workers)
+                for size, workers in ((4000, 1), (7, 1), (7, 2))]
+        ref = runs[0]
+        for rep in runs[1:]:
+            for name in ("theta_star", "V", "pfs_mu"):
+                assert np.array_equal(getattr(rep.series, name),
+                                      getattr(ref.series, name)), name
+            assert np.array_equal(rep.C, ref.C) and np.array_equal(rep.C_full, ref.C_full)
+            for f in dataclasses.fields(ref.summary):
+                assert np.array_equal(getattr(rep.summary, f.name),
+                                      getattr(ref.summary, f.name)), f.name

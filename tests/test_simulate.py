@@ -151,12 +151,6 @@ class TestDeterminismAndRefinement:
             assert np.array_equal(getattr(b1, name), getattr(b2, name)), name
         assert np.array_equal(b1.tau, b2.tau, equal_nan=True)
 
-    def test_worker_count_independence(self):
-        cfg = make_config(m1=0.4, factor=uh.OUFactor(1.0, 0.05, 0.2), n_paths=64)
-        b1 = simulate_paths(cfg, "P", workers=1)
-        b2 = simulate_paths(cfg, "P", workers=3)
-        assert np.array_equal(b1.S, b2.S) and np.array_equal(b1.X, b2.X)
-
     def test_chunked_matches_full(self):
         cfg = make_config(m1=0.4, factor=uh.OUFactor(1.0, 0.05, 0.2), n_paths=40)
         full = simulate_paths(cfg, "P")
