@@ -7,11 +7,14 @@ price path.  The conditional law of the hidden factor (and of the survival
 process it drives) given the price history is therefore sampled *exactly*:
 particles are propagated with the observed price-Brownian increments plus
 fresh independent orthogonal noise, with no importance weights and no
-resampling, so the martingale-measure averages never degenerate.  The
-physical-measure projections (projected drift, observable hazard rate) reuse
-the same particles with inverse-density weights, which can degenerate over
-long horizons or with a strong drift sensitivity.  A Kushner-Stratonovich
-residual checks the filter against the generator equation it should solve.
+resampling, so the martingale-measure averages never degenerate.  Estimates
+given survival under either measure are one survival-weighted ratio,
+``ParticleCloud.survival_ratio``, that differs only in the particle weights:
+Y under the martingale measure, Y times the inverse density exp(-log L) under
+the physical measure (Kallianpur-Striebel).  The physical-measure weights
+(projected drift, observable hazard rate) can degenerate over long horizons
+or with a strong drift sensitivity.  A Kushner-Stratonovich residual checks
+the filter against the generator equation it should solve.
 
 Clouds are batched: axis 0 indexes worlds (observed paths), axis 1 particles.
 Each world draws its orthogonal noise from its own counter-based stream, so a
@@ -141,13 +144,6 @@ class ParticleCloud:
         """Observed price per world at the current index, shaped (n_worlds, 1)."""
         return self.s_paths[:, self.k][:, None]
 
-    def p_weights(self) -> np.ndarray:
-        """Physical-measure weights exp(-log L), normalized per world."""
-        w = self.log_L.min(axis=1, keepdims=True) - self.log_L
-        np.exp(w, out=w)
-        w /= w.sum(axis=1, keepdims=True)
-        return w
-
     # -- evolution -------------------------------------------------------------
     def step(self) -> None:
         """Advance every world one grid interval (Euler factor, exact density).
@@ -214,29 +210,33 @@ class ParticleCloud:
     def pi_functional(self, func: SmoothFunctional) -> np.ndarray:
         return self.pi(func.f(self.t, self.s_now, self.X, self.Y))
 
-    def survival_ratio(self, values: np.ndarray) -> np.ndarray:
-        """pi(values * Y) / pi(Y): conditional expectation given survival.
+    def survival_ratio(self, values: np.ndarray, measure: str = "P_hat",
+                       with_se: bool = False):
+        """pi(values * W) / pi(W): conditional expectation given survival.
 
-        ``values`` is (n_worlds, n_particles), or a stack of such arrays
-        along leading axes; the survival mass is formed and checked once.
+        The weight W is Y under ``"P_hat"`` and Y exp(-log L) under ``"P"``,
+        the inverse density scaled to mean 1 per world, so the survival mass
+        pi(W) and its floor check are the same for both measures.  ``values``
+        is (n_worlds, n_particles), or a stack of such arrays along leading
+        axes.  With ``with_se`` also returns the delta-method standard error
+        sqrt(pi(W^2 (values - ratio)^2) / n_particles) / pi(W).
         """
-        denom = self.pi(self.Y)
-        self._check_floor(denom)
-        return self.pi(values * self.Y) / denom
-
-    def _weighted_survival_ratio(self, values: np.ndarray, with_se: bool):
-        """Physical-measure ratio sum(w v Y) / sum(w Y) (and SE, ``with_se``)."""
-        w = self.p_weights()
-        wY = w * self.Y
-        denom = wY.sum(axis=1)
-        self._check_floor(denom)
-        wv = w * values
-        wv *= self.Y
-        est = wv.sum(axis=1) / denom
+        if measure == "P_hat":
+            weight = self.Y
+        elif measure == "P":
+            weight = self.log_L.min(axis=1, keepdims=True) - self.log_L
+            np.exp(weight, out=weight)
+            weight *= self.n_particles / weight.sum(axis=1, keepdims=True)
+            weight *= self.Y
+        else:
+            raise ValueError(f"unknown measure {measure!r}; expected 'P' or 'P_hat'")
+        mass = self.pi(weight)
+        self._check_floor(mass)
+        est = self.pi(values * weight) / mass
         if not with_se:
             return est
-        resid = wY * (values - est[:, None])
-        return est, np.sqrt((resid**2).sum(axis=1)) / denom
+        resid = weight * (values - est[..., None])
+        return est, np.sqrt(self.pi(resid**2) / self.n_particles) / mass
 
     def _where(self, row: int) -> str:
         """The current step and the global index of world ``row``, for messages."""
@@ -253,11 +253,7 @@ class ParticleCloud:
 
     def projected_drift(self, with_se: bool = False):
         """Estimate of the physical predictable projection of mu on survival."""
-        return self._weighted_survival_ratio(self.mu, with_se)
-
-    def hazard_rate(self, with_se: bool = False):
-        """Estimate of the observable martingale hazard rate."""
-        return self._weighted_survival_ratio(self.gam, with_se)
+        return self.survival_ratio(self.mu, "P", with_se)
 
     def generator_apply(self, func: SmoothFunctional) -> np.ndarray:
         """Per-particle generator of (S, X, Y) under the martingale measure."""
@@ -311,17 +307,15 @@ def run_filter(config: ScenarioConfig, s_path, functionals=(),
         series.estimates[name] = np.empty(shape)
         series.std_errors[name] = np.zeros(shape)
 
+    ones = np.ones((cloud.n_worlds, cloud.n_particles))
     for k in range(n + 1):
-        ones = np.ones((cloud.n_worlds, cloud.n_particles))
         series.estimates["pi_one"][:, k] = cloud.pi(ones)
         series.estimates["pi_y"][:, k] = cloud.pi(cloud.Y)
         series.std_errors["pi_y"][:, k] = cloud.pi_se(cloud.Y)
-        mu_est, mu_se = cloud.projected_drift(with_se=True)
-        series.estimates["proj_mu"][:, k] = mu_est
-        series.std_errors["proj_mu"][:, k] = mu_se
-        hz, hz_se = cloud.hazard_rate(with_se=True)
-        series.estimates["hazard"][:, k] = hz
-        series.std_errors["hazard"][:, k] = hz_se
+        est, se = cloud.survival_ratio(np.stack([cloud.mu, cloud.gam]), "P", with_se=True)
+        for i, name in enumerate(("proj_mu", "hazard")):
+            series.estimates[name][:, k] = est[i]
+            series.std_errors[name][:, k] = se[i]
         for func in functionals:
             vals = func.f(cloud.t, cloud.s_now, cloud.X, cloud.Y)
             series.estimates[func.name][:, k] = cloud.pi(vals)

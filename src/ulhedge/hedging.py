@@ -112,9 +112,13 @@ class HedgeSeries:
 
     ``theta_*`` are interval-left positions (n_paths, n_steps), already zero
     after death; ``V`` is the book value with V = 0 at and after settlement;
-    ``pfs_mu`` is the projected drift used by the innovation/orthogonality
-    diagnostics; ``terminal_gap`` is the distance between the pre-settlement
-    book value and the claim actually paid at maturity (survivors only).
+    ``pfs_mu`` is the projected drift, the physical-measure survival ratio of
+    mu at each interval's left end (n_paths, n_steps), used by the
+    innovation/orthogonality diagnostics; ``N`` is the cumulative payment
+    stream; ``terminal_gap`` is the distance between the pre-settlement book
+    value and the claim actually paid at maturity (survivors only).  The
+    survival mass behind each ratio is checked against the floor in the
+    cloud and not kept.
     """
 
     t_grid: np.ndarray
@@ -123,7 +127,6 @@ class HedgeSeries:
     V: np.ndarray
     V_full: np.ndarray
     pfs_mu: np.ndarray
-    pi_y: np.ndarray
     N: np.ndarray
     terminal_gap: np.ndarray
 
@@ -150,7 +153,6 @@ def hedge_paths(config: ScenarioConfig, bundle: PathBundle,
     theta_star = np.zeros((n_paths, n))
     ratio = np.empty((n_paths, n + 1))
     pfs_mu = np.empty((n_paths, n))
-    pi_y = np.empty((n_paths, n + 1))
 
     for k in range(n + 1):
         s_k = cloud.s_now
@@ -164,7 +166,6 @@ def hedge_paths(config: ScenarioConfig, bundle: PathBundle,
         correction *= fields[2]
         fields[1] += correction
         ratio[:, k], theta_k = cloud.survival_ratio(fields[:2])
-        pi_y[:, k] = cloud.pi(cloud.Y)
         if k < n:
             theta_star[:, k] = theta_k
             pfs_mu[:, k] = cloud.projected_drift()
@@ -189,7 +190,7 @@ def hedge_paths(config: ScenarioConfig, bundle: PathBundle,
     stream = payment_stream(bundle)
     return HedgeSeries(t_grid=bundle.t_grid, theta_star=theta_star,
                        theta_full=th_full, V=V, V_full=V_full, pfs_mu=pfs_mu,
-                       pi_y=pi_y, N=stream.N, terminal_gap=gap)
+                       N=stream.N, terminal_gap=gap)
 
 
 def eta_from(V: np.ndarray, theta: np.ndarray, S_stopped: np.ndarray) -> np.ndarray:
@@ -242,14 +243,10 @@ def closed_form_theta(config: ScenarioConfig, bundle: PathBundle,
     recovery = config.contract.death_recovery
     delta = recovery.slope if isinstance(recovery, LinearPayoff) else 0.0
     n = config.n_steps
-    x0q = np.array([config.x0])
-    m = np.array([float(phi.value(n - k, x=x0q)[0]) for k in range(n + 1)])
-    m_T = m[n]
-
-    theta = np.zeros((bundle.n_paths, n))
-    for k in range(n):
-        gs = gtilde.value_ds(k, s=bundle.S[:, k])
-        theta[:, k] = ((gs - delta) * m_T + delta * m[k]) / m[k]
+    k = np.arange(n + 1)
+    m = phi.value(n - k, x=np.full(n + 1, config.x0))
+    gs = gtilde.value_ds(k[:-1], s=bundle.S[:, :-1])
+    theta = ((gs - delta) * m[n] + delta * m[:-1]) / m[:-1]
     return theta * bundle.alive_mask(), gtilde, phi
 
 
@@ -333,7 +330,7 @@ def _backtest_chunk(config: ScenarioConfig, g_sol: PdeSolution, bounds: tuple) -
     bundle = simulate_paths(config, "P", path_indices=idx)
     h = hedge_paths(config, bundle, g_sol)
     return (bundle.stopped().S, h.N, h.V, h.V_full, h.theta_star, h.theta_full,
-            h.pfs_mu, h.pi_y, h.terminal_gap, bundle.alive_mask(),
+            h.pfs_mu, h.terminal_gap, bundle.alive_mask(),
             bundle.death_step(), claim_hat)
 
 
@@ -379,7 +376,7 @@ def backtest(config: ScenarioConfig, chunk_size: int = 4000,
             parts = list(pool.map(_worker_chunk, chunks))
     else:
         parts = [_backtest_chunk(config, g_sol, b) for b in chunks]
-    (S_stopped, N, V, V_full, theta_star, th_full, pfs_mu, pi_y, terminal_gap,
+    (S_stopped, N, V, V_full, theta_star, th_full, pfs_mu, terminal_gap,
      alive, death_step, claim_hat) = (np.concatenate(col) for col in zip(*parts))
     del parts
     t_grid = config.t_grid()
@@ -425,7 +422,7 @@ def backtest(config: ScenarioConfig, chunk_size: int = 4000,
         n_particles=config.n_particles,
     )
     series = HedgeSeries(t_grid=t_grid, theta_star=theta_star, theta_full=th_full,
-                         V=V, V_full=V_full, pfs_mu=pfs_mu, pi_y=pi_y, N=N,
+                         V=V, V_full=V_full, pfs_mu=pfs_mu, N=N,
                          terminal_gap=terminal_gap)
     return HedgeReport(config=config, series=series, C=C, C_full=C_full,
                        S_stopped=S_stopped, summary=summary,

@@ -167,6 +167,39 @@ class TestProjectMu:
         assert np.abs(cloud.mu[row]).max() / 0.2 > 1.0
 
 
+class TestSurvivalRatio:
+    def test_physical_projection_matches_kallianpur_striebel(self):
+        kw = dict(rho=0.5, factor=uh.OUFactor(1.0, 0.08, 0.15),
+                  gamma=uh.AffineGamma(0.02, 0.5), x0=0.08, n_paths=3,
+                  n_particles=60, seed=48)
+        cfg = make_config(m0=0.03, m1=0.4, **kw)
+        b = simulate_paths(cfg, "P")
+        cloud = ParticleCloud(cfg, b.S, b.path_indices)
+        for _ in range(5):
+            cloud.step()
+        values = np.stack([cloud.mu, cloud.gam])
+        est, se = cloud.survival_ratio(values, "P", with_se=True)
+        # E_P[v | F^S, survival] = sum(exp(-log L) Y v) / sum(exp(-log L) Y)
+        w = np.exp(-cloud.log_L) * cloud.Y
+        want = (w * values).sum(axis=-1) / w.sum(axis=-1)
+        want_se = np.sqrt(((w * (values - want[..., None]))**2).sum(axis=-1)) / w.sum(axis=-1)
+        assert np.abs(cloud.log_L).max() > 0.0
+        assert np.abs(est / want - 1.0).max() <= 1e-14
+        assert np.abs(se / want_se - 1.0).max() <= 1e-14
+        with pytest.raises(ValueError, match="measure"):
+            cloud.survival_ratio(values, "Q")
+
+        # a flat density (mu = 0) makes log L vanish: both measures agree
+        cloud = ParticleCloud(make_config(m0=0.0, m1=0.0, **kw), b.S, b.path_indices)
+        for _ in range(5):
+            cloud.step()
+        assert np.all(cloud.log_L == 0.0)
+        values = np.stack([cloud.X, cloud.gam])
+        for got, ref in zip(cloud.survival_ratio(values, "P", with_se=True),
+                            cloud.survival_ratio(values, "P_hat", with_se=True)):
+            assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
 class TestHazardRatePartial:
     def test_constant_hazard_exact(self):
         cfg = make_config(gamma=uh.ConstantGamma(0.07),
@@ -176,7 +209,7 @@ class TestHazardRatePartial:
         cloud = ParticleCloud(cfg, b.S[:1])
         for _ in range(cfg.n_steps):
             cloud.step()
-        est = cloud.hazard_rate()
+        est = cloud.survival_ratio(cloud.gam, "P")
         assert abs(float(est[0]) - 0.07) <= 1e-14
 
     def test_dirac_hazard_tracks_deterministic_factor(self):
@@ -185,7 +218,7 @@ class TestHazardRatePartial:
         b = simulate_paths(cfg, "P")
         cloud = ParticleCloud(cfg, b.S[:1])
         cloud.step()
-        est = cloud.hazard_rate()
+        est = cloud.survival_ratio(cloud.gam, "P")
         assert abs(float(est[0]) - 0.06) <= 1e-14
 
     def test_cir_riccati_oracle(self):

@@ -210,7 +210,7 @@ class TestThetaPartial:
         for row, path in enumerate(idx):
             alone = hedge_paths(cfg, simulate_paths(cfg, "P", path_indices=[path]),
                                 g_sol)
-            for name in ("theta_star", "V", "pfs_mu", "pi_y"):
+            for name in ("theta_star", "V", "pfs_mu"):
                 assert np.array_equal(getattr(alone, name)[0],
                                       getattr(batch, name)[row]), (name, path)
 
