@@ -9,6 +9,7 @@ and print one line per criterion.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -374,7 +375,7 @@ def criterion_optimality(seed: int) -> CriterionResult:
         contract=Contract(1.0, CallPayoff(1.0), LinearPayoff(0.2)),
         s0=1.0, x0=0.05, n_steps=400, n_paths=10_000, n_particles=300,
         pde_grid=_grid(n_s=300, n_x=50, s_max=6.0, x_min=-0.08, x_max=0.5), seed=seed)
-    rep = backtest(cfg)
+    rep = backtest(cfg, workers=min(2, os.cpu_count() or 1))
     s = rep.summary
     checks = []
     z = np.abs(s.cost_z)
@@ -424,7 +425,6 @@ def _strike_cell_bound(rep) -> float:
 def criterion_determinism(seed: int) -> CriterionResult:
     from .csvio import export_bundle, export_hedge_report
     import hashlib
-    import os
     import tempfile
 
     t0 = time.perf_counter()
@@ -440,7 +440,8 @@ def criterion_determinism(seed: int) -> CriterionResult:
         digest = hashlib.sha256()
         with tempfile.TemporaryDirectory() as tmp:
             files = export_bundle(simulate_paths(cfg, "P"), tmp)
-            rep = backtest(cfg, chunk_size=130 if workers > 1 else 4000, workers=workers)
+            rep = backtest(cfg, chunk_size=130 if workers > 1 else 4000, workers=workers,
+                           out_dir=tmp)
             files += export_hedge_report(rep, tmp)
             for path in sorted(files):
                 with open(path, "rb") as fh:

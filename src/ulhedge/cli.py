@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import acceptance, csvio
+from . import csvio
 from .config_io import config_hash, load_config
 from .errors import ConfigError, NumericalError
 from .filtering import run_filter
@@ -124,7 +124,7 @@ def cmd_filter(args) -> int:
 def cmd_hedge(args) -> int:
     config = _load(args)
     manifest = csvio.RunManifest.start(config, "hedge")
-    report = backtest(config, workers=args.workers)
+    report = backtest(config, workers=args.workers, out_dir=args.out_dir)
     manifest.mark("backtest")
     manifest.add_outputs(csvio.export_hedge_report(report, args.out_dir))
     manifest.write(args.out_dir)
@@ -158,6 +158,8 @@ def cmd_closed_form(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import acceptance   # it pulls in the oracles, which only verify needs
+
     config = _load(args)
     out = None if args.quiet else sys.stdout
     results = acceptance.run_all(seed=config.seed, out=out)

@@ -4,36 +4,62 @@ Every emitted file starts with a single comment line carrying the config
 hash and column units, so artifacts are self-identifying and diffable; the
 manifest lists every file a run produced together with timings.  Readers
 round-trip everything the writers emit.
+
+``write_rows`` is the one formatter of matrix rows (``repr`` of each float).
+The backtest's chunks use it to write their rows of the eight per-path hedge
+series (``HEDGE_SERIES``) to part files, and ``assemble_hedge_series`` writes
+each series' header and appends the parts in world order.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config_io import config_hash
 from .errors import ConfigError
-from .filtering import ProjectionSeries
-from .hedging import HedgeReport
 from .models import ScenarioConfig
-from .pde import PdeSolution
-from .simulate import PathBundle
 
-__all__ = ["write_matrix", "read_matrix", "export_bundle", "export_projection_series",
-           "export_pde_solution", "export_hedge_report", "RunManifest"]
+if TYPE_CHECKING:   # annotations only: hedging imports this module
+    from .filtering import ProjectionSeries
+    from .hedging import HedgeReport
+    from .pde import PdeSolution
+    from .simulate import PathBundle
+
+__all__ = ["HEDGE_SERIES", "write_rows", "write_matrix", "read_matrix", "export_bundle",
+           "export_projection_series", "export_pde_solution", "write_hedge_parts",
+           "assemble_hedge_series", "export_hedge_report", "RunManifest"]
+
+# the per-path hedge series, in file order; the first three are interval-left
+# (one column per step), the rest have one column per grid time
+HEDGE_SERIES = ("theta_star", "theta_full", "pfs_mu", "V", "C", "C_full", "N", "S_stopped")
+_INTERVAL_LEFT = frozenset(HEDGE_SERIES[:3])
+_ROW_BLOCK = 256      # rows converted to Python floats at a time
+
+
+def _header(columns, cfg_hash: str, meta: str = "") -> str:
+    return (f"# ulhedge config={cfg_hash} {meta}".rstrip() + "\n"
+            + ",".join(str(c) for c in columns) + "\n")
+
+
+def write_rows(fh, matrix: np.ndarray) -> None:
+    """Write a 2-D array as CSV rows, each value the ``repr`` of its float."""
+    matrix = np.asarray(matrix, dtype=float)
+    for start in range(0, matrix.shape[0], _ROW_BLOCK):
+        for row in matrix[start:start + _ROW_BLOCK].tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def write_matrix(path, matrix: np.ndarray, columns, cfg_hash: str, meta: str = "") -> None:
-    matrix = np.atleast_2d(matrix)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# ulhedge config={cfg_hash} {meta}".rstrip() + "\n")
-        fh.write(",".join(str(c) for c in columns) + "\n")
-        for row in matrix:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.write(_header(columns, cfg_hash, meta))
+        write_rows(fh, np.atleast_2d(matrix))
 
 
 def read_matrix(path):
@@ -96,30 +122,49 @@ def export_pde_solution(sol: PdeSolution, config: ScenarioConfig, out_dir,
     return path
 
 
-def export_hedge_report(report: HedgeReport, out_dir, prefix: str = "hedge") -> list[str]:
-    """Per-path series plus a summary file with the test statistics."""
-    cfg = report.config
-    h = config_hash(cfg)
-    s = report.series
-    cols = _time_columns(s.t_grid)
-    cols_left = cols[:-1]
+def _part_path(part_dir, name: str, first_world: int) -> str:
+    return os.path.join(part_dir, f"{name}.{first_world}")
+
+
+def write_hedge_parts(part_dir, first_world: int, series: dict) -> None:
+    """Write one chunk's rows of each hedge series to its own part file."""
+    for name in HEDGE_SERIES:
+        with open(_part_path(part_dir, name, first_world), "w", encoding="utf-8") as fh:
+            write_rows(fh, series[name])
+
+
+def assemble_hedge_series(config: ScenarioConfig, part_dir, first_worlds,
+                          out_dir) -> list[str]:
+    """Write each hedge series' header, then append its parts in the given order."""
+    h = config_hash(config)
+    cols = _time_columns(config.t_grid())
     written = []
-    for name, arr, cc in (
-        ("theta_star", s.theta_star, cols_left),
-        ("theta_full", s.theta_full, cols_left),
-        ("pfs_mu", s.pfs_mu, cols_left),
-        ("V", s.V, cols),
-        ("C", report.C, cols),
-        ("C_full", report.C_full, cols),
-        ("N", s.N, cols),
-        ("S_stopped", report.S_stopped, cols),
-    ):
-        path = os.path.join(out_dir, f"{prefix}_{name}.csv")
-        write_matrix(path, arr, cc, h, meta=f"quantity={name}")
+    for name in HEDGE_SERIES:
+        path = os.path.join(out_dir, f"hedge_{name}.csv")
+        header = _header(cols[:-1] if name in _INTERVAL_LEFT else cols, h,
+                         meta=f"quantity={name}")
+        with open(path, "wb") as out:
+            out.write(header.encode("utf-8"))
+            for first in first_worlds:
+                with open(_part_path(part_dir, name, first), "rb") as part:
+                    shutil.copyfileobj(part, out)
         written.append(path)
+    return written
+
+
+def export_hedge_report(report: HedgeReport, out_dir) -> list[str]:
+    """The summary file with the test statistics, plus the per-path series.
+
+    The series files are the ones ``backtest(..., out_dir=...)`` assembled;
+    the returned list names them and the summary.
+    """
+    if not report.series_files:
+        raise ValueError("the per-path series are written by backtest(..., out_dir=...)")
+    h = config_hash(report.config)
+    written = list(report.series_files)
 
     summary = report.summary
-    path = os.path.join(out_dir, f"{prefix}_summary.csv")
+    path = os.path.join(out_dir, "hedge_summary.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# ulhedge config={h} quantity=backtest-summary\n")
         fh.write("statistic,value\n")

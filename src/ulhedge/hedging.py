@@ -13,16 +13,22 @@ pathwise as payments plus book value minus trading gains, and the backtest
 checks the martingale / orthogonality / pricing properties that characterize
 the locally risk-minimizing strategy.  Each world is hedged from its own
 path and streams, so the backtest's chunk loop is the one place where worlds
-are split, run in parallel and joined.
+are split, run in parallel and joined.  When the per-path series are
+exported, each chunk also forms its rows of the cost processes and writes its
+rows of every series itself; the parent only appends the chunks' text in
+world order.
 """
 
 from __future__ import annotations
 
+import shutil
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import csvio
 from .errors import ConfigError, DomainExcursionError
 from .filtering import ParticleCloud
 from .models import LinearPayoff, ScenarioConfig, validate
@@ -297,7 +303,11 @@ class BacktestSummary:
 
 @dataclass
 class HedgeReport:
-    """Everything one backtest produces: per-path series plus the summary."""
+    """Everything one backtest produces: per-path series plus the summary.
+
+    ``series_files`` lists the per-path series CSVs the backtest wrote (empty
+    unless it was given an output directory).
+    """
 
     config: ScenarioConfig
     series: HedgeSeries
@@ -306,6 +316,7 @@ class HedgeReport:
     S_stopped: np.ndarray
     summary: BacktestSummary
     terminal_residuals: np.ndarray = field(default=None)
+    series_files: list = field(default_factory=list)
 
 
 def _block_edges(n_steps: int, n_blocks: int = 8) -> np.ndarray:
@@ -320,21 +331,33 @@ def _cov_with_se(u: np.ndarray, v: np.ndarray):
     return prod.mean(axis=0), prod.std(axis=0, ddof=1) / np.sqrt(n)
 
 
-def _backtest_chunk(config: ScenarioConfig, g_sol: PdeSolution, bounds: tuple) -> tuple:
+def _backtest_chunk(config: ScenarioConfig, g_sol: PdeSolution, part_dir,
+                    bounds: tuple) -> tuple:
     """Simulate the worlds lo <= i < hi under P_hat and P and hedge them.
 
-    Returns the per-world arrays ``backtest`` joins, in its unpacking order.
+    The cost processes are row-local, so each chunk forms its own rows of
+    them.  With a ``part_dir`` the chunk writes its rows of every per-path
+    series there, one part file per series.  Returns the per-world arrays
+    ``backtest`` joins, in its unpacking order.
     """
     idx = np.arange(*bounds)
     claim_hat = payment_stream(simulate_paths(config, "P_hat", path_indices=idx)).terminal
     bundle = simulate_paths(config, "P", path_indices=idx)
     h = hedge_paths(config, bundle, g_sol)
-    return (bundle.stopped().S, h.N, h.V, h.V_full, h.theta_star, h.theta_full,
-            h.pfs_mu, h.terminal_gap, bundle.alive_mask(),
+    S_stopped = bundle.stopped().S
+    gains = trading_gains(h.theta_star, S_stopped)
+    C = h.N + h.V - gains   # cost_process, keeping the gains for the price identity
+    C_full = cost_process(h.N, h.V_full, h.theta_full, S_stopped)
+    if part_dir is not None:
+        csvio.write_hedge_parts(part_dir, int(bounds[0]), {
+            "theta_star": h.theta_star, "theta_full": h.theta_full, "pfs_mu": h.pfs_mu,
+            "V": h.V, "C": C, "C_full": C_full, "N": h.N, "S_stopped": S_stopped})
+    return (S_stopped, h.N, h.V, h.V_full, h.theta_star, h.theta_full, h.pfs_mu,
+            C, C_full, gains[:, -1].copy(), h.terminal_gap, bundle.alive_mask(),
             bundle.death_step(), claim_hat)
 
 
-_worker_inputs = ()   # (config, g_sol), set once in each pool worker by its initializer
+_worker_inputs = ()   # (config, g_sol, part_dir), set once in each pool worker by its initializer
 
 
 def _init_worker(*inputs) -> None:
@@ -346,14 +369,21 @@ def _worker_chunk(bounds: tuple) -> tuple:
     return _backtest_chunk(*_worker_inputs, bounds)
 
 
-def backtest(config: ScenarioConfig, chunk_size: int = 4000,
-             workers: int = 1) -> HedgeReport:
+def backtest(config: ScenarioConfig, chunk_size: int = 4000, workers: int = 1,
+             out_dir=None) -> HedgeReport:
     """Simulate physical-measure worlds, hedge each one, test optimality.
 
-    The worlds go in at least ``min(workers, n_paths)`` chunks of at most
-    ``chunk_size``, run by a process pool when ``workers > 1``; the pool
-    initializer hands each worker the solved surface once.  The result is
-    bit-identical for any chunk size and worker count.
+    The worlds go in chunks of at most ``chunk_size``, as many as a multiple
+    of ``min(workers, n_paths)`` and never more than there are worlds, run by
+    a process pool when ``workers > 1``; the pool initializer hands each
+    worker the solved surface once.  The result is bit-identical for any
+    chunk size and worker count.
+
+    With ``out_dir``, the per-path series (``csvio.HEDGE_SERIES``) are
+    written there as ``hedge_<name>.csv``: each chunk writes its rows to a
+    private temporary directory inside ``out_dir``, and after the join the
+    parent writes each header and appends the chunks' rows in world order.
+    The temporary directory is removed whether the run succeeds or fails.
 
     Checks, across paths: (1) cost increments have zero mean at the block
     checkpoints, (2) cost increments are uncorrelated with the stopped price
@@ -367,23 +397,30 @@ def backtest(config: ScenarioConfig, chunk_size: int = 4000,
     g_sol = solve_g(config)
     n, n_paths = config.n_steps, config.n_paths
 
-    n_chunks = max(-(-n_paths // chunk_size), min(workers, n_paths))
+    per_round = max(1, min(workers, n_paths))
+    n_chunks = max(-(-n_paths // chunk_size), per_round)
+    n_chunks = min(-(-n_chunks // per_round) * per_round, n_paths)
     bounds = np.linspace(0, n_paths, n_chunks + 1).astype(int)
     chunks = list(zip(bounds[:-1], bounds[1:]))
-    if workers > 1:
-        with ProcessPoolExecutor(workers, initializer=_init_worker,
-                                 initargs=(config, g_sol)) as pool:
-            parts = list(pool.map(_worker_chunk, chunks))
-    else:
-        parts = [_backtest_chunk(config, g_sol, b) for b in chunks]
-    (S_stopped, N, V, V_full, theta_star, th_full, pfs_mu, terminal_gap,
-     alive, death_step, claim_hat) = (np.concatenate(col) for col in zip(*parts))
-    del parts
+    part_dir = None if out_dir is None else tempfile.mkdtemp(prefix=".hedge-parts-",
+                                                             dir=out_dir)
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(workers, initializer=_init_worker,
+                                     initargs=(config, g_sol, part_dir)) as pool:
+                parts = list(pool.map(_worker_chunk, chunks))
+        else:
+            parts = [_backtest_chunk(config, g_sol, part_dir, b) for b in chunks]
+        (S_stopped, N, V, V_full, theta_star, th_full, pfs_mu, C, C_full, gains_T,
+         terminal_gap, alive, death_step, claim_hat) = (np.concatenate(col)
+                                                        for col in zip(*parts))
+        del parts
+        series_files = [] if part_dir is None else \
+            csvio.assemble_hedge_series(config, part_dir, bounds[:-1], out_dir)
+    finally:
+        if part_dir is not None:
+            shutil.rmtree(part_dir, ignore_errors=True)
     t_grid = config.t_grid()
-
-    gains = trading_gains(theta_star, S_stopped)
-    C = N + V - gains   # cost_process, keeping the gains for the price identity
-    C_full = cost_process(N, V_full, th_full, S_stopped)
 
     # martingale part of the stopped price under the observable flow
     s_left = S_stopped[:, :-1]
@@ -399,7 +436,7 @@ def backtest(config: ScenarioConfig, chunk_size: int = 4000,
     cov_p, cov_p_se = _cov_with_se(dC, dS)
     cov_m, cov_m_se = _cov_with_se(dC, dMb)
 
-    lhs = N[:, -1] - gains[:, -1]
+    lhs = N[:, -1] - gains_T
     price_lhs = float(lhs.mean())
     price_lhs_se = float(lhs.std(ddof=1) / np.sqrt(n_paths))
     price_rhs = float(claim_hat.mean())
@@ -426,4 +463,4 @@ def backtest(config: ScenarioConfig, chunk_size: int = 4000,
                          terminal_gap=terminal_gap)
     return HedgeReport(config=config, series=series, C=C, C_full=C_full,
                        S_stopped=S_stopped, summary=summary,
-                       terminal_residuals=lhs - zeta0)
+                       terminal_residuals=lhs - zeta0, series_files=series_files)

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -114,7 +116,7 @@ class TestArtifacts:
 
     def test_hedge_report_round_trip(self, tmp_path):
         cfg = parse_config(SMALL_CONFIG)
-        report = backtest(cfg)
+        report = backtest(cfg, out_dir=tmp_path)
         files = export_hedge_report(report, tmp_path)
         _, _, theta = read_matrix(os.path.join(tmp_path, "hedge_theta_star.csv"))
         assert np.allclose(theta, report.series.theta_star, rtol=0, atol=0)
@@ -165,6 +167,8 @@ class TestCli:
             err = capsys.readouterr().err
             assert "hedge" in err
             assert re.search(r"step k=\d+, path \d+: [sx]-coordinate", err), err
+            # a failed backtest leaves no part files in the output directory
+            assert os.listdir(tmp_path) == ["tight.ini"]
 
     def test_worker_count_leaves_outputs_identical(self, config_file, tmp_path):
         outs = []
@@ -178,6 +182,18 @@ class TestCli:
             if name == "manifest.json":
                 continue
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_cli_import_leaves_verify_modules_unloaded(self):
+        # only verify needs the acceptance suite and its scipy oracles
+        probe = ("import sys, ulhedge.cli; print(','.join(m for m in ("
+                 "'ulhedge.acceptance', 'ulhedge.oracles', 'scipy.stats', 'scipy.integrate')"
+                 " if m in sys.modules))")
+        src = os.path.dirname(os.path.dirname(uh.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                              capture_output=True, text=True)
+        assert done.stdout.strip() == ""
 
     def test_hedge_emits_summary(self, config_file, tmp_path):
         out = tmp_path / "h"

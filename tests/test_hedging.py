@@ -1,10 +1,12 @@
 import dataclasses
+import os
 import re
 
 import numpy as np
 import pytest
 
 import ulhedge as uh
+from ulhedge.csvio import export_hedge_report
 from ulhedge.filtering import ParticleCloud
 from ulhedge.hedging import (
     backtest,
@@ -358,11 +360,23 @@ class TestBacktest:
         with pytest.raises(uh.ConfigError):
             backtest(cfg.with_updates(n_paths=0))
 
-    def test_chunks_and_workers_leave_results_identical(self):
+    def test_chunks_and_workers_leave_results_identical(self, tmp_path):
         cfg = cir_scenario(recovery=uh.LinearPayoff(0.2), n_steps=20, n_paths=30,
                            n_particles=16, seed=73)
-        runs = [backtest(cfg, chunk_size=size, workers=workers)
-                for size, workers in ((4000, 1), (7, 1), (7, 2))]
+        runs, dirs = [], []
+        for size, workers in ((4000, 1), (7, 1), (7, 2)):
+            out = tmp_path / f"c{size}w{workers}"
+            out.mkdir()
+            rep = backtest(cfg, chunk_size=size, workers=workers, out_dir=out)
+            files = export_hedge_report(rep, out)
+            # the nine artifacts and nothing else: no part files are left behind
+            assert sorted(os.listdir(out)) == sorted(os.path.basename(f) for f in files)
+            assert len(files) == 9
+            runs.append(rep)
+            dirs.append(out)
+        for out in dirs[1:]:
+            for name in os.listdir(dirs[0]):
+                assert (out / name).read_bytes() == (dirs[0] / name).read_bytes(), name
         ref = runs[0]
         for rep in runs[1:]:
             for name in ("theta_star", "V", "pfs_mu"):
