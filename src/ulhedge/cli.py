@@ -95,6 +95,8 @@ def cmd_solve(args) -> int:
     manifest = csvio.RunManifest.start(config, "solve")
     g_sol = solve_g(config)
     manifest.mark("solve_g")
+    manifest.blocks["pde"] = {"factor_nnz": g_sol.factor_nnz,
+                              "max_principle_gap": g_sol.max_principle_gap}
     outputs = [csvio.export_pde_solution(g_sol, config, args.out_dir, "g", k=0)]
     gtilde = solve_gtilde(config)
     outputs.append(csvio.export_pde_solution(gtilde, config, args.out_dir, "gtilde", k=0))

@@ -190,7 +190,9 @@ def export_hedge_report(report: HedgeReport, out_dir) -> list[str]:
 
 @dataclass
 class RunManifest:
-    """Inventory of one CLI run: config identity, outputs, wall-clock timings."""
+    """Inventory of one CLI run: config identity, outputs, wall-clock timings,
+    and named blocks of numerical-health counters (``blocks[name]`` is written
+    as the top-level object ``name``)."""
 
     config_hash: str
     seed: int
@@ -198,6 +200,7 @@ class RunManifest:
     grids: dict
     outputs: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
+    blocks: dict = field(default_factory=dict)
     _t0: float = field(default_factory=time.perf_counter)
 
     @classmethod
@@ -228,6 +231,7 @@ class RunManifest:
             "grids": self.grids,
             "outputs": self.outputs,
             "timings": self.timings,
+            **self.blocks,
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)

@@ -139,6 +139,9 @@ class TestCli:
     def test_solve_and_filter_and_closed_form(self, config_file, tmp_path):
         assert main(["solve", config_file, "--out-dir", str(tmp_path / "a"),
                      "--quiet"]) == 0
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert manifest["pde"]["factor_nnz"] > 0
+        assert 0.0 <= manifest["pde"]["max_principle_gap"] < 1e-6
         assert main(["filter", config_file, "--paths", "2",
                      "--out-dir", str(tmp_path / "b"), "--quiet"]) == 0
         # closed-form refuses the correlated scenario with exit code 2

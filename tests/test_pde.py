@@ -1,11 +1,14 @@
+import os
+
 import numpy as np
 import pytest
 
 import ulhedge as uh
+from ulhedge.config_io import load_config
 from ulhedge.errors import DomainExcursionError
 from ulhedge.oracles import affine_survival, black_scholes_call, black_scholes_delta
-from ulhedge.pde import (_assemble_2d, _coeff_arrays_2d, feynman_kac_check, solve_g,
-                         solve_gtilde, solve_phi, stretched_s_grid)
+from ulhedge.pde import (_assemble_2d, _coeff_arrays_2d, _mixed_term, feynman_kac_check,
+                         interp_rows, solve_g, solve_gtilde, solve_phi, stretched_s_grid)
 
 from conftest import make_config
 
@@ -107,6 +110,40 @@ class TestSolveG:
         sol = solve_g(bs_config())
         with pytest.raises(DomainExcursionError):
             sol.value(0, s=np.array([6.0]), x=np.array([0.0]))
+
+    def test_nan_coordinate_is_a_domain_excursion(self):
+        sol = solve_g(bs_config())
+        with pytest.raises(DomainExcursionError) as err:
+            sol.value(0, s=np.array([1.0, np.nan]), x=np.array([0.0, 0.0]))
+        assert err.value.index == (1,)
+        rows = np.zeros((3, 2, len(sol.x_grid)))
+        x = np.full((2, 4), 0.1)
+        x[0, 2] = np.nan
+        with pytest.raises(DomainExcursionError) as err:
+            interp_rows(rows, sol.x_grid, x)
+        assert err.value.index == (0, 2)
+
+    def test_smoke_factor_fill(self):
+        # the minimum-degree ordering on A + A^T stores 542,871 entries for
+        # L and U on this grid; the COLAMD default stores 1,058,233
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", "smoke.ini")
+        assert 0 < solve_g(load_config(path)).factor_nnz < 600_000
+
+    def test_mixed_term_matches_gradient_reference(self):
+        rng = np.random.default_rng(3)
+        s_grid = stretched_s_grid(60, 5.0, 1.0)
+        x_grid = np.linspace(-0.1, 0.5, 25)
+        SS, _ = np.meshgrid(s_grid, x_grid, indexing="ij")
+        sig, aa = rng.uniform(0.1, 0.3, SS.shape), rng.uniform(0.1, 0.4, SS.shape)
+        rho = -0.6
+        term = _mixed_term(sig, aa, SS, rho, s_grid, x_grid)
+        for _ in range(2):
+            w = rng.standard_normal(SS.shape)
+            ds = np.gradient(w, s_grid, axis=0)
+            ref = np.zeros_like(w)
+            ref[1:-1, 1:-1] = (rho * aa * sig * SS)[1:-1, 1:-1] * \
+                (ds[1:-1, 2:] - ds[1:-1, :-2]) / (2.0 * (x_grid[1] - x_grid[0]))
+            assert np.array_equal(term(w), ref)
 
     def test_derivative_accessor_matches_centered_difference(self):
         # independent reimplementation of the second-order centered stencil
