@@ -35,6 +35,6 @@ from .models import (
     evaluate_coefficients,
     validate,
 )
-from .simulate import PathBundle, StoppedView, simulate_paths
+from .simulate import PathBundle, simulate_paths
 
 __version__ = "0.1.0"

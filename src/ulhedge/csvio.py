@@ -28,7 +28,7 @@ from .models import ScenarioConfig
 
 if TYPE_CHECKING:   # annotations only: hedging imports this module
     from .filtering import ProjectionSeries
-    from .hedging import HedgeReport
+    from .hedging import HedgeReport, HedgeSeries
     from .pde import PdeSolution
     from .simulate import PathBundle
 
@@ -36,8 +36,8 @@ __all__ = ["HEDGE_SERIES", "write_rows", "write_matrix", "read_matrix", "export_
            "export_projection_series", "export_pde_solution", "write_hedge_parts",
            "assemble_hedge_series", "export_hedge_report", "RunManifest"]
 
-# the per-path hedge series, in file order; the first three are interval-left
-# (one column per step), the rest have one column per grid time
+# the exported fields of hedging.HedgeSeries, in file order; the first three are
+# interval-left (one column per step), the rest have one column per grid time
 HEDGE_SERIES = ("theta_star", "theta_full", "pfs_mu", "V", "C", "C_full", "N", "S_stopped")
 _INTERVAL_LEFT = frozenset(HEDGE_SERIES[:3])
 _ROW_BLOCK = 256      # rows converted to Python floats at a time
@@ -126,11 +126,11 @@ def _part_path(part_dir, name: str, first_world: int) -> str:
     return os.path.join(part_dir, f"{name}.{first_world}")
 
 
-def write_hedge_parts(part_dir, first_world: int, series: dict) -> None:
+def write_hedge_parts(part_dir, first_world: int, series: HedgeSeries) -> None:
     """Write one chunk's rows of each hedge series to its own part file."""
     for name in HEDGE_SERIES:
         with open(_part_path(part_dir, name, first_world), "w", encoding="utf-8") as fh:
-            write_rows(fh, series[name])
+            write_rows(fh, getattr(series, name))
 
 
 def assemble_hedge_series(config: ScenarioConfig, part_dir, first_worlds,

@@ -38,9 +38,7 @@ __all__ = [
     "SmoothFunctional",
     "run_filter",
     "ks_residual",
-    "functional_constant",
     "functional_coord_x",
-    "functional_survival",
 ]
 
 
@@ -63,23 +61,11 @@ class SmoothFunctional:
     f_xx: Callable = _zero
 
 
-def functional_constant(level: float = 1.0) -> SmoothFunctional:
-    return SmoothFunctional("const", lambda t, s, x, y: np.full(np.broadcast(s, x, y).shape, level))
-
-
 def functional_coord_x() -> SmoothFunctional:
     return SmoothFunctional(
         "x",
         f=lambda t, s, x, y: np.broadcast_to(x, np.broadcast(s, x, y).shape).copy(),
         f_x=lambda t, s, x, y: np.ones(np.broadcast(s, x, y).shape),
-    )
-
-
-def functional_survival() -> SmoothFunctional:
-    return SmoothFunctional(
-        "id_y",
-        f=lambda t, s, x, y: np.broadcast_to(y, np.broadcast(s, x, y).shape).copy(),
-        f_y=lambda t, s, x, y: np.ones(np.broadcast(s, x, y).shape),
     )
 
 
@@ -295,21 +281,19 @@ def run_filter(config: ScenarioConfig, s_path, functionals=(),
                world_indices=None, n_particles: int | None = None) -> ProjectionSeries:
     """Run the cloud over the horizon collecting the standard projections.
 
-    Always records pi(1), pi(id_y), the projected drift and the observable
-    hazard rate; extra ``SmoothFunctional``s are recorded under their names.
+    Always records pi(id_y), the projected drift and the observable hazard
+    rate; extra ``SmoothFunctional``s are recorded under their names.
     """
     cloud = ParticleCloud(config, s_path, world_indices, n_particles)
     n = config.n_steps
     shape = (cloud.n_worlds, n + 1)
     series = ProjectionSeries(t_grid=cloud.t_grid)
-    names = ["pi_one", "pi_y", "proj_mu", "hazard"] + [f.name for f in functionals]
+    names = ["pi_y", "proj_mu", "hazard"] + [f.name for f in functionals]
     for name in names:
         series.estimates[name] = np.empty(shape)
         series.std_errors[name] = np.zeros(shape)
 
-    ones = np.ones((cloud.n_worlds, cloud.n_particles))
     for k in range(n + 1):
-        series.estimates["pi_one"][:, k] = cloud.pi(ones)
         series.estimates["pi_y"][:, k] = cloud.pi(cloud.Y)
         series.std_errors["pi_y"][:, k] = cloud.pi_se(cloud.Y)
         est, se = cloud.survival_ratio(np.stack([cloud.mu, cloud.gam]), "P", with_se=True)

@@ -11,16 +11,17 @@ the survival-weighted projection of the same surface; both come from one
 gather of g, dg/ds and dg/dx per step.  The cost process is assembled
 pathwise as payments plus book value minus trading gains, and the backtest
 checks the martingale / orthogonality / pricing properties that characterize
-the locally risk-minimizing strategy.  Each world is hedged from its own
-path and streams, so the backtest's chunk loop is the one place where worlds
-are split, run in parallel and joined.  When the per-path series are
-exported, each chunk also forms its rows of the cost processes and writes its
-rows of every series itself; the parent only appends the chunks' text in
-world order.
+the locally risk-minimizing strategy.  ``HedgeSeries`` is the one per-world
+record: it fixes which series exist and in what order.  Each world is hedged
+from its own path and streams, so the backtest's chunk loop is the one place
+where worlds are split, run in parallel and joined.  When the per-path series
+are exported, each chunk writes its rows of every series itself; the parent
+only appends the chunks' text in world order.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -36,14 +37,12 @@ from .pde import PdeSolution, interp_rows, solve_g, solve_gtilde, solve_phi
 from .simulate import PathBundle, simulate_paths
 
 __all__ = [
-    "PaymentStream",
     "HedgeSeries",
     "BacktestSummary",
     "HedgeReport",
     "payment_stream",
     "theta_full",
     "hedge_paths",
-    "eta_from",
     "closed_form_theta",
     "backtest",
 ]
@@ -53,21 +52,10 @@ __all__ = [
 # payment stream
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PaymentStream:
-    """Cumulative payments N_t: the death benefit at death, the survival
-    benefit credited at maturity.  Piecewise constant with at most one jump
-    before T."""
-
-    N: np.ndarray          # (n_paths, n_steps+1)
-    terminal: np.ndarray   # N at T^tau: the contract claim per path
-
-    @property
-    def n_paths(self) -> int:
-        return self.N.shape[0]
-
-
-def payment_stream(bundle: PathBundle) -> PaymentStream:
+def payment_stream(bundle: PathBundle) -> np.ndarray:
+    """Cumulative payments N_t (n_paths, n_steps+1): the death benefit at
+    death, the survival benefit credited at maturity.  Piecewise constant with
+    at most one jump before T; N_T is the contract claim per path."""
     contract = bundle.config.contract
     died = np.isfinite(bundle.tau)
     kstar = bundle.death_step()
@@ -81,7 +69,7 @@ def payment_stream(bundle: PathBundle) -> PaymentStream:
     N = death_benefit[:, None] * bundle.H
     survival_benefit = np.where(~died, contract.G(bundle.S[:, -1]), 0.0)
     N[:, n] += survival_benefit
-    return PaymentStream(N=N, terminal=N[:, n].copy())
+    return N
 
 
 # ---------------------------------------------------------------------------
@@ -114,27 +102,34 @@ def theta_full(bundle: PathBundle, g_sol: PdeSolution) -> np.ndarray:
 
 @dataclass
 class HedgeSeries:
-    """Per-path series produced by one hedging run (rows = paths).
+    """The per-world record of one hedging run (rows = worlds).
 
-    ``theta_*`` are interval-left positions (n_paths, n_steps), already zero
-    after death; ``V`` is the book value with V = 0 at and after settlement;
-    ``pfs_mu`` is the projected drift, the physical-measure survival ratio of
-    mu at each interval's left end (n_paths, n_steps), used by the
-    innovation/orthogonality diagnostics; ``N`` is the cumulative payment
-    stream; ``terminal_gap`` is the distance between the pre-settlement book
-    value and the claim actually paid at maturity (survivors only).  The
-    survival mass behind each ratio is checked against the floor in the
-    cloud and not kept.
+    The first eight fields are the exported series, in ``csvio.HEDGE_SERIES``
+    order.  ``theta_*`` are interval-left positions (n_paths, n_steps),
+    already zero after death; ``pfs_mu`` is the projected drift, the
+    physical-measure survival ratio of mu at each interval's left end
+    (n_paths, n_steps), which gives the martingale part of the stopped price;
+    ``V`` and ``V_full`` are the partial- and full-information book values,
+    zero at and after settlement; ``C`` and ``C_full`` the cost processes
+    against them; ``N`` is the cumulative payment stream and ``S_stopped``
+    the price frozen at death.  ``terminal_gap`` is the distance between the
+    pre-settlement book value and the claim actually paid at maturity
+    (survivors only) and ``death_step`` the index k* of tau = t_{k*}
+    (n_steps for survivors).  The survival mass behind each ratio is checked
+    against the floor in the cloud and not kept.
     """
 
-    t_grid: np.ndarray
     theta_star: np.ndarray
     theta_full: np.ndarray
-    V: np.ndarray
-    V_full: np.ndarray
     pfs_mu: np.ndarray
+    V: np.ndarray
+    C: np.ndarray
+    C_full: np.ndarray
     N: np.ndarray
+    S_stopped: np.ndarray
+    V_full: np.ndarray
     terminal_gap: np.ndarray
+    death_step: np.ndarray
 
 
 def hedge_paths(config: ScenarioConfig, bundle: PathBundle,
@@ -145,7 +140,8 @@ def hedge_paths(config: ScenarioConfig, bundle: PathBundle,
     at index k use the cloud state at k (information up to t_k) and apply to
     the increment over [t_k, t_{k+1}).  Each step locates every world and
     particle once, gathers g, dg/ds and dg/dx together, and projects g and
-    the position integrand with one survival ratio.
+    the position integrand with one survival ratio.  Once the cloud is
+    released, the cost processes are formed against the stopped price.
     """
     c = config.coefficients
     n = config.n_steps
@@ -176,6 +172,7 @@ def hedge_paths(config: ScenarioConfig, bundle: PathBundle,
             theta_star[:, k] = theta_k
             pfs_mu[:, k] = cloud.projected_drift()
             cloud.step()
+    del cloud, fields, correction
 
     theta_star *= bundle.alive_mask()
     th_full = theta_full(bundle, g_sol)
@@ -193,17 +190,14 @@ def hedge_paths(config: ScenarioConfig, bundle: PathBundle,
     gap = np.zeros(n_paths)
     gap[survived] = np.abs(ratio[survived, n]
                            - config.contract.G(bundle.S[survived, -1]))
-    stream = payment_stream(bundle)
-    return HedgeSeries(t_grid=bundle.t_grid, theta_star=theta_star,
-                       theta_full=th_full, V=V, V_full=V_full, pfs_mu=pfs_mu,
-                       N=stream.N, terminal_gap=gap)
-
-
-def eta_from(V: np.ndarray, theta: np.ndarray, S_stopped: np.ndarray) -> np.ndarray:
-    """Riskless-account leg eta = V - theta S^tau (theta treated as 0 at T)."""
-    eta = V.copy()
-    eta[:, :-1] -= theta * S_stopped[:, :-1]
-    return eta
+    N = payment_stream(bundle)
+    S_stopped = bundle.stopped(bundle.S)
+    return HedgeSeries(
+        theta_star=theta_star, theta_full=th_full, pfs_mu=pfs_mu, V=V,
+        C=cost_process(N, V, theta_star, S_stopped),
+        C_full=cost_process(N, V_full, th_full, S_stopped),
+        N=N, S_stopped=S_stopped, V_full=V_full, terminal_gap=gap,
+        death_step=bundle.death_step())
 
 
 def trading_gains(theta: np.ndarray, S_stopped: np.ndarray) -> np.ndarray:
@@ -311,11 +305,7 @@ class HedgeReport:
 
     config: ScenarioConfig
     series: HedgeSeries
-    C: np.ndarray
-    C_full: np.ndarray
-    S_stopped: np.ndarray
     summary: BacktestSummary
-    terminal_residuals: np.ndarray = field(default=None)
     series_files: list = field(default_factory=list)
 
 
@@ -335,26 +325,17 @@ def _backtest_chunk(config: ScenarioConfig, g_sol: PdeSolution, part_dir,
                     bounds: tuple) -> tuple:
     """Simulate the worlds lo <= i < hi under P_hat and P and hedge them.
 
-    The cost processes are row-local, so each chunk forms its own rows of
-    them.  With a ``part_dir`` the chunk writes its rows of every per-path
-    series there, one part file per series.  Returns the per-world arrays
-    ``backtest`` joins, in its unpacking order.
+    With a ``part_dir`` the chunk writes its rows of every per-path series
+    there, one part file per series.  Returns the chunk's ``HedgeSeries``
+    and its martingale-measure claims N_T.
     """
     idx = np.arange(*bounds)
-    claim_hat = payment_stream(simulate_paths(config, "P_hat", path_indices=idx)).terminal
-    bundle = simulate_paths(config, "P", path_indices=idx)
-    h = hedge_paths(config, bundle, g_sol)
-    S_stopped = bundle.stopped().S
-    gains = trading_gains(h.theta_star, S_stopped)
-    C = h.N + h.V - gains   # cost_process, keeping the gains for the price identity
-    C_full = cost_process(h.N, h.V_full, h.theta_full, S_stopped)
+    claim_hat = payment_stream(
+        simulate_paths(config, "P_hat", path_indices=idx))[:, -1].copy()
+    series = hedge_paths(config, simulate_paths(config, "P", path_indices=idx), g_sol)
     if part_dir is not None:
-        csvio.write_hedge_parts(part_dir, int(bounds[0]), {
-            "theta_star": h.theta_star, "theta_full": h.theta_full, "pfs_mu": h.pfs_mu,
-            "V": h.V, "C": C, "C_full": C_full, "N": h.N, "S_stopped": S_stopped})
-    return (S_stopped, h.N, h.V, h.V_full, h.theta_star, h.theta_full, h.pfs_mu,
-            C, C_full, gains[:, -1].copy(), h.terminal_gap, bundle.alive_mask(),
-            bundle.death_step(), claim_hat)
+        csvio.write_hedge_parts(part_dir, int(bounds[0]), series)
+    return series, claim_hat
 
 
 _worker_inputs = ()   # (config, g_sol, part_dir), set once in each pool worker by its initializer
@@ -411,20 +392,20 @@ def backtest(config: ScenarioConfig, chunk_size: int = 4000, workers: int = 1,
                 parts = list(pool.map(_worker_chunk, chunks))
         else:
             parts = [_backtest_chunk(config, g_sol, part_dir, b) for b in chunks]
-        (S_stopped, N, V, V_full, theta_star, th_full, pfs_mu, C, C_full, gains_T,
-         terminal_gap, alive, death_step, claim_hat) = (np.concatenate(col)
-                                                        for col in zip(*parts))
+        series = HedgeSeries(*(np.concatenate([getattr(p, f.name) for p, _ in parts])
+                               for f in dataclasses.fields(HedgeSeries)))
+        claim_hat = np.concatenate([claim for _, claim in parts])
         del parts
         series_files = [] if part_dir is None else \
             csvio.assemble_hedge_series(config, part_dir, bounds[:-1], out_dir)
     finally:
         if part_dir is not None:
             shutil.rmtree(part_dir, ignore_errors=True)
-    t_grid = config.t_grid()
+    S_stopped, C = series.S_stopped, series.C
 
     # martingale part of the stopped price under the observable flow
-    s_left = S_stopped[:, :-1]
-    dM = np.diff(S_stopped, axis=1) - s_left * pfs_mu * config.dt * alive
+    alive = np.arange(n) < series.death_step[:, None]
+    dM = np.diff(S_stopped, axis=1) - S_stopped[:, :-1] * series.pfs_mu * config.dt * alive
 
     edges = _block_edges(n)
     dC = C[:, edges[1:]] - C[:, edges[:-1]]
@@ -436,7 +417,7 @@ def backtest(config: ScenarioConfig, chunk_size: int = 4000, workers: int = 1,
     cov_p, cov_p_se = _cov_with_se(dC, dS)
     cov_m, cov_m_se = _cov_with_se(dC, dMb)
 
-    lhs = N[:, -1] - gains_T
+    lhs = C[:, -1]   # N_T - int theta dS^tau, as V_T = 0
     price_lhs = float(lhs.mean())
     price_lhs_se = float(lhs.std(ddof=1) / np.sqrt(n_paths))
     price_rhs = float(claim_hat.mean())
@@ -444,7 +425,7 @@ def backtest(config: ScenarioConfig, chunk_size: int = 4000, workers: int = 1,
 
     zeta0 = float(g_sol.value(0, s=np.array([config.s0]), x=np.array([config.x0]))[0])
     summary = BacktestSummary(
-        checkpoint_times=t_grid[edges[1:]],
+        checkpoint_times=config.t_grid()[edges[1:]],
         cost_mean=cost_mean, cost_se=cost_se,
         cov_price=cov_p, cov_price_se=cov_p_se,
         cov_mart=cov_m, cov_mart_se=cov_m_se,
@@ -452,15 +433,11 @@ def backtest(config: ScenarioConfig, chunk_size: int = 4000, workers: int = 1,
         price_rhs=price_rhs, price_rhs_se=price_rhs_se,
         zeta0_pde=zeta0,
         cost_var_partial=float((C[:, -1] - C[:, 0]).var(ddof=1)),
-        cost_var_full=float((C_full[:, -1] - C_full[:, 0]).var(ddof=1)),
-        terminal_gap_max=float(terminal_gap.max()) if terminal_gap.size else 0.0,
-        v_terminal_max=float(np.abs(V[np.arange(n_paths), death_step]).max()),
+        cost_var_full=float((series.C_full[:, -1] - series.C_full[:, 0]).var(ddof=1)),
+        terminal_gap_max=float(series.terminal_gap.max()) if n_paths else 0.0,
+        v_terminal_max=float(np.abs(series.V[np.arange(n_paths), series.death_step]).max()),
         n_paths=n_paths,
         n_particles=config.n_particles,
     )
-    series = HedgeSeries(t_grid=t_grid, theta_star=theta_star, theta_full=th_full,
-                         V=V, V_full=V_full, pfs_mu=pfs_mu, N=N,
-                         terminal_gap=terminal_gap)
-    return HedgeReport(config=config, series=series, C=C, C_full=C_full,
-                       S_stopped=S_stopped, summary=summary,
-                       terminal_residuals=lhs - zeta0, series_files=series_files)
+    return HedgeReport(config=config, series=series, summary=summary,
+                       series_files=series_files)

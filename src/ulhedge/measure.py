@@ -16,8 +16,7 @@ import numpy as np
 from .errors import NumericalError
 from .simulate import PathBundle
 
-__all__ = ["DensityPath", "StructureCoefficients", "density_path",
-           "girsanov_shift", "structure_coefficients"]
+__all__ = ["DensityPath", "density_path", "girsanov_shift"]
 
 
 @dataclass(frozen=True)
@@ -68,50 +67,3 @@ def girsanov_shift(bundle: PathBundle) -> np.ndarray:
     W_hat[:, 1:] += np.cumsum(kernel * bundle.dt, axis=1)
     return W_hat
 
-
-@dataclass(frozen=True)
-class StructureCoefficients:
-    """Structure-condition integrands and mean-variance tradeoff processes.
-
-    ``alpha_full`` is mu/(S sigma^2) against the full-information martingale
-    part of the stopped price; ``alpha_partial`` uses the projected drift.
-    Both are interval-left values, zeroed after death.  K and K_tilde are the
-    running integrals of alpha^2 against d<M> = S^2 sigma^2 dt; the
-    market-price-of-risk bound caps both at c_bound^2 T.
-    """
-
-    alpha_full: np.ndarray      # (n_paths, n_steps)
-    alpha_partial: np.ndarray | None
-    K: np.ndarray               # (n_paths, n_steps+1)
-    K_tilde: np.ndarray | None
-
-
-def structure_coefficients(bundle: PathBundle,
-                           pfs_mu: np.ndarray | None = None) -> StructureCoefficients:
-    """Compute alpha paths and mean-variance tradeoffs, stopped at death.
-
-    ``pfs_mu`` (projected drift at interval-left points, from the filter) is
-    required for the partial-information quantities; omit it to get only the
-    full-information ones.
-    """
-    c = bundle.config.coefficients
-    t_left = bundle.t_grid[:-1][None, :]
-    S_left = bundle.S[:, :-1]
-    sig = c.sigma(t_left, S_left)
-    alive = bundle.alive_mask()
-    kernel = _kernel(bundle)
-
-    alpha_full = kernel / (S_left * sig) * alive
-    K = np.zeros_like(bundle.S)
-    np.cumsum(kernel**2 * bundle.dt * alive, axis=1, out=K[:, 1:])
-
-    alpha_partial = None
-    K_tilde = None
-    if pfs_mu is not None:
-        if pfs_mu.shape != alpha_full.shape:
-            raise ValueError("projected-drift array does not match the bundle grid")
-        alpha_partial = pfs_mu / (S_left * sig**2) * alive
-        K_tilde = np.zeros_like(bundle.S)
-        np.cumsum((pfs_mu / sig) ** 2 * bundle.dt * alive, axis=1, out=K_tilde[:, 1:])
-    return StructureCoefficients(alpha_full=alpha_full, alpha_partial=alpha_partial,
-                                 K=K, K_tilde=K_tilde)

@@ -23,13 +23,11 @@ INFINITE_TAU = np.inf
 
 __all__ = [
     "PathBundle",
-    "StoppedView",
     "simulate_paths",
     "draw_brownian_increments",
     "draw_death_exponentials",
     "advance_market",
     "sample_death_time",
-    "innovation_increments",
 ]
 
 
@@ -80,35 +78,10 @@ class PathBundle:
         """(n_paths, n_steps) mask: 1 while the interval [t_k, t_k+1] is inside [0, tau]."""
         return 1.0 - self.H[:, :-1]
 
-    def stopped(self) -> "StoppedView":
-        return StoppedView(self)
-
-
-class StoppedView:
-    """Read-only view of a bundle with every path frozen after its death."""
-
-    def __init__(self, bundle: PathBundle):
-        self.bundle = bundle
-        n = bundle.n_steps
-        kstar = bundle.death_step()
-        idx = np.minimum(np.arange(n + 1)[None, :], kstar[:, None])
-        self._idx = idx
-        self.S = np.take_along_axis(bundle.S, idx, axis=1)
-        self.X = np.take_along_axis(bundle.X, idx, axis=1)
-        self.W = np.take_along_axis(bundle.W, idx, axis=1)
-        self.Gamma = np.take_along_axis(bundle.Gamma, idx, axis=1)
-
-    def jump_martingale_increments(self) -> np.ndarray:
-        """Increments of M = H - Gamma_{. ^ tau} on each grid interval.
-
-        The compensator increment uses the same trapezoidal hazard as the
-        bundle, so the cumulative sum telescopes to H_{T^tau} - Gamma_{T^tau}
-        exactly.
-        """
-        b = self.bundle
-        dH = np.diff(b.H, axis=1)
-        dGamma = np.diff(b.Gamma, axis=1)
-        return dH - b.alive_mask() * dGamma
+    def stopped(self, paths: np.ndarray) -> np.ndarray:
+        """A copy of ``paths`` (n_paths, n_steps+1) frozen after each world's death."""
+        idx = np.minimum(np.arange(self.n_steps + 1), self.death_step()[:, None])
+        return np.take_along_axis(paths, idx, axis=1)
 
 
 def draw_brownian_increments(seed: int, path_indices, n_steps: int, dt: float):
@@ -235,22 +208,3 @@ def simulate_paths(config: ScenarioConfig, measure: str = "P",
         path_indices=np.asarray(path_indices, dtype=np.int64),
     )
 
-
-def innovation_increments(bundle: PathBundle, pfs_mu: np.ndarray) -> np.ndarray:
-    """Increments of the stopped innovation process.
-
-    ``pfs_mu[:, k]`` must hold the projected-drift estimate for the interval
-    [t_k, t_k+1) (computed from information up to t_k).  On each interval
-    still inside [0, tau] the increment is
-    dW + (mu - pfs_mu) / sigma * dt, and zero afterwards.
-    """
-    if pfs_mu.shape != (bundle.n_paths, bundle.n_steps):
-        raise ValueError("projected-drift array does not match the bundle grid")
-    c = bundle.config.coefficients
-    t_left = bundle.t_grid[:-1][None, :]
-    S_left, X_left = bundle.S[:, :-1], bundle.X[:, :-1]
-    mu = c.mu(t_left, S_left, X_left)
-    sig = c.sigma(t_left, S_left)
-    dW = np.diff(bundle.W, axis=1)
-    dI = dW + (mu - pfs_mu) / sig * bundle.dt
-    return dI * bundle.alive_mask()

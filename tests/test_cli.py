@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -197,6 +199,13 @@ class TestCli:
         done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                               capture_output=True, text=True)
         assert done.stdout.strip() == ""
+
+    def test_every_exported_name_exists(self):
+        # a stale __all__ entry survives a deletion until someone star-imports
+        for info in pkgutil.iter_modules(uh.__path__):
+            module = importlib.import_module(f"ulhedge.{info.name}")
+            for name in getattr(module, "__all__", ()):
+                assert hasattr(module, name), f"ulhedge.{info.name}.{name}"
 
     def test_hedge_emits_summary(self, config_file, tmp_path):
         out = tmp_path / "h"

@@ -8,9 +8,7 @@ from ulhedge.errors import SurvivalFloorError
 from ulhedge.filtering import (
     ParticleCloud,
     SmoothFunctional,
-    functional_constant,
     functional_coord_x,
-    functional_survival,
     ks_residual,
     run_filter,
 )
@@ -18,6 +16,18 @@ from ulhedge.oracles import affine_hazard_rate, ou_mean
 from ulhedge.simulate import simulate_paths
 
 from conftest import assert_within_se, make_config
+
+
+def functional_constant(level: float = 1.0) -> SmoothFunctional:
+    return SmoothFunctional("const", lambda t, s, x, y: np.full(np.broadcast(s, x, y).shape, level))
+
+
+def functional_survival() -> SmoothFunctional:
+    return SmoothFunctional(
+        "id_y",
+        f=lambda t, s, x, y: np.broadcast_to(y, np.broadcast(s, x, y).shape).copy(),
+        f_y=lambda t, s, x, y: np.ones(np.broadcast(s, x, y).shape),
+    )
 
 
 class TestInitCloud:
@@ -270,7 +280,7 @@ class TestKsResidual:
 
 
 class TestFilterInvariants:
-    def test_pi_one_is_one_and_positivity(self):
+    def test_filter_positivity(self):
         cfg = make_config(m0=0.03, m1=0.5, rho=0.6,
                           factor=uh.CIRFactor(1.0, 0.06, 0.25),
                           gamma=uh.AffineGamma(0.02, 1.0), x0=0.06,
@@ -278,7 +288,6 @@ class TestFilterInvariants:
                           grid=uh.PdeGrid(200, 40, 5.0, -0.1, 0.6), seed=45)
         b = simulate_paths(cfg, "P")
         series = run_filter(cfg, b.S, world_indices=b.path_indices)
-        assert np.all(series.estimates["pi_one"] == 1.0)
         assert np.all(series.estimates["pi_y"] > 0.0)
         assert np.all(series.estimates["pi_y"] <= 1.0)
         assert np.all(series.estimates["hazard"] >= 0.0)

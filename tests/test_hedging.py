@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 import ulhedge as uh
-from ulhedge.csvio import export_hedge_report
+from ulhedge.csvio import HEDGE_SERIES, export_hedge_report
 from ulhedge.filtering import ParticleCloud
 from ulhedge.hedging import (
+    HedgeSeries,
     backtest,
     closed_form_theta,
-    cost_process,
-    eta_from,
     hedge_paths,
     payment_stream,
     theta_full,
@@ -46,31 +45,30 @@ class TestPaymentStream:
                            gamma=uh.ConstantGamma(0.4), maturity=2.0,
                            n_steps=50, n_paths=3000, seed=51)
         b = simulate_paths(cfg, "P")
-        ps = payment_stream(b)
+        N = payment_stream(b)
         died = np.isfinite(b.tau)
         k = b.death_step()
         rows = np.arange(b.n_paths)
         # at most one jump, located at the death time
-        jumps = np.diff(ps.N, axis=1)
+        jumps = np.diff(N, axis=1)
         assert np.all((jumps != 0).sum(axis=1) <= 1)
         s_death = b.S[rows[died], k[died]]
-        assert np.allclose(ps.N[died, -1], 0.2 * s_death)
+        assert np.allclose(N[died, -1], 0.2 * s_death)
         surv = ~died
-        assert np.allclose(ps.N[surv, -1],
+        assert np.allclose(N[surv, -1],
                            np.maximum(b.S[surv, -1] - 1.0, 0.0))
-        assert np.array_equal(ps.terminal, ps.N[:, -1])
 
     def test_degenerate_contracts(self):
         cfg = cir_scenario(survival=uh.CallPayoff(1.0), recovery=uh.ZeroRecovery,
                            gamma=uh.ConstantGamma(0.3), n_paths=500, seed=52)
         term = payment_stream(simulate_paths(cfg, "P"))
         died = np.isfinite(simulate_paths(cfg, "P").tau)
-        assert np.all(term.terminal[died] == 0.0)
+        assert np.all(term[died, -1] == 0.0)
 
         cfg2 = cfg.with_updates(contract=uh.Contract(
             1.0, uh.ConstantPayoff(0.0), uh.LinearPayoff(0.2)))
         pure = payment_stream(simulate_paths(cfg2, "P"))
-        assert np.all(pure.terminal[~died] == 0.0)
+        assert np.all(pure[~died, -1] == 0.0)
 
 
 class TestThetaFull:
@@ -212,9 +210,9 @@ class TestThetaPartial:
         for row, path in enumerate(idx):
             alone = hedge_paths(cfg, simulate_paths(cfg, "P", path_indices=[path]),
                                 g_sol)
-            for name in ("theta_star", "V", "pfs_mu"):
-                assert np.array_equal(getattr(alone, name)[0],
-                                      getattr(batch, name)[row]), (name, path)
+            for f in dataclasses.fields(HedgeSeries):
+                assert np.array_equal(getattr(alone, f.name)[0],
+                                      getattr(batch, f.name)[row]), (f.name, path)
 
     def test_excursion_names_step_and_path(self):
         # x_max just above x0: particles leave the x-domain on the first step
@@ -251,13 +249,12 @@ class TestValueAndCost:
                            grid=uh.PdeGrid(300, 50, 8.0, -0.08, 0.5))
         b = simulate_paths(cfg, "P")
         series = hedge_paths(cfg, b, solve_g(cfg))
-        C = cost_process(series.N, series.V, series.theta_star, b.stopped().S)
         died = np.where(np.isfinite(b.tau))[0]
         k = b.death_step()
         for i in died[:25]:
             assert series.V[i, k[i]] == 0.0
             # cost jumps by the benefit paid minus the released book value
-            jump = C[i, k[i]] - C[i, k[i] - 1]
+            jump = series.C[i, k[i]] - series.C[i, k[i] - 1]
             paid = series.N[i, k[i]] - series.N[i, k[i] - 1]
             released = series.V[i, k[i] - 1]
             traded = series.theta_star[i, k[i] - 1] \
@@ -280,7 +277,9 @@ class TestValueAndCost:
             s_k = b.S[:, k]
             V_oracle[:, k] = gtilde.value(k, s=s_k)
             eta_oracle[:, k] = V_oracle[:, k] - gtilde.value_ds(k, s=s_k) * s_k
-        eta = eta_from(series.V, series.theta_star, b.stopped().S)
+        # riskless-account leg eta = V - theta* S^tau (theta* treated as 0 at T)
+        eta = series.V.copy()
+        eta[:, :-1] -= series.theta_star * series.S_stopped[:, :-1]
         sel = (b.S > 0.6) & (b.S < 2.0)
         sel[:, -1] = False  # post-settlement book value is zero by convention
         rel_v = np.abs(series.V - V_oracle)[sel] / np.abs(V_oracle[sel])
@@ -304,7 +303,7 @@ class TestBacktest:
         rep = backtest(cfg)
         s = rep.summary
         assert abs(s.price_z) <= 3.0
-        gains = trading_gains(rep.series.theta_star, rep.S_stopped)[:, -1]
+        gains = trading_gains(rep.series.theta_star, rep.series.S_stopped)[:, -1]
         assert_within_se(gains.mean(), 0.0,
                          gains.std(ddof=1) / np.sqrt(cfg.n_paths),
                          label="driftless trading gains")
@@ -314,7 +313,7 @@ class TestBacktest:
                            recovery=uh.LinearPayoff(0.5),
                            n_paths=2000, n_particles=100, seed=66)
         rep = backtest(cfg)
-        resid = rep.terminal_residuals
+        resid = rep.series.C[:, -1] - rep.summary.zeta0_pde
         se = resid.std(ddof=1) / np.sqrt(cfg.n_paths)
         assert abs(resid.mean()) <= max(3 * se, 1e-12)
         # the exact strategy leaves no hedging risk at all
@@ -328,7 +327,7 @@ class TestBacktest:
                           n_steps=60, n_paths=300, n_particles=32, seed=67)
         rep = backtest(cfg)
         assert np.abs(rep.series.theta_star - rep.series.theta_full).max() <= 1e-12
-        assert np.abs(rep.C - rep.C_full).max() <= 1e-10
+        assert np.abs(rep.series.C - rep.series.C_full).max() <= 1e-10
 
     def test_degenerate_contracts_hedge_cleanly(self):
         # pure term insurance (zero recovery) and pure endowment-at-death
@@ -377,12 +376,14 @@ class TestBacktest:
         for out in dirs[1:]:
             for name in os.listdir(dirs[0]):
                 assert (out / name).read_bytes() == (dirs[0] / name).read_bytes(), name
+        # the record's leading fields are the exported series, in file order
+        names = [f.name for f in dataclasses.fields(HedgeSeries)]
+        assert names[:len(HEDGE_SERIES)] == list(HEDGE_SERIES)
         ref = runs[0]
         for rep in runs[1:]:
-            for name in ("theta_star", "V", "pfs_mu"):
+            for name in names:
                 assert np.array_equal(getattr(rep.series, name),
                                       getattr(ref.series, name)), name
-            assert np.array_equal(rep.C, ref.C) and np.array_equal(rep.C_full, ref.C_full)
             for f in dataclasses.fields(ref.summary):
                 assert np.array_equal(getattr(rep.summary, f.name),
                                       getattr(ref.summary, f.name)), f.name

@@ -1,9 +1,7 @@
 import numpy as np
-import pytest
 
 import ulhedge as uh
-from ulhedge.filtering import run_filter
-from ulhedge.measure import density_path, girsanov_shift, structure_coefficients
+from ulhedge.measure import density_path, girsanov_shift
 from ulhedge.simulate import simulate_paths
 
 from conftest import assert_within_se, make_config
@@ -100,40 +98,3 @@ class TestGirsanov:
             se = np.hypot(lhs.std(ddof=1), rhs.std(ddof=1)) / np.sqrt(cfg.n_paths)
             assert_within_se(lhs.mean(), rhs.mean(), se, label=label)
 
-
-class TestStructureCoefficients:
-    def test_zero_drift_zero_alpha(self):
-        cfg = make_config(m0=0.0, n_paths=10)
-        sc = structure_coefficients(simulate_paths(cfg, "P"))
-        assert np.all(sc.alpha_full == 0.0) and np.all(sc.K == 0.0)
-
-    def test_constant_coefficients_formula(self):
-        # on the first interval S is frozen at s0, so alpha = mu / (s0 sigma^2)
-        cfg = make_config(m0=0.04, sigma=0.2, s0=2.0, n_paths=5)
-        sc = structure_coefficients(simulate_paths(cfg, "P"))
-        assert np.allclose(sc.alpha_full[:, 0], 0.04 / (2.0 * 0.2**2))
-
-    def test_tradeoff_bounded_by_c_squared_T(self):
-        cfg = make_config(m0=0.05, m1=0.5, sigma=0.2, rho=0.4, c_bound=2.0,
-                          factor=uh.OUFactor(2.0, 0.05, 0.2), x0=0.05,
-                          gamma=uh.ConstantGamma(0.1), n_paths=500, seed=21)
-        b = simulate_paths(cfg, "P")
-        sc = structure_coefficients(b)
-        assert sc.K.max() <= cfg.coefficients.c_bound**2 * cfg.maturity + 1e-12
-        assert np.all(np.diff(sc.K, axis=1) >= 0) and np.all(sc.K[:, 0] == 0)
-
-    def test_grid_mismatch_rejected(self):
-        cfg = make_config(m0=0.02, n_paths=4)
-        b = simulate_paths(cfg, "P")
-        with pytest.raises(ValueError):
-            structure_coefficients(b, np.zeros((4, cfg.n_steps + 1)))
-
-    def test_projected_tradeoff_smaller_on_average(self):
-        cfg = make_config(m0=0.02, m1=0.8, sigma=0.2, rho=0.0,
-                          factor=uh.OUFactor(1.0, 0.05, 0.3), x0=0.05,
-                          gamma=uh.ConstantGamma(0.05),
-                          n_paths=2000, n_steps=60, n_particles=300, seed=22)
-        b = simulate_paths(cfg, "P")
-        series = run_filter(cfg, b.S, world_indices=b.path_indices)
-        sc = structure_coefficients(b, series.estimates["proj_mu"][:, :-1])
-        assert sc.K_tilde[:, -1].mean() <= sc.K[:, -1].mean()

@@ -3,11 +3,9 @@ import pytest
 
 import ulhedge as uh
 from ulhedge import rng
-from ulhedge.filtering import run_filter
 from ulhedge.simulate import (
     advance_market,
     draw_brownian_increments,
-    innovation_increments,
     sample_death_time,
     simulate_paths,
 )
@@ -105,24 +103,14 @@ class TestSurvivalMachinery:
         # tau is the first grid time with Gamma >= draw: H matches the crossing
         assert np.all(b.H[:, 0] == 0.0)
 
-    def test_jump_martingale_telescopes(self):
-        cfg = make_config(factor=uh.CIRFactor(1.0, 0.08, 0.3),
-                          gamma=uh.LinearGamma(), maturity=4.0,
-                          n_steps=80, n_paths=3000, seed=6,
-                          grid=uh.PdeGrid(200, 40, 5.0, -0.1, 0.6))
-        b = simulate_paths(cfg, "P")
-        sv = b.stopped()
-        dM = sv.jump_martingale_increments()
-        k = b.death_step()
-        rows = np.arange(b.n_paths)
-        expected = b.H[rows, k] - b.Gamma[rows, k]
-        assert np.abs(dM.sum(axis=1) - expected).max() <= 1e-12
-
     def test_jump_martingale_mean_zero(self):
         cfg = make_config(gamma=uh.ConstantGamma(0.05), maturity=10.0,
                           n_steps=200, n_paths=100_000, seed=9)
         b = simulate_paths(cfg, "P")
-        m_T = b.stopped().jump_martingale_increments().sum(axis=1)
+        # M = H - Gamma_(. ^ tau), read at T ^ tau
+        k = b.death_step()
+        rows = np.arange(b.n_paths)
+        m_T = b.H[rows, k] - b.Gamma[rows, k]
         assert_within_se(m_T.mean(), 0.0, m_T.std(ddof=1) / np.sqrt(cfg.n_paths),
                          label="E[M_(T^tau)]")
 
@@ -132,12 +120,12 @@ class TestStoppedView:
         cfg = make_config(gamma=uh.ConstantGamma(0.5), maturity=3.0,
                           n_steps=30, n_paths=400, seed=2)
         b = simulate_paths(cfg, "P")
-        sv = b.stopped()
+        S, X, W = b.stopped(b.S), b.stopped(b.X), b.stopped(b.W)
         k = b.death_step()
         for i in np.where(np.isfinite(b.tau))[0][:20]:
-            assert np.all(sv.S[i, k[i]:] == sv.S[i, k[i]])
-            assert np.all(sv.X[i, k[i]:] == sv.X[i, k[i]])
-            assert np.all(sv.W[i, k[i]:] == sv.W[i, k[i]])
+            assert np.all(S[i, k[i]:] == S[i, k[i]])
+            assert np.all(X[i, k[i]:] == X[i, k[i]])
+            assert np.all(W[i, k[i]:] == W[i, k[i]])
 
 
 class TestDeterminismAndRefinement:
@@ -180,48 +168,3 @@ class TestDeterminismAndRefinement:
         slope = np.polyfit(np.log([64, 128, 256]), np.log(errors), 1)[0]
         assert slope <= -0.45, f"strong order too low: slope {slope:.2f}"
 
-
-class TestInnovation:
-    def test_zero_drift_innovation_equals_brownian(self):
-        cfg = make_config(m0=0.0, n_paths=50)
-        b = simulate_paths(cfg, "P")
-        dI = innovation_increments(b, np.zeros((50, cfg.n_steps)))
-        assert np.array_equal(dI, np.diff(b.W, axis=1) * b.alive_mask())
-
-    def test_observable_drift_projection_is_identity(self):
-        # mu depends on (t, s) only: the projection equals mu itself and the
-        # innovation increments coincide with the Brownian ones
-        cfg = make_config(m0=0.04, m1=0.0, gamma=uh.ConstantGamma(0.1),
-                          factor=uh.OUFactor(1.0, 0.05, 0.2), n_paths=20,
-                          n_particles=50, seed=8)
-        b = simulate_paths(cfg, "P")
-        series = run_filter(cfg, b.S, world_indices=b.path_indices)
-        pfs = series.estimates["proj_mu"][:, :-1]
-        assert np.abs(pfs - 0.04).max() <= 1e-12
-        dI = innovation_increments(b, pfs)
-        assert np.abs(dI - np.diff(b.W, axis=1) * b.alive_mask()).max() <= 1e-12
-
-    def test_grid_mismatch_rejected(self):
-        cfg = make_config(n_paths=4)
-        b = simulate_paths(cfg, "P")
-        with pytest.raises(ValueError):
-            innovation_increments(b, np.zeros((4, cfg.n_steps - 1)))
-
-    def test_innovation_quadratic_variation(self):
-        cfg = make_config(m0=0.03, m1=0.5, sigma=0.2,
-                          factor=uh.OUFactor(1.5, 0.06, 0.15),
-                          gamma=uh.ConstantGamma(0.15), x0=0.06,
-                          n_paths=10_000, n_steps=100, n_particles=120, seed=17)
-        b = simulate_paths(cfg, "P")
-        series = run_filter(cfg, b.S, world_indices=b.path_indices,
-                            n_particles=cfg.n_particles)
-        dI = innovation_increments(b, series.estimates["proj_mu"][:, :-1])
-        I_T = dI.sum(axis=1)
-        stopped_time = np.minimum(np.where(np.isfinite(b.tau), b.tau, np.inf),
-                                  cfg.maturity)
-        target = stopped_time.mean()
-        sq = I_T**2
-        assert_within_se(sq.mean(), target,
-                         np.hypot(sq.std(ddof=1), stopped_time.std(ddof=1))
-                         / np.sqrt(cfg.n_paths),
-                         label="innovation QV")
