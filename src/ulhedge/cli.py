@@ -95,8 +95,7 @@ def cmd_solve(args) -> int:
     manifest = csvio.RunManifest.start(config, "solve")
     g_sol = solve_g(config)
     manifest.mark("solve_g")
-    manifest.blocks["pde"] = {"factor_nnz": g_sol.factor_nnz,
-                              "max_principle_gap": g_sol.max_principle_gap}
+    manifest.blocks["pde"] = g_sol.health()
     outputs = [csvio.export_pde_solution(g_sol, config, args.out_dir, "g", k=0)]
     gtilde = solve_gtilde(config)
     outputs.append(csvio.export_pde_solution(gtilde, config, args.out_dir, "gtilde", k=0))
@@ -128,6 +127,7 @@ def cmd_hedge(args) -> int:
     manifest = csvio.RunManifest.start(config, "hedge")
     report = backtest(config, workers=args.workers, out_dir=args.out_dir)
     manifest.mark("backtest")
+    manifest.blocks["pde"] = report.pde_health
     manifest.add_outputs(csvio.export_hedge_report(report, args.out_dir))
     manifest.write(args.out_dir)
     s = report.summary

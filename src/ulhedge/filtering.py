@@ -143,7 +143,8 @@ class ParticleCloud:
         t = self.t_grid[k]
         dt = self.dt
         kernel = self.mu / c.sigma(t, self.s_now)
-        if np.abs(kernel).max() > c.c_bound:
+        # |kernel| > c_bound without forming |kernel| (a NaN trips neither test)
+        if kernel.max() > c.c_bound or kernel.min() < -c.c_bound:
             over = np.abs(kernel) > c.c_bound
             row = int(np.argmax(over.any(axis=1)))
             raise CoefficientBoundError(
@@ -180,9 +181,15 @@ class ParticleCloud:
         self.log_L += kernel
         self.X = x_new
         self.k = k + 1
-        if not np.all(np.isfinite(self.X)):
-            row = int(np.argmin(np.isfinite(self.X).all(axis=1)))
-            raise NumericalError(f"non-finite particle state at {self._where(row)}")
+        # one reduction is finite unless an element is not finite or the sum
+        # overflows; only then are the rows scanned
+        with np.errstate(over="ignore"):
+            total = self.X.sum()
+        if not np.isfinite(total):
+            finite = np.isfinite(self.X).all(axis=1)
+            if not finite.all():
+                raise NumericalError(
+                    f"non-finite particle state at {self._where(int(np.argmin(finite)))}")
         self._evaluate(gam_new)
 
     # -- conditional expectations ---------------------------------------------

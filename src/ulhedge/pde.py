@@ -35,12 +35,14 @@ cell averages; the stored terminal slice remains the pointwise payoff.
 
 Every lookup uses one locate and one linear interpolation, s first, then x:
 point lookups gather cell corners, the hedging loop gathers particles from
-per-world rows (``slice_at_s``, then ``interp_rows``).
+per-world rows (``slice_at_s``, then ``interp_rows``).  Only the values are
+stored: a derivative dg/ds or dg/dx is formed per time slice, from the one
+slice a lookup reads, and never kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,7 +57,6 @@ __all__ = ["PdeSolution", "solve_g", "solve_gtilde", "solve_phi",
            "feynman_kac_check", "ProbeResult", "interp_rows", "stretched_s_grid"]
 
 _EDGE_TOL = 1e-9
-_FIELD_ATTRS = {"value": "values", "d_s": "d_s", "d_x": "d_x"}
 _STRETCH_ALPHA = 0.4      # sinh cluster width as a fraction of the strike
 _RANNACHER_STEPS = 2
 _ORDERING = "MMD_AT_PLUS_A"   # SuperLU column ordering (see the module docstring)
@@ -113,9 +114,11 @@ class PdeSolution:
     """Grid solution of one backward problem with derivative accessors.
 
     ``values`` has the time axis first: (n_t+1, n_s+1, n_x+1) for the 2D
-    problem, (n_t+1, n+1) for the 1D ones.  Spatial derivatives are centered
-    differences in the interior and one-sided at the edges, interpolated
-    (bi)linearly like the values themselves.
+    problem, (n_t+1, n+1) for the 1D ones, and it is the only surface the
+    solution holds.  A spatial derivative ("d_s" or "d_x") is np.gradient of
+    the one time slice a lookup reads -- centered differences in the interior,
+    one-sided at the edges -- formed per call and never stored, and is
+    interpolated (bi)linearly like the values themselves.
     """
 
     kind: str                 # "sx", "s" or "x"
@@ -125,29 +128,14 @@ class PdeSolution:
     x_grid: np.ndarray | None = None
     max_principle_gap: float = 0.0
     factor_nnz: int = 0       # entries stored for L and U by the march's factorization
-    _d_s: np.ndarray | None = field(default=None, repr=False)
-    _d_x: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
             raise NumericalError("PDE solution contains non-finite values")
 
-    @property
-    def d_s(self) -> np.ndarray:
-        if self._d_s is None:
-            if self.s_grid is None:
-                raise ValueError("solution has no s axis")
-            self._d_s = np.gradient(self.values, self.s_grid, axis=1)
-        return self._d_s
-
-    @property
-    def d_x(self) -> np.ndarray:
-        if self._d_x is None:
-            if self.x_grid is None:
-                raise ValueError("solution has no x axis")
-            axis = 1 if self.kind == "x" else 2
-            self._d_x = np.gradient(self.values, self.x_grid, axis=axis)
-        return self._d_x
+    def health(self) -> dict:
+        """The numerical-health counters a run manifest reports for this solve."""
+        return {"factor_nnz": self.factor_nnz, "max_principle_gap": self.max_principle_gap}
 
     def time_index(self, t: float) -> int:
         dt = self.t_grid[1] - self.t_grid[0]
@@ -156,42 +144,68 @@ class PdeSolution:
             raise ValueError(f"time {t} is not on the solution grid")
         return k
 
-    def _interp(self, array: np.ndarray, k, s=None, x=None):
-        """``array`` at time index k (int or array, broadcast against the
-        points) and points s, x: the arithmetic of slice_at_s + interp_rows."""
+    def _slice(self, name: str, k) -> np.ndarray:
+        """Time slice k of the field ``name``: the values, or their derivative
+        along s ("d_s") or x ("d_x").  np.gradient works along one axis, so
+        the derivative of ``values[k]`` is bit-identical to slice k of the
+        derivative of the whole surface."""
+        if name == "value":
+            return self.values[k]
+        grid = {"d_s": self.s_grid, "d_x": self.x_grid}[name]
+        if grid is None:
+            raise ValueError(f"solution has no {name[-1]} axis")
+        axis = 1 if name == "d_x" and self.kind == "sx" else 0
+        return np.gradient(self.values[k], grid, axis=axis)
+
+    def _interp(self, name: str, k, s=None, x=None):
+        """Field ``name`` at time index k (int or array, broadcast against the
+        points) and points s, x: the arithmetic of slice_at_s + interp_rows.
+        At an array of k a derivative slice is formed once per distinct step
+        and read by that step's points."""
         if self.kind == "sx":
             if s is None or x is None:
                 raise ValueError("2D solution needs both s and x")
-            si, sw = _locate(self.s_grid, s, "s")
-            xi, xw = _locate(self.x_grid, x, "x")
-            lo = _lerp(array[k, si, xi], array[k, si + 1, xi], sw)
-            hi = _lerp(array[k, si, xi + 1], array[k, si + 1, xi + 1], sw)
-            return _lerp(lo, hi, xw)
-        grid = self.s_grid if self.kind == "s" else self.x_grid
-        q = s if self.kind == "s" else x
-        if q is None:
-            raise ValueError(f"1D solution needs the {self.kind} coordinate")
-        qi, qw = _locate(grid, q, self.kind)
-        return _lerp(array[k, qi], array[k, qi + 1], qw)
+            cells = [_locate(self.s_grid, s, "s"), _locate(self.x_grid, x, "x")]
+        else:
+            q = s if self.kind == "s" else x
+            if q is None:
+                raise ValueError(f"1D solution needs the {self.kind} coordinate")
+            cells = [_locate(self.s_grid if self.kind == "s" else self.x_grid, q, self.kind)]
+        if name == "value":
+            return _lerp_cells(self.values, (k,), cells)
+        if np.ndim(k) == 0:
+            return _lerp_cells(self._slice(name, k), (), cells)
+        shape = np.broadcast_shapes(np.shape(k), *(i.shape for i, _ in cells))
+        ks = np.broadcast_to(k, shape).ravel()
+        cells = [(np.broadcast_to(i, shape).ravel(), np.broadcast_to(w, shape).ravel())
+                 for i, w in cells]
+        order = np.argsort(ks, kind="stable")
+        steps, first = np.unique(ks[order], return_index=True)
+        out = np.empty(ks.size)
+        for step, group in zip(steps, np.split(order, first[1:])):
+            out[group] = _lerp_cells(self._slice(name, step), (),
+                                     [(i[group], w[group]) for i, w in cells])
+        return out.reshape(shape)
 
     def value(self, k, s=None, x=None):
-        return self._interp(self.values, k, s, x)
+        return self._interp("value", k, s, x)
 
     def value_ds(self, k, s=None, x=None):
-        return self._interp(self.d_s, k, s, x)
+        return self._interp("d_s", k, s, x)
 
     def value_dx(self, k, s=None, x=None):
-        return self._interp(self.d_x, k, s, x)
+        return self._interp("d_x", k, s, x)
 
     def slice_at_s(self, names, k: int, s_vals) -> np.ndarray:
         """The named fields ("value", "d_s", "d_x") interpolated along s only:
         shape (len(names), len(s_vals), n_x+1), one row over the x grid per
-        field and world, each world located once for all fields."""
+        field and world, each world located once for all fields and each
+        derivative formed once from the time-k slice."""
         si, sw = _locate(self.s_grid, s_vals, "s")
         sw = sw[:, None]
         out = np.empty((len(names), len(si), len(self.x_grid)))
         for i, name in enumerate(names):
-            a = getattr(self, _FIELD_ATTRS[name])[k]
+            a = self._slice(name, k)
             out[i] = _lerp(a[si], a[si + 1], sw)
         return out
 
@@ -246,6 +260,18 @@ def _lerp(lo, hi, w):
     hi *= w
     lo += hi
     return lo
+
+
+def _lerp_cells(a: np.ndarray, lead: tuple, cells):
+    """Interpolation of ``a[lead + corner]`` over located cells: linear for
+    one axis, bilinear (s first, then x) for two."""
+    if len(cells) == 1:
+        (qi, qw), = cells
+        return _lerp(a[lead + (qi,)], a[lead + (qi + 1,)], qw)
+    (si, sw), (xi, xw) = cells
+    lo = _lerp(a[lead + (si, xi)], a[lead + (si + 1, xi)], sw)
+    hi = _lerp(a[lead + (si, xi + 1)], a[lead + (si + 1, xi + 1)], sw)
+    return _lerp(lo, hi, xw)
 
 
 def interp_rows(rows: np.ndarray, grid: np.ndarray, q: np.ndarray) -> np.ndarray:

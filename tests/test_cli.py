@@ -20,6 +20,7 @@ from ulhedge.csvio import (
 )
 from ulhedge.filtering import run_filter
 from ulhedge.hedging import backtest
+from ulhedge.pde import solve_g
 from ulhedge.simulate import simulate_paths
 
 SMALL_CONFIG = """
@@ -211,7 +212,10 @@ class TestCli:
         out = tmp_path / "h"
         assert main(["hedge", config_file, "--out-dir", str(out), "--quiet"]) == 0
         assert (out / "hedge_summary.csv").exists()
-        assert (out / "manifest.json").exists()
+        # the same pde block as solve writes, for the g the worlds were hedged against
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["pde"]) == {"factor_nnz", "max_principle_gap"}
+        assert manifest["pde"] == solve_g(load_config(config_file)).health()
 
     def test_summary_values_are_plain_floats(self, config_file, tmp_path):
         out = tmp_path / "h"

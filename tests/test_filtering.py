@@ -110,6 +110,31 @@ class TestStepCloud:
         corr = np.corrcoef(mean_increments, cloud.dW_obs[0])[0, 1]
         assert corr > 0.95, f"corr {corr:.3f}"
 
+    def test_non_finite_state_names_step_and_path(self):
+        # a NaN in world 3's observed price at index 1 makes its first observed
+        # increment NaN, and with rho > 0 every particle of that world follows
+        cfg = make_config(rho=0.5, factor=uh.OUFactor(1.0, 0.05, 0.1), n_steps=10,
+                          n_paths=2, n_particles=20)
+        s_paths = np.ones((2, cfg.n_steps + 1))
+        s_paths[1, 1] = np.nan
+        cloud = ParticleCloud(cfg, s_paths, world_indices=[7, 3])
+        with pytest.raises(uh.NumericalError) as info:
+            cloud.step()
+        k, path = re.search(r"non-finite particle state at step k=(\d+) \(t=[^)]*\), path (\d+)$",
+                            str(info.value)).groups()
+        assert (int(k), int(path)) == (1, 3)
+
+    def test_overflowing_sum_of_finite_state_does_not_raise(self):
+        # particles near the largest float: their sum overflows, each stays finite
+        cfg = make_config(factor=uh.OUFactor(0.1, 0.05, 0.1), n_steps=10,
+                          n_paths=2, n_particles=20)
+        cloud = ParticleCloud(cfg, np.ones((2, cfg.n_steps + 1)))
+        cloud.X[:] = 1e308
+        cloud.step()
+        assert np.all(np.isfinite(cloud.X))
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(cloud.X.sum())
+
 
 class TestProjectMu:
     def test_constant_drift_projection_exact(self):

@@ -7,8 +7,11 @@ import ulhedge as uh
 from ulhedge.config_io import load_config
 from ulhedge.errors import DomainExcursionError
 from ulhedge.oracles import affine_survival, black_scholes_call, black_scholes_delta
-from ulhedge.pde import (_assemble_2d, _coeff_arrays_2d, _mixed_term, feynman_kac_check,
-                         interp_rows, solve_g, solve_gtilde, solve_phi, stretched_s_grid)
+from ulhedge.hedging import hedge_paths
+from ulhedge.pde import (PdeSolution, _assemble_2d, _coeff_arrays_2d, _mixed_term,
+                         feynman_kac_check, interp_rows, solve_g, solve_gtilde, solve_phi,
+                         stretched_s_grid)
+from ulhedge.simulate import simulate_paths
 
 from conftest import make_config
 
@@ -158,6 +161,73 @@ class TestSolveG:
         got = sol.value_ds(0, s=np.repeat(s[1:-1], len(x)),
                            x=np.tile(x, len(s) - 2)).reshape(len(s) - 2, len(x))
         assert np.abs(got - centered).max() <= 1e-12
+
+
+class TestSliceDerivatives:
+    """Derivatives are formed from one time slice at a time; they must equal
+    the slices of np.gradient over the whole surface, interpolated, bit for
+    bit, including the one-sided formulas of the first and last cells."""
+
+    T_GRID = np.linspace(0.0, 1.0, 6)
+    S_GRID = stretched_s_grid(40, 5.0, 1.0)
+    X_GRID = np.linspace(-0.1, 0.5, 13)
+
+    def points(self, grid, rng):
+        # both edges, the first and the last cell, and random interior points
+        edge = [grid[0], 0.3 * grid[1], grid[1], 0.5 * (grid[-2] + grid[-1]), grid[-1]]
+        return np.concatenate([edge, rng.uniform(grid[0], grid[-1], 11)])
+
+    def test_2d_slice_derivatives_match_full_surface_gradient(self):
+        rng = np.random.default_rng(5)
+        sol = PdeSolution("sx", self.T_GRID, rng.standard_normal((6, 41, 13)),
+                          s_grid=self.S_GRID, x_grid=self.X_GRID)
+        refs = {name: PdeSolution("sx", self.T_GRID, surface, s_grid=self.S_GRID,
+                                  x_grid=self.X_GRID)
+                for name, surface in (("value", sol.values),
+                                      ("d_s", np.gradient(sol.values, self.S_GRID, axis=1)),
+                                      ("d_x", np.gradient(sol.values, self.X_GRID, axis=2)))}
+        s = self.points(self.S_GRID, rng)
+        x = rng.permutation(self.points(self.X_GRID, rng))
+        x_rows = np.stack([np.roll(x, r) for r in range(len(s))])
+        for k in (0, 3, 5):
+            got = interp_rows(sol.slice_at_s(("value", "d_s", "d_x"), k, s),
+                              self.X_GRID, x_rows)
+            for i, name in enumerate(("value", "d_s", "d_x")):
+                assert np.array_equal(got[i], refs[name].value(k, s=s[:, None], x=x_rows))
+            assert np.array_equal(sol.value_ds(k, s=s, x=x), refs["d_s"].value(k, s=s, x=x))
+            assert np.array_equal(sol.value_dx(k, s=s, x=x), refs["d_x"].value(k, s=s, x=x))
+        # an array of k: unordered per point, and broadcast against a 2D point set
+        ks = rng.integers(0, 6, len(s))
+        grid_k = np.arange(6)
+        s2, x2 = np.repeat(s[:, None], 6, axis=1), np.repeat(x[:, None], 6, axis=1)
+        for k, ss, xx in ((ks, s, x), (grid_k, s2, x2)):
+            assert np.array_equal(sol.value_ds(k, s=ss, x=xx), refs["d_s"].value(k, s=ss, x=xx))
+            assert np.array_equal(sol.value_dx(k, s=ss, x=xx), refs["d_x"].value(k, s=ss, x=xx))
+
+    def test_1d_slice_derivative_matches_full_surface_gradient(self):
+        rng = np.random.default_rng(6)
+        sol = PdeSolution("s", self.T_GRID, rng.standard_normal((6, 41)), s_grid=self.S_GRID)
+        ref = PdeSolution("s", self.T_GRID, np.gradient(sol.values, self.S_GRID, axis=1),
+                          s_grid=self.S_GRID)
+        s = self.points(self.S_GRID, rng)
+        for k in (0, 2, 5):
+            assert np.array_equal(sol.value_ds(k, s=s), ref.value(k, s=s))
+        ks = rng.integers(0, 6, len(s))
+        assert np.array_equal(sol.value_ds(ks, s=s), ref.value(ks, s=s))
+        s2 = np.repeat(s[:, None], 5, axis=1)
+        assert np.array_equal(sol.value_ds(np.arange(5), s=s2), ref.value(np.arange(5), s=s2))
+        with pytest.raises(ValueError, match="no x axis"):
+            sol.value_dx(0, s=s)
+
+    def test_hedge_leaves_only_the_value_surface(self):
+        cfg = make_config(m0=0.02, m1=0.5, sigma=0.25, rho=0.4,
+                          factor=uh.CIRFactor(1.0, 0.05, 0.2), gamma=uh.AffineGamma(0.02, 1.0),
+                          grid=uh.PdeGrid(60, 20, 5.0, -0.08, 0.5),
+                          n_steps=10, n_paths=4, n_particles=8)
+        sol = solve_g(cfg)
+        hedge_paths(cfg, simulate_paths(cfg, "P"), sol)
+        arrays = {name for name, v in vars(sol).items() if isinstance(v, np.ndarray)}
+        assert arrays == {"t_grid", "values", "s_grid", "x_grid"}
 
 
 class TestPhi:
