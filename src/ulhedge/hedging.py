@@ -9,17 +9,15 @@ evaluated one grid point before the price increment it multiplies, so the
 position is a functional of the observable history only.  The book value is
 the survival-weighted projection of the same surface; both come from one
 gather of g, dg/ds and dg/dx per step, whose derivatives are formed from
-that step's slice of g alone, and the full-information position and book
-value read the same rows at each world's own factor value.  The cost
-process is assembled pathwise as payments plus book value minus trading
-gains, and the backtest checks the martingale / orthogonality / pricing
-properties that characterize the locally risk-minimizing strategy.
-``HedgeSeries`` is the one per-world record: it fixes which series exist and
-in what order.  Each world is hedged from its own path and streams, so the
-backtest's chunk loop is the one place where worlds are split, run in
-parallel and joined.  When the per-path series are exported, each chunk
-writes its rows of every series itself; the parent only appends the chunks'
-text in world order.
+that step's slice of g alone.  The cost process is assembled pathwise as
+payments plus book value minus trading gains, and the backtest checks the
+martingale / orthogonality / pricing properties that characterize the
+locally risk-minimizing strategy.  ``HedgeSeries`` is the one per-world
+record: it fixes which series exist and in what order.  Each world is hedged
+from its own path and streams, so the backtest's chunk loop is the one place
+where worlds are split, run in parallel and joined.  When the per-path series
+are exported, each chunk writes its rows of every series itself; the parent
+only appends the chunks' text in world order.
 """
 
 from __future__ import annotations
@@ -90,22 +88,15 @@ def theta_full(bundle: PathBundle, g_sol: PdeSolution) -> np.ndarray:
 
     Interval-left values, zero after death; every step is looked up at once.
     """
+    c = bundle.config.coefficients
     k = np.arange(bundle.n_steps)
     s, x = bundle.S[:, :-1], bundle.X[:, :-1]
+    t = bundle.t_grid[:-1]
     try:
         g_s = g_sol.value_ds(k, s=s, x=x)
         g_x = g_sol.value_dx(k, s=s, x=x)
     except DomainExcursionError as exc:
         raise _name_world(exc, bundle, exc.index[1], exc.index[0]) from exc
-    return _full_position(bundle, g_s, g_x)
-
-
-def _full_position(bundle: PathBundle, g_s: np.ndarray, g_x: np.ndarray) -> np.ndarray:
-    """The full-information position from dg/ds and dg/dx at each world's
-    own interval-left (S, X), (n_paths, n_steps); zero after death."""
-    c = bundle.config.coefficients
-    s, x = bundle.S[:, :-1], bundle.X[:, :-1]
-    t = bundle.t_grid[:-1]
     theta = g_s + c.rho * c.a(t, x) / (s * c.sigma(t, s)) * g_x
     return theta * bundle.alive_mask()
 
@@ -150,11 +141,9 @@ def hedge_paths(config: ScenarioConfig, bundle: PathBundle,
     at index k use the cloud state at k (information up to t_k) and apply to
     the increment over [t_k, t_{k+1}).  Each step locates every world and
     particle once, gathers g, dg/ds and dg/dx together, and projects g and
-    the position integrand with one survival ratio.  The step's rows, whose
-    derivatives are formed once from the time-k slice of g, also give g,
-    dg/ds and dg/dx at each world's own factor value for the
-    full-information leg.  Once the cloud is released, the cost processes
-    are formed against the stopped price.
+    the position integrand with one survival ratio.  Once the cloud is
+    released, the full-information leg is looked up at each world's own
+    (S, X) and the cost processes are formed against the stopped price.
     """
     c = config.coefficients
     n = config.n_steps
@@ -165,14 +154,12 @@ def hedge_paths(config: ScenarioConfig, bundle: PathBundle,
     theta_star = np.zeros((n_paths, n))
     ratio = np.empty((n_paths, n + 1))
     pfs_mu = np.empty((n_paths, n))
-    full = np.empty((3, n_paths, n + 1))   # g, dg/ds, dg/dx at (S_k, X_k)
 
     for k in range(n + 1):
         s_k = cloud.s_now
         try:
             rows = g_sol.slice_at_s(("value", "d_s", "d_x"), k, s_k[:, 0])
             fields = interp_rows(rows, x_grid, cloud.X)
-            full[:, :, k] = interp_rows(rows, x_grid, bundle.X[:, k, None])[..., 0]
         except DomainExcursionError as exc:
             raise _name_world(exc, bundle, k, exc.index[0]) from exc
         # fields[1] becomes the position integrand
@@ -187,13 +174,16 @@ def hedge_paths(config: ScenarioConfig, bundle: PathBundle,
     del cloud, rows, fields, correction
 
     theta_star *= bundle.alive_mask()
-    th_full = _full_position(bundle, full[1, :, :-1], full[2, :, :-1])
+    th_full = theta_full(bundle, g_sol)
 
     V = (1.0 - bundle.H) * ratio
     V[:, n] = 0.0
-    V_full = full[0] * (1.0 - bundle.H)
+    try:
+        V_full = g_sol.value(np.arange(n + 1), s=bundle.S, x=bundle.X)
+    except DomainExcursionError as exc:
+        raise _name_world(exc, bundle, exc.index[1], exc.index[0]) from exc
+    V_full *= (1.0 - bundle.H)
     V_full[:, n] = 0.0
-    del full
 
     survived = ~np.isfinite(bundle.tau)
     gap = np.zeros(n_paths)
@@ -308,16 +298,16 @@ class BacktestSummary:
 class HedgeReport:
     """Everything one backtest produces: per-path series plus the summary.
 
-    ``series_files`` lists the per-path series CSVs the backtest wrote (empty
-    unless it was given an output directory); ``pde_health`` holds the
-    numerical-health counters of the solved g the worlds were hedged against.
+    ``pde_health`` holds the numerical-health counters of the solved g the
+    worlds were hedged against; ``series_files`` lists the per-path series
+    CSVs the backtest wrote (empty unless it was given an output directory).
     """
 
     config: ScenarioConfig
     series: HedgeSeries
     summary: BacktestSummary
+    pde_health: dict
     series_files: list = field(default_factory=list)
-    pde_health: dict = field(default_factory=dict)
 
 
 def _block_edges(n_steps: int, n_blocks: int = 8) -> np.ndarray:
@@ -451,4 +441,4 @@ def backtest(config: ScenarioConfig, chunk_size: int = 4000, workers: int = 1,
         n_particles=config.n_particles,
     )
     return HedgeReport(config=config, series=series, summary=summary,
-                       series_files=series_files, pde_health=g_sol.health())
+                       pde_health=g_sol.health(), series_files=series_files)

@@ -234,6 +234,21 @@ class TestThetaPartial:
         assert cloud.X.max() > 0.051
 
 
+    def test_own_factor_excursion_names_step_and_path(self):
+        # the cloud never sees a world's own X; the full-information leg
+        # reads it, at interval-left steps (position) and at maturity (value)
+        cfg = cir_scenario(n_steps=20, n_particles=30, seed=71)
+        g_sol = solve_g(cfg)
+        n = cfg.n_steps
+        for row, k in ((2, 5), (3, n)):
+            b = simulate_paths(cfg, "P", path_indices=np.arange(40, 46))
+            b.X[row, k] = cfg.pde_grid.x_max + 1.0
+            with pytest.raises(uh.DomainExcursionError) as info:
+                hedge_paths(cfg, b, g_sol)
+            msg = str(info.value)
+            assert f"step k={k}, path {40 + row}:" in msg and "x-coordinate" in msg
+
+
 class TestValueAndCost:
     def test_initial_value_is_pde_price(self):
         cfg = cir_scenario(n_paths=20, n_particles=100, seed=62)
@@ -242,6 +257,18 @@ class TestValueAndCost:
         series = hedge_paths(cfg, b, g_sol)
         zeta0 = float(g_sol.value(0, s=np.array([cfg.s0]), x=np.array([cfg.x0]))[0])
         assert np.abs(series.V[:, 0] - zeta0).max() <= 1e-12
+
+    def test_full_information_leg_is_the_point_lookups(self):
+        cfg = cir_scenario(recovery=uh.LinearPayoff(0.2), n_steps=30,
+                           n_paths=40, n_particles=40, seed=72)
+        b = simulate_paths(cfg, "P")
+        g_sol = solve_g(cfg)
+        series = hedge_paths(cfg, b, g_sol)
+        n = cfg.n_steps
+        assert np.array_equal(series.theta_full, theta_full(b, g_sol))
+        v = g_sol.value(np.arange(n + 1), s=b.S, x=b.X) * (1.0 - b.H)
+        assert np.array_equal(series.V_full[:, :-1], v[:, :-1])
+        assert not series.V_full[:, -1].any()
 
     def test_value_zero_after_death_and_cost_jump(self):
         cfg = cir_scenario(gamma=uh.ConstantGamma(0.6), maturity=2.0,
