@@ -2,19 +2,21 @@
 
 Every emitted file starts with a single comment line carrying the config
 hash and column units, so artifacts are self-identifying and diffable; the
-manifest lists every file a run produced together with timings.  Readers
-round-trip everything the writers emit.
+manifest lists every file a run produced together with timings and peak
+memory.  Readers round-trip everything the writers emit.
 
 ``write_rows`` is the one formatter of matrix rows (``repr`` of each float).
-The backtest's chunks use it to write their rows of the eight per-path hedge
-series (``HEDGE_SERIES``) to part files, and ``assemble_hedge_series`` writes
-each series' header and appends the parts in world order.
+The eight per-path hedge series (``HEDGE_SERIES``) exist only inside the
+backtest's chunks, which use it to write their rows to part files;
+``assemble_hedge_series`` writes each series' header and appends the parts in
+world order, and these files are then the only copy of the series.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import resource
 import shutil
 import time
 from dataclasses import dataclass, field
@@ -188,11 +190,21 @@ def export_hedge_report(report: HedgeReport, out_dir) -> list[str]:
     return written
 
 
+def _peak_rss_mb() -> dict:
+    """Peak resident set so far of this process and of its reaped children
+    (the pool workers), in MB; Linux reports ``ru_maxrss`` in KiB."""
+    return {who: round(resource.getrusage(which).ru_maxrss / 1024.0, 1)
+            for who, which in (("process", resource.RUSAGE_SELF),
+                               ("workers", resource.RUSAGE_CHILDREN))}
+
+
 @dataclass
 class RunManifest:
     """Inventory of one CLI run: config identity, outputs, wall-clock timings,
-    and named blocks of numerical-health counters (``blocks[name]`` is written
-    as the top-level object ``name``)."""
+    the peak resident set at the end of each timed stage (``peak_rss_mb``,
+    for the process and for its reaped pool workers), and named blocks of
+    numerical-health counters (``blocks[name]`` is written as the top-level
+    object ``name``)."""
 
     config_hash: str
     seed: int
@@ -200,6 +212,7 @@ class RunManifest:
     grids: dict
     outputs: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
+    peak_rss_mb: dict = field(default_factory=dict)
     blocks: dict = field(default_factory=dict)
     _t0: float = field(default_factory=time.perf_counter)
 
@@ -217,6 +230,7 @@ class RunManifest:
 
     def mark(self, label: str) -> None:
         self.timings[label] = round(time.perf_counter() - self._t0, 6)
+        self.peak_rss_mb[label] = _peak_rss_mb()
 
     def add_outputs(self, paths) -> None:
         self.outputs.extend(os.path.basename(p) for p in paths)
@@ -231,6 +245,7 @@ class RunManifest:
             "grids": self.grids,
             "outputs": self.outputs,
             "timings": self.timings,
+            "peak_rss_mb": self.peak_rss_mb,
             **self.blocks,
         }
         with open(path, "w", encoding="utf-8") as fh:

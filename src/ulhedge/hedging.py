@@ -13,20 +13,22 @@ that step's slice of g alone.  The cost process is assembled pathwise as
 payments plus book value minus trading gains, and the backtest checks the
 martingale / orthogonality / pricing properties that characterize the
 locally risk-minimizing strategy.  ``HedgeSeries`` is the one per-world
-record: it fixes which series exist and in what order.  Each world is hedged
-from its own path and streams, so the backtest's chunk loop is the one place
-where worlds are split, run in parallel and joined.  When the per-path series
-are exported, each chunk writes its rows of every series itself; the parent
-only appends the chunks' text in world order.
+record of a hedging run: it fixes which series exist and in what order.  Each
+world is hedged from its own path and streams, so the backtest's chunk loop
+is the one place where worlds are split, run in parallel and joined.  The
+per-path series live only inside a chunk: when they are exported, each chunk
+writes its rows of every series itself and the parent only appends the
+chunks' text in world order; what a chunk returns is ``WorldStats``, the few
+row-local numbers per world that the summary's cross-world statistics need.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -296,15 +298,15 @@ class BacktestSummary:
 
 @dataclass
 class HedgeReport:
-    """Everything one backtest produces: per-path series plus the summary.
+    """What one backtest keeps: the summary, not the per-path series.
 
     ``pde_health`` holds the numerical-health counters of the solved g the
     worlds were hedged against; ``series_files`` lists the per-path series
-    CSVs the backtest wrote (empty unless it was given an output directory).
+    CSVs the backtest wrote (empty unless it was given an output directory),
+    the only place the series outlive the chunks that formed them.
     """
 
     config: ScenarioConfig
-    series: HedgeSeries
     summary: BacktestSummary
     pde_health: dict
     series_files: list = field(default_factory=list)
@@ -322,21 +324,60 @@ def _cov_with_se(u: np.ndarray, v: np.ndarray):
     return prod.mean(axis=0), prod.std(axis=0, ddof=1) / np.sqrt(n)
 
 
+class WorldStats(NamedTuple):
+    """The row-local inputs of ``BacktestSummary`` (rows = worlds).
+
+    ``dC``, ``dS`` and ``dM`` are the cost, stopped-price and
+    martingale-part increments over the ``_block_edges`` blocks
+    (n_worlds, n_blocks); ``price_leg`` is C_T (= N_T - int theta dS^tau, as
+    V_T = 0), ``cost_partial`` and ``cost_full`` are C_T - C_0 and
+    C_full,T - C_full,0, ``terminal_gap`` is ``HedgeSeries.terminal_gap``,
+    ``v_settle`` is |V| at the death step and ``claim_hat`` the
+    martingale-measure claim N_T of the same world.
+    """
+
+    dC: np.ndarray
+    dS: np.ndarray
+    dM: np.ndarray
+    price_leg: np.ndarray
+    cost_partial: np.ndarray
+    cost_full: np.ndarray
+    terminal_gap: np.ndarray
+    v_settle: np.ndarray
+    claim_hat: np.ndarray
+
+
 def _backtest_chunk(config: ScenarioConfig, g_sol: PdeSolution, part_dir,
-                    bounds: tuple) -> tuple:
+                    bounds: tuple) -> WorldStats:
     """Simulate the worlds lo <= i < hi under P_hat and P and hedge them.
 
-    With a ``part_dir`` the chunk writes its rows of every per-path series
-    there, one part file per series.  Returns the chunk's ``HedgeSeries``
-    and its martingale-measure claims N_T.
+    The per-path series live only here: with a ``part_dir`` the chunk writes
+    its rows of every exported series there, one part file per series, and
+    it returns only the summary's per-world inputs, ``WorldStats``.
     """
+    n = config.n_steps
     idx = np.arange(*bounds)
     claim_hat = payment_stream(
         simulate_paths(config, "P_hat", path_indices=idx))[:, -1].copy()
     series = hedge_paths(config, simulate_paths(config, "P", path_indices=idx), g_sol)
     if part_dir is not None:
         csvio.write_hedge_parts(part_dir, int(bounds[0]), series)
-    return series, claim_hat
+    S_stopped, C = series.S_stopped, series.C
+
+    # martingale part of the stopped price under the observable flow
+    alive = np.arange(n) < series.death_step[:, None]
+    dM = np.diff(S_stopped, axis=1) - S_stopped[:, :-1] * series.pfs_mu * config.dt * alive
+    edges = _block_edges(n)
+    return WorldStats(
+        dC=C[:, edges[1:]] - C[:, edges[:-1]],
+        dS=S_stopped[:, edges[1:]] - S_stopped[:, edges[:-1]],
+        dM=np.add.reduceat(dM, edges[:-1], axis=1),
+        price_leg=C[:, -1].copy(),
+        cost_partial=C[:, -1] - C[:, 0],
+        cost_full=series.C_full[:, -1] - series.C_full[:, 0],
+        terminal_gap=series.terminal_gap,
+        v_settle=np.abs(series.V[np.arange(idx.size), series.death_step]),
+        claim_hat=claim_hat)
 
 
 _worker_inputs = ()   # (config, g_sol, part_dir), set once in each pool worker by its initializer
@@ -347,7 +388,7 @@ def _init_worker(*inputs) -> None:
     _worker_inputs = inputs
 
 
-def _worker_chunk(bounds: tuple) -> tuple:
+def _worker_chunk(bounds: tuple) -> WorldStats:
     return _backtest_chunk(*_worker_inputs, bounds)
 
 
@@ -359,7 +400,8 @@ def backtest(config: ScenarioConfig, chunk_size: int = 4000, workers: int = 1,
     of ``min(workers, n_paths)`` and never more than there are worlds, run by
     a process pool when ``workers > 1``; the pool initializer hands each
     worker the solved surface once.  The result is bit-identical for any
-    chunk size and worker count.
+    chunk size and worker count: each chunk returns only its worlds'
+    ``WorldStats``, and every cross-world reduction runs on their join.
 
     With ``out_dir``, the per-path series (``csvio.HEDGE_SERIES``) are
     written there as ``hedge_<name>.csv``: each chunk writes its rows to a
@@ -393,32 +435,21 @@ def backtest(config: ScenarioConfig, chunk_size: int = 4000, workers: int = 1,
                 parts = list(pool.map(_worker_chunk, chunks))
         else:
             parts = [_backtest_chunk(config, g_sol, part_dir, b) for b in chunks]
-        series = HedgeSeries(*(np.concatenate([getattr(p, f.name) for p, _ in parts])
-                               for f in dataclasses.fields(HedgeSeries)))
-        claim_hat = np.concatenate([claim for _, claim in parts])
+        stats = WorldStats(*map(np.concatenate, zip(*parts)))
         del parts
         series_files = [] if part_dir is None else \
             csvio.assemble_hedge_series(config, part_dir, bounds[:-1], out_dir)
     finally:
         if part_dir is not None:
             shutil.rmtree(part_dir, ignore_errors=True)
-    S_stopped, C = series.S_stopped, series.C
 
-    # martingale part of the stopped price under the observable flow
-    alive = np.arange(n) < series.death_step[:, None]
-    dM = np.diff(S_stopped, axis=1) - S_stopped[:, :-1] * series.pfs_mu * config.dt * alive
-
-    edges = _block_edges(n)
-    dC = C[:, edges[1:]] - C[:, edges[:-1]]
-    dS = S_stopped[:, edges[1:]] - S_stopped[:, edges[:-1]]
-    dMb = np.add.reduceat(dM, edges[:-1], axis=1)
-
+    dC = stats.dC
     cost_mean = dC.mean(axis=0)
     cost_se = dC.std(axis=0, ddof=1) / np.sqrt(n_paths)
-    cov_p, cov_p_se = _cov_with_se(dC, dS)
-    cov_m, cov_m_se = _cov_with_se(dC, dMb)
+    cov_p, cov_p_se = _cov_with_se(dC, stats.dS)
+    cov_m, cov_m_se = _cov_with_se(dC, stats.dM)
 
-    lhs = C[:, -1]   # N_T - int theta dS^tau, as V_T = 0
+    lhs, claim_hat = stats.price_leg, stats.claim_hat
     price_lhs = float(lhs.mean())
     price_lhs_se = float(lhs.std(ddof=1) / np.sqrt(n_paths))
     price_rhs = float(claim_hat.mean())
@@ -426,19 +457,19 @@ def backtest(config: ScenarioConfig, chunk_size: int = 4000, workers: int = 1,
 
     zeta0 = float(g_sol.value(0, s=np.array([config.s0]), x=np.array([config.x0]))[0])
     summary = BacktestSummary(
-        checkpoint_times=config.t_grid()[edges[1:]],
+        checkpoint_times=config.t_grid()[_block_edges(n)[1:]],
         cost_mean=cost_mean, cost_se=cost_se,
         cov_price=cov_p, cov_price_se=cov_p_se,
         cov_mart=cov_m, cov_mart_se=cov_m_se,
         price_lhs=price_lhs, price_lhs_se=price_lhs_se,
         price_rhs=price_rhs, price_rhs_se=price_rhs_se,
         zeta0_pde=zeta0,
-        cost_var_partial=float((C[:, -1] - C[:, 0]).var(ddof=1)),
-        cost_var_full=float((series.C_full[:, -1] - series.C_full[:, 0]).var(ddof=1)),
-        terminal_gap_max=float(series.terminal_gap.max()) if n_paths else 0.0,
-        v_terminal_max=float(np.abs(series.V[np.arange(n_paths), series.death_step]).max()),
+        cost_var_partial=float(stats.cost_partial.var(ddof=1)),
+        cost_var_full=float(stats.cost_full.var(ddof=1)),
+        terminal_gap_max=float(stats.terminal_gap.max()) if n_paths else 0.0,
+        v_terminal_max=float(stats.v_settle.max()),
         n_paths=n_paths,
         n_particles=config.n_particles,
     )
-    return HedgeReport(config=config, series=series, summary=summary,
+    return HedgeReport(config=config, summary=summary,
                        pde_health=g_sol.health(), series_files=series_files)

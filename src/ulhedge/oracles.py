@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .models import (
     AffineGamma,
@@ -41,7 +41,7 @@ def black_scholes_call(s, k: float, sigma: float, tau):
     vol = sigma * np.sqrt(np.maximum(tau, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         d1 = (np.log(s / k) + 0.5 * vol**2) / vol
-    price = np.where(vol > 0, s * norm.cdf(d1) - k * norm.cdf(d1 - vol), intrinsic)
+    price = np.where(vol > 0, s * ndtr(d1) - k * ndtr(d1 - vol), intrinsic)
     return price if price.shape else float(price)
 
 
@@ -51,7 +51,7 @@ def black_scholes_delta(s, k: float, sigma: float, tau):
     vol = sigma * np.sqrt(np.maximum(tau, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         d1 = (np.log(s / k) + 0.5 * vol**2) / vol
-    delta = np.where(vol > 0, norm.cdf(d1), (s > k).astype(float))
+    delta = np.where(vol > 0, ndtr(d1), (s > k).astype(float))
     return delta if delta.shape else float(delta)
 
 

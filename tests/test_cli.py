@@ -19,7 +19,7 @@ from ulhedge.csvio import (
     read_matrix,
 )
 from ulhedge.filtering import run_filter
-from ulhedge.hedging import backtest
+from ulhedge.hedging import backtest, hedge_paths
 from ulhedge.pde import solve_g
 from ulhedge.simulate import simulate_paths
 
@@ -122,9 +122,23 @@ class TestArtifacts:
         report = backtest(cfg, out_dir=tmp_path)
         files = export_hedge_report(report, tmp_path)
         _, _, theta = read_matrix(os.path.join(tmp_path, "hedge_theta_star.csv"))
-        assert np.allclose(theta, report.series.theta_star, rtol=0, atol=0)
+        # the report keeps no series: hedge the same worlds again
+        series = hedge_paths(cfg, simulate_paths(cfg, "P"), solve_g(cfg))
+        assert np.allclose(theta, series.theta_star, rtol=0, atol=0)
         assert os.path.exists(os.path.join(tmp_path, "hedge_summary.csv"))
         assert len(files) == 9
+
+
+def _loaded_by_import(module: str, names) -> str:
+    """Which of ``names`` a fresh interpreter has loaded after importing ``module``."""
+    probe = (f"import sys, {module}; print(','.join(m for m in {tuple(names)!r}"
+             " if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(uh.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True)
+    return done.stdout.strip()
 
 
 class TestCli:
@@ -189,17 +203,25 @@ class TestCli:
                 continue
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_manifest_records_peak_memory_per_stage(self, config_file, tmp_path):
+        out = tmp_path / "h"
+        assert main(["hedge", config_file, "--out-dir", str(out),
+                     "--workers", "2", "--quiet"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        peaks = manifest["peak_rss_mb"]
+        assert set(peaks) == set(manifest["timings"]) == {"backtest", "total"}
+        # the parent, and the two pool workers it reaped after the backtest
+        assert set(peaks["backtest"]) == {"process", "workers"}
+        assert all(v > 0 for v in peaks["backtest"].values())
+
     def test_cli_import_leaves_verify_modules_unloaded(self):
         # only verify needs the acceptance suite and its scipy oracles
-        probe = ("import sys, ulhedge.cli; print(','.join(m for m in ("
-                 "'ulhedge.acceptance', 'ulhedge.oracles', 'scipy.stats', 'scipy.integrate')"
-                 " if m in sys.modules))")
-        src = os.path.dirname(os.path.dirname(uh.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                              capture_output=True, text=True)
-        assert done.stdout.strip() == ""
+        assert _loaded_by_import("ulhedge.cli", (
+            "ulhedge.acceptance", "ulhedge.oracles", "scipy.stats", "scipy.integrate")) == ""
+
+    def test_acceptance_import_leaves_scipy_stats_unloaded(self):
+        # the oracles' normal CDF is scipy.special.ndtr
+        assert _loaded_by_import("ulhedge.acceptance", ("scipy.stats",)) == ""
 
     def test_every_exported_name_exists(self):
         # a stale __all__ entry survives a deletion until someone star-imports

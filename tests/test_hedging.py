@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import ulhedge as uh
-from ulhedge.csvio import HEDGE_SERIES, export_hedge_report
+from ulhedge.csvio import HEDGE_SERIES, export_hedge_report, read_matrix
 from ulhedge.filtering import ParticleCloud
 from ulhedge.hedging import (
     HedgeSeries,
+    _backtest_chunk,
+    _block_edges,
     backtest,
     closed_form_theta,
     hedge_paths,
@@ -317,8 +319,25 @@ class TestValueAndCost:
         assert rel_e.max() <= 0.01
 
 
+def _exported(out_dir, *names):
+    """The backtest's exported per-path series, read back exactly (repr floats)."""
+    return [read_matrix(os.path.join(out_dir, f"hedge_{name}.csv"))[2] for name in names]
+
+
+def _arrays(obj):
+    """Every array in a value, looking through tuples and dataclasses."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _arrays(item)
+
+
 class TestBacktest:
-    def test_driftless_price_identity(self):
+    def test_driftless_price_identity(self, tmp_path):
         # mu = 0 makes both measures coincide: the stochastic integral has
         # zero mean and the price identity is the trivial one
         cfg = make_config(m0=0.0, sigma=0.2, rho=0.0,
@@ -327,34 +346,37 @@ class TestBacktest:
                           recovery=uh.LinearPayoff(0.2),
                           grid=uh.PdeGrid(300, 60, 6.0, -0.85, 0.95),
                           n_steps=100, n_paths=3000, n_particles=150, seed=65)
-        rep = backtest(cfg)
+        rep = backtest(cfg, out_dir=tmp_path)
         s = rep.summary
         assert abs(s.price_z) <= 3.0
-        gains = trading_gains(rep.series.theta_star, rep.series.S_stopped)[:, -1]
+        gains = trading_gains(*_exported(tmp_path, "theta_star", "S_stopped"))[:, -1]
         assert_within_se(gains.mean(), 0.0,
                          gains.std(ddof=1) / np.sqrt(cfg.n_paths),
                          label="driftless trading gains")
 
-    def test_exact_strategy_residual(self):
+    def test_exact_strategy_residual(self, tmp_path):
         cfg = cir_scenario(survival=uh.LinearPayoff(0.5),
                            recovery=uh.LinearPayoff(0.5),
                            n_paths=2000, n_particles=100, seed=66)
-        rep = backtest(cfg)
-        resid = rep.series.C[:, -1] - rep.summary.zeta0_pde
+        rep = backtest(cfg, out_dir=tmp_path)
+        C, = _exported(tmp_path, "C")
+        resid = C[:, -1] - rep.summary.zeta0_pde
         se = resid.std(ddof=1) / np.sqrt(cfg.n_paths)
         assert abs(resid.mean()) <= max(3 * se, 1e-12)
         # the exact strategy leaves no hedging risk at all
         assert np.abs(resid).max() <= 1e-10
 
-    def test_degenerate_factor_columns_identical(self):
+    def test_degenerate_factor_columns_identical(self, tmp_path):
         cfg = make_config(m0=0.03, m1=0.5, sigma=0.2, rho=0.0,
                           factor=uh.FrozenFactor(), gamma=uh.ConstantGamma(0.05),
                           recovery=uh.LinearPayoff(0.2), x0=0.04,
                           grid=uh.PdeGrid(400, 8, 5.0, -0.1, 0.1),
                           n_steps=60, n_paths=300, n_particles=32, seed=67)
-        rep = backtest(cfg)
-        assert np.abs(rep.series.theta_star - rep.series.theta_full).max() <= 1e-12
-        assert np.abs(rep.series.C - rep.series.C_full).max() <= 1e-10
+        backtest(cfg, out_dir=tmp_path)
+        th_star, th_full, C, C_full = _exported(
+            tmp_path, "theta_star", "theta_full", "C", "C_full")
+        assert np.abs(th_star - th_full).max() <= 1e-12
+        assert np.abs(C - C_full).max() <= 1e-10
 
     def test_degenerate_contracts_hedge_cleanly(self):
         # pure term insurance (zero recovery) and pure endowment-at-death
@@ -406,11 +428,36 @@ class TestBacktest:
         # the record's leading fields are the exported series, in file order
         names = [f.name for f in dataclasses.fields(HedgeSeries)]
         assert names[:len(HEDGE_SERIES)] == list(HEDGE_SERIES)
+        # every field, exported or not, is row-local: a chunk's rows equal the
+        # same rows of one whole-bundle run, whose exported series the files hold
+        g_sol = solve_g(cfg)
+        whole = hedge_paths(cfg, simulate_paths(cfg, "P"), g_sol)
+        for lo, hi in ((0, 7), (7, 30)):
+            part = hedge_paths(cfg, simulate_paths(cfg, "P", path_indices=np.arange(lo, hi)),
+                               g_sol)
+            for name in names:
+                assert np.array_equal(getattr(part, name), getattr(whole, name)[lo:hi]), name
+        for name, exported in zip(HEDGE_SERIES, _exported(dirs[0], *HEDGE_SERIES)):
+            assert np.array_equal(exported, getattr(whole, name)), name
         ref = runs[0]
         for rep in runs[1:]:
-            for name in names:
-                assert np.array_equal(getattr(rep.series, name),
-                                      getattr(ref.series, name)), name
             for f in dataclasses.fields(ref.summary):
                 assert np.array_equal(getattr(rep.summary, f.name),
                                       getattr(ref.summary, f.name)), f.name
+
+    def test_chunks_return_no_per_step_series(self):
+        # what crosses from a chunk to the parent is a few numbers per world:
+        # no (n_worlds, n_steps) array, whatever the worker count
+        cfg = cir_scenario(recovery=uh.LinearPayoff(0.2), n_steps=20, n_paths=30,
+                           n_particles=16, seed=73)
+        n_blocks = _block_edges(cfg.n_steps).size - 1
+        g_sol = solve_g(cfg)
+        whole = _backtest_chunk(cfg, g_sol, None, (0, 30))
+        arrays = list(_arrays(whole))
+        assert arrays
+        for a in arrays:
+            assert a.ndim == 1 or a.shape[1] <= n_blocks, a.shape
+        # and it is row-local, so the join of any split is the whole, bit for bit
+        split = [_backtest_chunk(cfg, g_sol, None, b) for b in ((0, 7), (7, 30))]
+        for got, want in zip(zip(*map(_arrays, split)), _arrays(whole)):
+            assert np.array_equal(np.concatenate(got), want)
