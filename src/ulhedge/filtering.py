@@ -17,8 +17,11 @@ or with a strong drift sensitivity.  A Kushner-Stratonovich residual checks
 the filter against the generator equation it should solve.
 
 Clouds are batched: axis 0 indexes worlds (observed paths), axis 1 particles.
-Each world draws its orthogonal noise from its own counter-based stream, so a
-batch of worlds filters identically to the same worlds run one at a time.
+Each world draws its orthogonal noise from its own counter-based stream, kept
+for the cloud's life, so a batch of worlds filters identically to the same
+worlds run one at a time.  The noise is drawn for a block of steps at once,
+one call per world, with blocks bounded by ``NOISE_BLOCK_BYTES``; a stream's
+normals are sequential, so the block length does not change the draws.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ import numpy as np
 from . import rng
 from .errors import CoefficientBoundError, NumericalError, SurvivalFloorError
 from .models import ScenarioConfig
+
+# bytes of orthogonal noise drawn per block (at least one step's worth)
+NOISE_BLOCK_BYTES = 2 * 1024 * 1024
 
 __all__ = [
     "ParticleCloud",
@@ -104,6 +110,8 @@ class ParticleCloud:
         self._streams = [rng.stream(config.seed, rng.FILTER, int(w))
                          for w in self.world_indices]
 
+        self._noise = None          # the current block of noise, see _next_noise
+        self._noise_k0 = 0          # the step at which it began
         shape = (self.n_worlds, self.n_particles)
         self.X = np.full(shape, config.x0, dtype=float)
         self.Gamma_p = np.zeros(shape)
@@ -155,9 +163,7 @@ class ParticleCloud:
         rho = c.rho
         dw = self.dW_obs[:, k][:, None]
 
-        dB = np.empty((self.n_worlds, self.n_particles))
-        for w, gen in enumerate(self._streams):
-            gen.standard_normal(out=dB[w])
+        dB = self._next_noise()
         dB *= np.sqrt(dt)
 
         # x_new = X + (b - a rho kernel) dt + a (rho dw + sqrt(1 - rho^2) dB)
@@ -191,6 +197,27 @@ class ParticleCloud:
                 raise NumericalError(
                     f"non-finite particle state at {self._where(int(np.argmin(finite)))}")
         self._evaluate(gam_new)
+
+    def _next_noise(self) -> np.ndarray:
+        """This step's (n_worlds, n_particles) standard normals, a view of the block.
+
+        A block is drawn when none is left: as many of the remaining steps as
+        fit in ``NOISE_BLOCK_BYTES``, at least one.  The cloud lets go of a
+        block as it hands out its last step, so a one-step block lives only
+        as long as the caller's view, which the caller scales in place.
+        """
+        if self._noise is None:
+            per_step = 8 * self.n_worlds * self.n_particles
+            steps = max(1, min(self.config.n_steps - self.k,
+                               NOISE_BLOCK_BYTES // per_step))
+            self._noise = np.empty((self.n_worlds, steps, self.n_particles))
+            for w, gen in enumerate(self._streams):
+                gen.standard_normal(out=self._noise[w])
+            self._noise_k0 = self.k
+        block, j = self._noise, self.k - self._noise_k0
+        if j == block.shape[1] - 1:
+            self._noise = None
+        return block[:, j]
 
     # -- conditional expectations ---------------------------------------------
     def pi(self, values: np.ndarray) -> np.ndarray:

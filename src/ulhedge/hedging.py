@@ -37,7 +37,7 @@ from .errors import ConfigError, DomainExcursionError
 from .filtering import ParticleCloud
 from .models import LinearPayoff, ScenarioConfig, validate
 from .pde import PdeSolution, interp_rows, solve_g, solve_gtilde, solve_phi
-from .simulate import PathBundle, simulate_paths
+from .simulate import PathBundle, draw_worlds, simulate_paths
 
 __all__ = [
     "HedgeSeries",
@@ -351,15 +351,20 @@ def _backtest_chunk(config: ScenarioConfig, g_sol: PdeSolution, part_dir,
                     bounds: tuple) -> WorldStats:
     """Simulate the worlds lo <= i < hi under P_hat and P and hedge them.
 
-    The per-path series live only here: with a ``part_dir`` the chunk writes
-    its rows of every exported series there, one part file per series, and
-    it returns only the summary's per-world inputs, ``WorldStats``.
+    The worlds' draws are made once and drive both measures.  The per-path
+    series live only here: with a ``part_dir`` the chunk writes its rows of
+    every exported series there, one part file per series, and it returns
+    only the summary's per-world inputs, ``WorldStats``.
     """
     n = config.n_steps
     idx = np.arange(*bounds)
+    draws = draw_worlds(config, idx)
     claim_hat = payment_stream(
-        simulate_paths(config, "P_hat", path_indices=idx))[:, -1].copy()
-    series = hedge_paths(config, simulate_paths(config, "P", path_indices=idx), g_sol)
+        simulate_paths(config, "P_hat", path_indices=idx, draws=draws))[:, -1].copy()
+    bundle = simulate_paths(config, "P", path_indices=idx, draws=draws)
+    del draws
+    series = hedge_paths(config, bundle, g_sol)
+    del bundle
     if part_dir is not None:
         csvio.write_hedge_parts(part_dir, int(bounds[0]), series)
     S_stopped, C = series.S_stopped, series.C

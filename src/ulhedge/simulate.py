@@ -1,12 +1,15 @@
 """Monte Carlo worlds: correlated (W, B, S, X) paths, survival and death.
 
 Paths live on the uniform grid t_k = k T / n_steps.  Row ``i`` of every array
-is world ``i`` and is driven by its own counter-based stream, so a world does
+is world ``i`` and is driven by its own counter-based streams, so a world does
 not depend on the others simulated with it (the backtest's chunks rely on
-this).  The price is advanced in log space (positivity is structural); the
-cumulative hazard uses the trapezoidal rule; the death time is the first grid
-time at which the cumulative hazard crosses an independent unit-exponential
-draw.
+this).  A world draws from each of its PATHS and DEATH streams once, so the
+draw loops re-key one Philox per world (``rng.keyed_streams``) rather than
+build a generator per world, and ``draw_worlds`` hands one batch's draws to
+the P and the P_hat run of the same worlds.  The price is advanced in log
+space (positivity is structural); the cumulative hazard uses the trapezoidal
+rule; the death time is the first grid time at which the cumulative hazard
+crosses an independent unit-exponential draw.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ INFINITE_TAU = np.inf
 __all__ = [
     "PathBundle",
     "simulate_paths",
+    "draw_worlds",
     "draw_brownian_increments",
     "draw_death_exponentials",
     "advance_market",
@@ -91,8 +95,7 @@ def draw_brownian_increments(seed: int, path_indices, n_steps: int, dt: float):
     dW = np.empty((n, n_steps))
     dB = np.empty((n, n_steps))
     root_dt = np.sqrt(dt)
-    for row, idx in enumerate(path_indices):
-        g = rng.stream(seed, rng.PATHS, int(idx))
+    for row, g in enumerate(rng.keyed_streams(seed, rng.PATHS, path_indices)):
         z = g.standard_normal(2 * n_steps)
         dW[row] = root_dt * z[:n_steps]
         dB[row] = root_dt * z[n_steps:]
@@ -102,9 +105,17 @@ def draw_brownian_increments(seed: int, path_indices, n_steps: int, dt: float):
 def draw_death_exponentials(seed: int, path_indices) -> np.ndarray:
     path_indices = np.asarray(path_indices)
     out = np.empty(path_indices.size)
-    for row, idx in enumerate(path_indices):
-        out[row] = rng.unit_exponential(rng.stream(seed, rng.DEATH, int(idx)))
+    for row, g in enumerate(rng.keyed_streams(seed, rng.DEATH, path_indices)):
+        out[row] = rng.unit_exponential(g)
     return out
+
+
+def draw_worlds(config: ScenarioConfig, path_indices):
+    """(dW, dB, death exponentials) of the worlds ``path_indices``, as
+    ``simulate_paths`` draws them under either measure."""
+    dW, dB = draw_brownian_increments(config.seed, path_indices,
+                                      config.n_steps, config.dt)
+    return dW, dB, draw_death_exponentials(config.seed, path_indices)
 
 
 def advance_market(config: ScenarioConfig, dW: np.ndarray, dB: np.ndarray,
@@ -177,20 +188,19 @@ def sample_death_time(t_grid: np.ndarray, Gamma: np.ndarray, exp_draw: np.ndarra
 
 
 def simulate_paths(config: ScenarioConfig, measure: str = "P",
-                   path_indices=None) -> PathBundle:
+                   path_indices=None, draws=None) -> PathBundle:
     """Simulate a batch of worlds under P or the minimal martingale measure.
 
     The same per-path streams drive both measures, so a P run and a P_hat run
-    with one config are coupled by common random numbers.
+    with one config are coupled by common random numbers.  ``draws``, when
+    given, must be ``draw_worlds(config, path_indices)``; it is only read.
     """
     if path_indices is None:
         path_indices = np.arange(config.n_paths)
     t_grid = config.t_grid()
-    dW, dB = draw_brownian_increments(config.seed, path_indices,
-                                      config.n_steps, config.dt)
+    dW, dB, edraw = draw_worlds(config, path_indices) if draws is None else draws
     S, X = advance_market(config, dW, dB, measure)
     Gamma = cumulative_hazard(config, t_grid, X)
-    edraw = draw_death_exponentials(config.seed, path_indices)
     tau, H = sample_death_time(t_grid, Gamma, edraw)
     zeros = np.zeros((dW.shape[0], 1))
     return PathBundle(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ulhedge as uh
+from ulhedge import filtering
 from ulhedge.errors import SurvivalFloorError
 from ulhedge.filtering import (
     ParticleCloud,
@@ -109,6 +110,25 @@ class TestStepCloud:
             mean_increments.append(cloud.X.mean() - x_before)
         corr = np.corrcoef(mean_increments, cloud.dW_obs[0])[0, 1]
         assert corr > 0.95, f"corr {corr:.3f}"
+
+    def test_noise_block_length_leaves_state_identical(self, monkeypatch):
+        # a stream's normals are sequential: blocks of one step, of three (with
+        # a shorter last block) and of the whole horizon give the same cloud
+        cfg = make_config(m1=0.4, rho=0.6, factor=uh.OUFactor(1.0, 0.05, 0.2),
+                          gamma=uh.AffineGamma(0.02, 0.8), n_steps=10,
+                          n_paths=4, n_particles=7, seed=19)
+        b = simulate_paths(cfg, "P")
+        step_bytes = 8 * cfg.n_paths * cfg.n_particles
+        ends = []
+        for budget in (1, 3 * step_bytes, 10**9):
+            monkeypatch.setattr(filtering, "NOISE_BLOCK_BYTES", budget)
+            cloud = ParticleCloud(cfg, b.S, b.path_indices)
+            for _ in range(cfg.n_steps):
+                cloud.step()
+            ends.append((cloud.X, cloud.Gamma_p, cloud.log_L))
+        for end in ends[:-1]:
+            for got, want in zip(end, ends[-1]):
+                assert np.array_equal(got, want)
 
     def test_non_finite_state_names_step_and_path(self):
         # a NaN in world 3's observed price at index 1 makes its first observed

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ulhedge as uh
+from ulhedge import rng
 from ulhedge.csvio import HEDGE_SERIES, export_hedge_report, read_matrix
 from ulhedge.filtering import ParticleCloud
 from ulhedge.hedging import (
@@ -444,6 +445,22 @@ class TestBacktest:
             for f in dataclasses.fields(ref.summary):
                 assert np.array_equal(getattr(rep.summary, f.name),
                                       getattr(ref.summary, f.name)), f.name
+
+    def test_chunk_keys_each_world_stream_once(self, monkeypatch):
+        # the P_hat and P legs of a chunk share one draw per world
+        cfg = cir_scenario(n_steps=10, n_paths=12, n_particles=4, seed=29)
+        keyed = []
+        plain = rng.keyed_streams
+
+        def counting(seed, purpose, indices):
+            for index, gen in zip(indices, plain(seed, purpose, indices)):
+                keyed.append((purpose, int(index)))
+                yield gen
+
+        monkeypatch.setattr(rng, "keyed_streams", counting)
+        _backtest_chunk(cfg, solve_g(cfg), None, (3, 9))
+        want = [(p, i) for p in (rng.PATHS, rng.DEATH) for i in range(3, 9)]
+        assert sorted(keyed) == want
 
     def test_chunks_return_no_per_step_series(self):
         # what crosses from a chunk to the parent is a few numbers per world:

@@ -6,6 +6,7 @@ from ulhedge import rng
 from ulhedge.simulate import (
     advance_market,
     draw_brownian_increments,
+    draw_worlds,
     sample_death_time,
     simulate_paths,
 )
@@ -144,6 +145,17 @@ class TestDeterminismAndRefinement:
         full = simulate_paths(cfg, "P")
         part = simulate_paths(cfg, "P", path_indices=np.arange(10, 20))
         assert np.array_equal(full.S[10:20], part.S)
+
+    @pytest.mark.parametrize("measure", ["P", "P_hat"])
+    def test_given_draws_equal_own_draws(self, measure):
+        cfg = make_config(m1=0.4, rho=0.5, factor=uh.OUFactor(1.0, 0.05, 0.2),
+                          gamma=uh.AffineGamma(0.1, 0.5), n_paths=40, seed=17)
+        idx = np.arange(5, 25)
+        own = simulate_paths(cfg, measure, path_indices=idx)
+        given = simulate_paths(cfg, measure, path_indices=idx,
+                               draws=draw_worlds(cfg, idx))
+        for name in ("W", "B", "S", "X", "Gamma", "Y", "tau", "H", "path_indices"):
+            assert np.array_equal(getattr(given, name), getattr(own, name)), name
 
     def test_strong_refinement_order(self):
         # common Brownian increments, coarsened by pairwise summation
