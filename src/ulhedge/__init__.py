@@ -32,7 +32,6 @@ from .models import (
     ScenarioConfig,
     ValidationReport,
     ZeroRecovery,
-    evaluate_coefficients,
     validate,
 )
 from .simulate import PathBundle, simulate_paths

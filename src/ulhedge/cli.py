@@ -93,7 +93,7 @@ def cmd_simulate(args) -> int:
 def cmd_solve(args) -> int:
     config = _load(args)
     manifest = csvio.RunManifest.start(config, "solve")
-    g_sol = solve_g(config)
+    g_sol = solve_g(config, surface=False)   # the t = 0 slice is all solve reports
     manifest.mark("solve_g")
     manifest.blocks["pde"] = g_sol.health()
     outputs = [csvio.export_pde_solution(g_sol, config, args.out_dir, "g", k=0)]

@@ -41,7 +41,6 @@ __all__ = [
     "ScenarioConfig",
     "ValidationReport",
     "validate",
-    "evaluate_coefficients",
 ]
 
 
@@ -407,24 +406,3 @@ def validate(config: ScenarioConfig) -> ValidationReport:
             rep.violations.append("gamma must be nonnegative on the grid")
 
     return rep
-
-
-def evaluate_coefficients(config: ScenarioConfig, t: float, s: float, x: float):
-    """Evaluate (mu, sigma, b, a, gamma) at one point.
-
-    Raises ``CoefficientBoundError`` when |mu/sigma| exceeds the configured
-    bound and ``ValueError`` for s <= 0.
-    """
-    if s <= 0:
-        raise ValueError("price argument must be positive")
-    c = config.coefficients
-    mu = float(c.mu(t, s, x))
-    sigma = float(c.sigma(t, s))
-    c.market_price_of_risk(t, s, x)
-    return (
-        mu,
-        sigma,
-        float(c.b(t, x)),
-        float(c.a(t, x)),
-        float(c.gamma_fn(t, x)),
-    )

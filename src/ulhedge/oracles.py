@@ -1,7 +1,7 @@
 """Reference values computed by routes independent of the main solvers.
 
 These are the cross-checks the verification suite tests against: lognormal
-closed forms for the driftless price, the affine (Riccati ODE) transform for
+closed forms for the driftless price, the closed-form affine transform for
 mean-reverting hazards, and the Ornstein-Uhlenbeck mean.  None of them share
 code with the finite-difference solvers, the particle filter or the path
 simulator.
@@ -10,7 +10,6 @@ simulator.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.special import ndtr
 
 from .models import (
@@ -84,20 +83,33 @@ def _affine_parameters(factor: FactorFamily, gamma: GammaFamily):
     return kappa, xbar, va, vb, c0, c1
 
 
-def _riccati_solution(factor, gamma, horizon: float):
+def _riccati_state(factor, gamma, t):
+    """Closed-form solution (A, B) of the affine transform's Riccati system
+
+        B' = -kappa B + vb B^2 / 2 - c1,   A' = kappa xbar B + va B^2 / 2 - c0,
+
+    A(0) = B(0) = 0, so that E[exp(-int_0^t gamma(X_u) du)] = exp(A + B x0);
+    also returns the map B -> (A', B').  Exactly one of va, vb is
+    nonzero: the CIR case is the bond-price formula of Cox, Ingersoll & Ross
+    (Econometrica 53, 1985) for the intensity c1 X, the OU case that of
+    Vasicek (J. Financial Economics 5, 1977)."""
     kappa, xbar, va, vb, c0, c1 = _affine_parameters(factor, gamma)
 
-    def rhs(_t, y):
-        _, b = y
-        db = -kappa * b + 0.5 * vb * b * b - c1
-        da = kappa * xbar * b + 0.5 * va * b * b - c0
-        return (da, db)
+    def rhs(b):      # the system is autonomous and A enters neither derivative
+        return kappa * xbar * b + 0.5 * va * b * b - c0, -kappa * b + 0.5 * vb * b * b - c1
 
-    sol = solve_ivp(rhs, (0.0, horizon), (0.0, 0.0), dense_output=True,
-                    rtol=1e-10, atol=1e-12, max_step=horizon / 50)
-    if not sol.success:
-        raise RuntimeError(f"Riccati integration failed: {sol.message}")
-    return sol, rhs
+    if vb > 0.0:
+        h = np.sqrt(kappa**2 + 2.0 * vb * c1)
+        grown = -np.expm1(-h * t)                      # 1 - exp(-h t)
+        denom = (h + kappa) * grown + 2.0 * h * np.exp(-h * t)
+        b = -2.0 * c1 * grown / denom
+        a = (2.0 * kappa * xbar / vb) * (0.5 * (kappa - h) * t - np.log(denom / (2.0 * h)))
+    else:
+        phi = -np.expm1(-kappa * t) / kappa            # (1 - exp(-kappa t)) / kappa
+        b = -c1 * phi
+        a = -c1 * xbar * (t - phi) + 0.5 * va * c1**2 * ((t - phi) / kappa**2
+                                                          - phi**2 / (2.0 * kappa))
+    return a - c0 * t, b, rhs
 
 
 def affine_survival(factor: FactorFamily, gamma: GammaFamily, x0: float, t):
@@ -109,8 +121,7 @@ def affine_survival(factor: FactorFamily, gamma: GammaFamily, x0: float, t):
     if isinstance(factor, FrozenFactor):
         out = np.exp(-float(gamma(0.0, x0)) * t)
     else:
-        sol, _ = _riccati_solution(factor, gamma, float(t.max()) if t.max() > 0 else 1.0)
-        a, b = sol.sol(t)
+        a, b, _ = _riccati_state(factor, gamma, t)
         out = np.exp(a + b * x0)
     return out if out.shape != (1,) else float(out[0])
 
@@ -118,17 +129,14 @@ def affine_survival(factor: FactorFamily, gamma: GammaFamily, x0: float, t):
 def affine_hazard_rate(factor: FactorFamily, gamma: GammaFamily, x0: float, t):
     """-d/dt log E[exp(-int_0^t gamma(X_u) du)], the population hazard rate.
 
-    Equals E[gamma(X_t) Y_t] / E[Y_t]; evaluated from the Riccati state
-    derivatives rather than by differencing.
+    Equals E[gamma(X_t) Y_t] / E[Y_t]; evaluated from the Riccati right-hand
+    side at the closed-form state rather than by differencing.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if isinstance(factor, FrozenFactor):
         out = np.full_like(t, float(gamma(0.0, x0)))
     else:
-        sol, rhs = _riccati_solution(factor, gamma, float(t.max()) if t.max() > 0 else 1.0)
-        states = sol.sol(t)
-        out = np.empty_like(t)
-        for i in range(t.size):
-            da, db = rhs(t[i], states[:, i])
-            out[i] = -(da + db * x0)
+        a, b, rhs = _riccati_state(factor, gamma, t)
+        da, db = rhs(b)
+        out = -(da + db * x0)
     return out if out.shape != (1,) else float(out[0])

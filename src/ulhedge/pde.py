@@ -21,6 +21,13 @@ exactly over each step (g <- U + (g - U) exp(-gamma dt)) so spatially
 constant and affine solutions stay exact.  The 2D problem adds its mixed
 derivative, lagged one level; ``_mixed_term`` forms its coefficient and
 s-weights once per solve.
+The march writes slice k into ``out[k % len(out)]``, so one loop serves two
+storage plans: the backtest keeps every slice (it reads g at each rebalancing
+date), while ``ulhedge solve``, which reports only t = 0, marches through a
+ring of two slices and keeps t = 0 alone (``solve_g(config, surface=False)``).
+The march forms the extrema behind the max-principle gap and the finiteness
+check from every slice it writes, the terminal slice included, so both plans
+report the same health counters.
 The march's one factorization orders the columns by minimum degree on the
 pattern of A + A^T (SuperLU's ``MMD_AT_PLUS_A``; George & Liu, SIAM Review
 31, 1989).  The operators are structurally symmetric stencils, and on them
@@ -115,10 +122,13 @@ class PdeSolution:
 
     ``values`` has the time axis first: (n_t+1, n_s+1, n_x+1) for the 2D
     problem, (n_t+1, n+1) for the 1D ones, and it is the only surface the
-    solution holds.  A spatial derivative ("d_s" or "d_x") is np.gradient of
-    the one time slice a lookup reads -- centered differences in the interior,
-    one-sided at the edges -- formed per call and never stored, and is
-    interpolated (bi)linearly like the values themselves.
+    solution holds.  The hedge reads g at every step and keeps every slice;
+    ``solve`` asks ``solve_g(config, surface=False)`` for a one-slice solution
+    (``t_grid`` [0.0], ``values`` of shape (1, n_s+1, n_x+1)).  A spatial
+    derivative ("d_s" or "d_x") is np.gradient of the one time slice a lookup
+    reads -- centered differences in the interior, one-sided at the edges --
+    formed per call and never stored, and is interpolated (bi)linearly like
+    the values themselves.
     """
 
     kind: str                 # "sx", "s" or "x"
@@ -129,18 +139,15 @@ class PdeSolution:
     max_principle_gap: float = 0.0
     factor_nnz: int = 0       # entries stored for L and U by the march's factorization
 
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise NumericalError("PDE solution contains non-finite values")
-
     def health(self) -> dict:
         """The numerical-health counters a run manifest reports for this solve."""
         return {"factor_nnz": self.factor_nnz, "max_principle_gap": self.max_principle_gap}
 
     def time_index(self, t: float) -> int:
-        dt = self.t_grid[1] - self.t_grid[0]
-        k = int(round(t / dt))
-        if not 0 <= k <= len(self.t_grid) - 1 or abs(self.t_grid[k] - t) > 1e-9 * max(1.0, abs(t)):
+        """Index of the grid time t (the grid may hold t = 0 alone)."""
+        k = int(np.argmin(np.abs(self.t_grid - t)))
+        # written so that a NaN t (whose comparisons are all False) fails
+        if not abs(self.t_grid[k] - t) <= 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"time {t} is not on the solution grid")
         return k
 
@@ -391,9 +398,16 @@ def _mixed_term(sig, aa, SS, rho, s_grid, x_grid):
     return term
 
 
-def _march(values, A, seed, dt: float, gamma, source, explicit=None) -> int:
-    """Fill ``values[:-1]`` backward from the terminal ``seed``; return the
-    factor's fill, the entries SuperLU stores for L and U.
+def _march(out, n_t: int, A, seed, dt: float, gamma, source, explicit=None):
+    """Fill the time slices n_t - 1, ..., 0 backward from the terminal ``seed``.
+
+    Slice k goes to ``out[k % len(out)]``: ``out`` holds either every slice
+    (length n_t + 1) or a ring of two, where slice k overwrites slice k + 2
+    once step k + 1 has read it.  On entry ``out[n_t % len(out)]`` holds the
+    stored terminal slice.  Returns the factor's fill (the entries SuperLU
+    stores for L and U) and the smallest and largest value over the terminal
+    slice and every slice written; a non-finite value raises NumericalError
+    naming its time step.
 
     Each step solves dw/dt + A w + explicit(w) = gamma (w - source):
     Crank-Nicolson in A, except for a Rannacher start of two implicit
@@ -409,7 +423,7 @@ def _march(values, A, seed, dt: float, gamma, source, explicit=None) -> int:
     except RuntimeError as exc:
         raise NumericalError(f"PDE linear solve failed: {exc}") from exc
     decay = np.exp(-gamma * dt)
-    n_t = len(values) - 1
+    lo, hi = _extrema(out[n_t % len(out)], n_t)
     work = seed
     for step in range(n_t - 1, -1, -1):
         rhs = work.ravel()
@@ -424,57 +438,68 @@ def _march(values, A, seed, dt: float, gamma, source, explicit=None) -> int:
             cn *= 0.5 * dt
             cn += rhs
             solved = lu.solve(cn)
-        work = values[step]
+        work = out[step % len(out)]
         np.subtract(solved.reshape(work.shape), source, out=work)
         work *= decay
         work += source
+        step_lo, step_hi = _extrema(work, step)
+        lo, hi = min(lo, step_lo), max(hi, step_hi)
     # lu.nnz counts the factor in place; lu.L and lu.U would copy it
-    return lu.nnz
+    return lu.nnz, lo, hi
+
+
+def _extrema(values, step: int) -> tuple[float, float]:
+    """Smallest and largest entry of one time slice, which must be finite
+    (a NaN or an infinity makes one of the two non-finite)."""
+    lo, hi = float(values.min()), float(values.max())
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise NumericalError(f"PDE solution contains non-finite values at time step {step}")
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
 # solvers
 # ---------------------------------------------------------------------------
 
-def solve_g(config: ScenarioConfig) -> PdeSolution:
+def solve_g(config: ScenarioConfig, surface: bool = True) -> PdeSolution:
     """Solve the 2D value problem for the endowment contract.
 
     Returns g with g(T, s, x) = G(T, s); the interior equation balances the
     (s, x) generator under the martingale measure against killing at the
-    mortality rate plus the death-benefit source U gamma.
+    mortality rate plus the death-benefit source U gamma.  With
+    ``surface=False`` the march keeps two time slices and the solution holds
+    the t = 0 slice alone, bit-identical to slice 0 of the full surface, with
+    the same health counters.
     """
     grid = config.pde_grid
     contract = config.contract
     T = contract.maturity
+    n_t = config.n_steps
     s_grid = stretched_s_grid(grid.n_s, grid.s_max,
                               _strike_of(contract.survival_payoff))
     x_grid = np.linspace(grid.x_min, grid.x_max, grid.n_x + 1)
     SS, XX = np.meshgrid(s_grid, x_grid, indexing="ij")
     rho = config.coefficients.rho
 
-    values = np.empty((config.n_steps + 1, grid.n_s + 1, grid.n_x + 1))
-    values[-1] = contract.G(s_grid)[:, None]
+    values = np.empty((n_t + 1 if surface else 2, grid.n_s + 1, grid.n_x + 1))
+    values[n_t % len(values)] = contract.G(s_grid)[:, None]
     seed = np.broadcast_to(_cell_average(contract.survival_payoff, T, s_grid)[:, None],
                            SS.shape)
     # no coefficient, mortality or payoff family depends on t: one operator,
     # one factorization and one killing factor serve every step
     sig, aa, drift, gam = _coeff_arrays_2d(config, SS, XX)
     mixed = None if rho == 0.0 else _mixed_term(sig, aa, SS, rho, s_grid, x_grid)
-    nnz = _march(values, _assemble_2d(s_grid, x_grid, sig, aa, drift), seed,
-                 T / config.n_steps, gam, contract.U(0.0, SS), mixed)
+    nnz, lo, hi = _march(values, n_t, _assemble_2d(s_grid, x_grid, sig, aa, drift), seed,
+                         T / n_t, gam, contract.U(0.0, SS), mixed)
 
-    sol = PdeSolution(kind="sx", t_grid=np.linspace(0.0, T, config.n_steps + 1),
-                      values=values, s_grid=s_grid, x_grid=x_grid, factor_nnz=nnz)
-    sol.max_principle_gap = _max_principle_gap(config, values, s_grid)
-    return sol
-
-
-def _max_principle_gap(config: ScenarioConfig, values, s_grid) -> float:
-    """Overshoot beyond [0, max(sup G, sup U)]; meaningful for bounded payoffs."""
-    contract = config.contract
-    bound = max(float(np.max(contract.G(s_grid))),
-                float(np.max(contract.U(0.0, s_grid))))
-    return max(0.0, -float(values.min())) + max(0.0, float(values.max()) - bound)
+    t_grid = np.linspace(0.0, T, n_t + 1)
+    if not surface:
+        values, t_grid = values[:1], t_grid[:1]
+    # overshoot beyond [0, max(sup G, sup U)]; meaningful for bounded payoffs
+    bound = max(float(np.max(contract.G(s_grid))), float(np.max(contract.U(0.0, s_grid))))
+    gap = max(0.0, -lo) + max(0.0, hi - bound)
+    return PdeSolution(kind="sx", t_grid=t_grid, values=values, s_grid=s_grid,
+                       x_grid=x_grid, max_principle_gap=gap, factor_nnz=nnz)
 
 
 def _solve_1d(config: ScenarioConfig, grid, terminal_payoff, terminal_seed,
@@ -484,8 +509,9 @@ def _solve_1d(config: ScenarioConfig, grid, terminal_payoff, terminal_seed,
     scalars: no family depends on t.  Returns the values and the factor's fill."""
     values = np.empty((config.n_steps + 1, len(grid)))
     values[-1] = terminal_payoff
-    nnz = _march(values, _operator(_axis_stencil(grid, diff_coef, drift, axis=0)),
-                 terminal_seed, config.contract.maturity / config.n_steps, gamma, source)
+    nnz, _, _ = _march(values, config.n_steps,
+                       _operator(_axis_stencil(grid, diff_coef, drift, axis=0)),
+                       terminal_seed, config.contract.maturity / config.n_steps, gamma, source)
     return values, nnz
 
 

@@ -15,6 +15,7 @@ from ulhedge.config_io import config_hash, dump_config, load_config, parse_confi
 from ulhedge.csvio import (
     export_bundle,
     export_hedge_report,
+    export_pde_solution,
     export_projection_series,
     read_matrix,
 )
@@ -159,6 +160,13 @@ class TestCli:
         manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
         assert manifest["pde"]["factor_nnz"] > 0
         assert 0.0 <= manifest["pde"]["max_principle_gap"] < 1e-6
+        # solve keeps only t = 0 of g; its report equals that of the full surface
+        cfg = load_config(config_file)
+        full = solve_g(cfg)
+        assert manifest["pde"] == full.health()
+        reference = export_pde_solution(full, cfg, str(tmp_path), "g", k=0)
+        with open(reference, "rb") as want, open(tmp_path / "a" / "g_t0.csv", "rb") as got:
+            assert got.read() == want.read()
         assert main(["filter", config_file, "--paths", "2",
                      "--out-dir", str(tmp_path / "b"), "--quiet"]) == 0
         # closed-form refuses the correlated scenario with exit code 2
@@ -220,8 +228,9 @@ class TestCli:
             "ulhedge.acceptance", "ulhedge.oracles", "scipy.stats", "scipy.integrate")) == ""
 
     def test_acceptance_import_leaves_scipy_stats_unloaded(self):
-        # the oracles' normal CDF is scipy.special.ndtr
-        assert _loaded_by_import("ulhedge.acceptance", ("scipy.stats",)) == ""
+        # the oracles' normal CDF is scipy.special.ndtr, and their affine
+        # transforms are closed forms, not Riccati integrations
+        assert _loaded_by_import("ulhedge.acceptance", ("scipy.stats", "scipy.integrate")) == ""
 
     def test_every_exported_name_exists(self):
         # a stale __all__ entry survives a deletion until someone star-imports

@@ -43,39 +43,43 @@ class TestValidation:
 
 
 class TestEvaluateCoefficients:
+    """Point evaluation of the ``CoefficientSet`` methods."""
+
     def test_constant_gamma(self):
-        cfg = make_config(gamma=uh.ConstantGamma(0.05))
+        c = make_config(gamma=uh.ConstantGamma(0.05)).coefficients
         for t, x in [(0.0, 0.0), (0.5, -3.0), (1.0, 7.0)]:
-            assert uh.evaluate_coefficients(cfg, t, 1.0, x)[4] == 0.05
+            assert float(c.gamma_fn(t, x)) == 0.05
 
     def test_linear_gamma_clamps_negative_factor(self):
-        cfg = make_config(gamma=uh.LinearGamma())
-        assert uh.evaluate_coefficients(cfg, 0.0, 1.0, -1.0)[4] == 0.0
+        c = make_config(gamma=uh.LinearGamma()).coefficients
+        assert float(c.gamma_fn(0.0, -1.0)) == 0.0
 
     def test_ou_drift_zero_at_mean(self):
-        cfg = make_config(factor=uh.OUFactor(kappa=2.0, xbar=0.1, a_vol=0.2))
-        assert uh.evaluate_coefficients(cfg, 0.0, 1.0, 0.1)[2] == 0.0
+        c = make_config(factor=uh.OUFactor(kappa=2.0, xbar=0.1, a_vol=0.2)).coefficients
+        assert float(c.b(0.0, 0.1)) == 0.0
 
     def test_bound_breach_raises(self):
-        cfg = make_config(m0=0.0, m1=1.0, sigma=0.2, c_bound=1.0)
+        c = make_config(m0=0.0, m1=1.0, sigma=0.2, c_bound=1.0).coefficients
         with pytest.raises(CoefficientBoundError):
-            uh.evaluate_coefficients(cfg, 0.0, 1.0, 10.0)
+            c.market_price_of_risk(0.0, 1.0, 10.0)
 
     def test_nonpositive_price_rejected(self):
-        cfg = make_config()
-        with pytest.raises(ValueError):
-            uh.evaluate_coefficients(cfg, 0.0, 0.0, 0.0)
+        # a price enters the model only through s0; the PDE grids start at s = 0
+        for s0 in (0.0, -1.0):
+            rep = uh.validate(make_config(s0=s0))
+            assert any("s0 must be positive" in v for v in rep.violations)
 
     def test_validate_pass_implies_evaluation_succeeds(self):
         cfg = make_config(m0=0.05, m1=0.3,
                           factor=uh.OUFactor(1.0, 0.05, 0.2),
                           gamma=uh.AffineGamma(0.01, 0.5))
         assert uh.validate(cfg).ok
-        g = cfg.pde_grid
-        for t in np.linspace(0, 1, 4):
-            for s in np.linspace(0.1, g.s_max, 5):
-                for x in np.linspace(g.x_min, g.x_max, 5):
-                    uh.evaluate_coefficients(cfg, float(t), float(s), float(x))
+        g, c = cfg.pde_grid, cfg.coefficients
+        t, s, x = np.meshgrid(np.linspace(0, 1, 4), np.linspace(0.1, g.s_max, 5),
+                              np.linspace(g.x_min, g.x_max, 5), indexing="ij")
+        c.market_price_of_risk(t, s, x)
+        for value in (c.mu(t, s, x), c.sigma(t, s), c.b(t, x), c.a(t, x), c.gamma_fn(t, x)):
+            assert np.all(np.isfinite(value))
 
 
 @st.composite
@@ -112,9 +116,14 @@ class TestFamilyProperties:
            t=st.floats(0.0, 1.0), s=st.floats(0.01, 10.0), x=st.floats(-5.0, 5.0))
     @settings(max_examples=60)
     def test_evaluation_deterministic(self, factor, gamma, t, s, x):
-        cfg = make_config(m0=0.01, m1=0.1, factor=factor, gamma=gamma, c_bound=1e6)
-        assert uh.evaluate_coefficients(cfg, t, s, x) == \
-            uh.evaluate_coefficients(cfg, t, s, x)
+        c = make_config(m0=0.01, m1=0.1, factor=factor, gamma=gamma, c_bound=1e6).coefficients
+
+        def point():
+            return (float(c.mu(t, s, x)), float(c.sigma(t, s)), float(c.b(t, x)),
+                    float(c.a(t, x)), float(c.gamma_fn(t, x)),
+                    float(c.market_price_of_risk(t, s, x)))
+
+        assert point() == point()
 
     @given(factor=factor_families(), gamma=gamma_families(), x=st.floats(-5.0, 5.0))
     @settings(max_examples=60)

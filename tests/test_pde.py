@@ -1,9 +1,11 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ulhedge as uh
+from ulhedge import pde
 from ulhedge.config_io import load_config
 from ulhedge.errors import DomainExcursionError
 from ulhedge.oracles import affine_survival, black_scholes_call, black_scholes_delta
@@ -254,6 +256,52 @@ class TestPhi:
         err = np.abs(phi.value(0, x=x_band) - oracle)
         assert (err / oracle).max() <= 0.01
         assert err.max() <= 1e-3
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+@pytest.mark.parametrize("name", ["smoke.ini", "uncorrelated.ini"])
+def test_two_slice_solve_matches_full_surface(name, monkeypatch):
+    # smoke has rho = 0.4 (mixed term), uncorrelated rho = 0
+    cfg = load_config(os.path.join(CONFIGS, name))
+    marches, march = [], pde._march
+
+    def recorded(*args, **kwargs):
+        marches.append(march(*args, **kwargs))
+        return marches[-1]
+
+    monkeypatch.setattr(pde, "_march", recorded)
+    full = solve_g(cfg)
+    tracemalloc.start()
+    try:
+        t0 = solve_g(cfg, surface=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+    assert t0.values.shape == (1,) + full.values.shape[1:]
+    assert np.array_equal(t0.values[0], full.values[0])
+    assert t0.health() == full.health()
+    # both marches see the extrema of the whole surface, terminal slice included
+    for _, lo, hi in marches:
+        assert (lo, hi) == (full.values.min(), full.values.max())
+    # the one-slice solution answers every t = 0 query
+    s, x = np.array([cfg.s0, 2.0]), np.array([cfg.x0, 0.1])
+    assert np.array_equal(t0.value(0, s=s, x=x), full.value(0, s=s, x=x))
+    assert t0.to_csv_rows(0) == full.to_csv_rows(0)
+    assert t0.time_index(0.0) == 0
+    with pytest.raises(ValueError):
+        t0.time_index(full.t_grid[1])
+    # two slices in the march, not the surface (SuperLU's factor is not traced)
+    assert peak < 0.5 * full.values.nbytes
+
+
+def test_march_names_the_step_of_a_non_finite_value():
+    cfg = make_config(grid=uh.PdeGrid(40, 10, 5.0, -0.5, 0.6), n_steps=10,
+                      survival=uh.LinearPayoff(float("nan")))
+    with pytest.raises(uh.NumericalError, match="non-finite values at time step 10"):
+        solve_g(cfg, surface=False)
 
 
 REDUCTION_GRID = uh.PdeGrid(100, 60, 4.0, -0.08, 0.5)
