@@ -1,15 +1,17 @@
 """Hedging strategies, value and cost processes, and the backtest.
 
-The partial-information strategy multiplies the particle cloud against the
-solved value surface: with id_y the survival coordinate,
+The partial-information strategy is the predictable projection of the
+full-information one: with id_y the survival coordinate,
 
-    theta*_t = pi(id_y [dg/ds + rho a/(sigma S) dg/dx]) / pi(id_y),
+    theta_F = dg/ds + rho a/(sigma S) dg/dx,    theta*_t = pi(id_y theta_F) / pi(id_y),
 
 evaluated one grid point before the price increment it multiplies, so the
-position is a functional of the observable history only.  The book value is
-the survival-weighted projection of the same surface; both come from one
-gather of g, dg/ds and dg/dx per step, whose derivatives are formed from
-that step's slice of g alone.  The cost process is assembled pathwise as
+position is a functional of the observable history only.  ``theta_full`` is
+the one place theta_F is written.  The book value is the survival-weighted
+projection of g.  Each step forms one row of g, dg/ds and dg/dx per world
+from that step's slice of g alone and gathers it twice: at the particles
+(partial information) and at the world's own factor state (full
+information).  The cost process is assembled pathwise as
 payments plus book value minus trading gains, and the backtest checks the
 martingale / orthogonality / pricing properties that characterize the
 locally risk-minimizing strategy.  ``HedgeSeries`` is the one per-world
@@ -35,7 +37,7 @@ import numpy as np
 from . import csvio
 from .errors import ConfigError, DomainExcursionError
 from .filtering import ParticleCloud
-from .models import LinearPayoff, ScenarioConfig, validate
+from .models import LinearPayoff, ScenarioConfig, ZeroRecovery, validate
 from .pde import PdeSolution, interp_rows, solve_g, solve_gtilde, solve_phi
 from .simulate import PathBundle, draw_worlds, simulate_paths
 
@@ -79,28 +81,27 @@ def payment_stream(bundle: PathBundle) -> np.ndarray:
 # strategies
 # ---------------------------------------------------------------------------
 
-def _name_world(exc: DomainExcursionError, bundle: PathBundle, k: int, row: int):
+def _name_world(exc: DomainExcursionError, bundle: PathBundle, k: int):
     """The same excursion, naming the grid step and the global path index."""
+    row = exc.index[0]
     return DomainExcursionError(
         f"step k={k}, path {int(bundle.path_indices[row])}: {exc}", exc.index)
 
 
-def theta_full(bundle: PathBundle, g_sol: PdeSolution) -> np.ndarray:
-    """Full-information strategy dg/ds + (rho a / (S sigma)) dg/dx on the path.
+def theta_full(c, t: float, s, a, g_s: np.ndarray, g_x: np.ndarray) -> np.ndarray:
+    """Full-information strategy dg/ds + (rho a / (sigma s)) dg/dx, formed in
+    place in ``g_s`` and returned.
 
-    Interval-left values, zero after death; every step is looked up at once.
+    ``c`` holds the coefficients; ``s`` is each world's price at t, shaped to
+    broadcast against ``g_s`` ((n_worlds, 1)), and ``a`` is a(t, x) at the
+    factor states where ``g_s`` and ``g_x`` were gathered.  The hedge applies
+    it to the particles' gather, whose survival-weighted projection is theta*,
+    and to the gather at each world's own (S, X), where it is theta_F.
     """
-    c = bundle.config.coefficients
-    k = np.arange(bundle.n_steps)
-    s, x = bundle.S[:, :-1], bundle.X[:, :-1]
-    t = bundle.t_grid[:-1]
-    try:
-        g_s = g_sol.value_ds(k, s=s, x=x)
-        g_x = g_sol.value_dx(k, s=s, x=x)
-    except DomainExcursionError as exc:
-        raise _name_world(exc, bundle, exc.index[1], exc.index[0]) from exc
-    theta = g_s + c.rho * c.a(t, x) / (s * c.sigma(t, s)) * g_x
-    return theta * bundle.alive_mask()
+    correction = c.rho / (c.sigma(t, s) * s) * a
+    correction *= g_x
+    g_s += correction
+    return g_s
 
 
 @dataclass
@@ -141,11 +142,12 @@ def hedge_paths(config: ScenarioConfig, bundle: PathBundle,
 
     The cloud sees only the observed price paths; positions and book values
     at index k use the cloud state at k (information up to t_k) and apply to
-    the increment over [t_k, t_{k+1}).  Each step locates every world and
-    particle once, gathers g, dg/ds and dg/dx together, and projects g and
-    the position integrand with one survival ratio.  Once the cloud is
-    released, the full-information leg is looked up at each world's own
-    (S, X) and the cost processes are formed against the stopped price.
+    the increment over [t_k, t_{k+1}).  Each step locates every world once in
+    s (``slice_at_s``: one row of g, dg/ds and dg/dx per world) and gathers
+    those rows twice: at the particles, where ``theta_full`` forms the
+    position integrand that one survival ratio projects together with g, and
+    at the world's own X, where it gives the full-information value and
+    position.  The cost processes are formed against the stopped price.
     """
     c = config.coefficients
     n = config.n_steps
@@ -154,36 +156,34 @@ def hedge_paths(config: ScenarioConfig, bundle: PathBundle,
     x_grid = g_sol.x_grid
 
     theta_star = np.zeros((n_paths, n))
+    th_full = np.empty((n_paths, n))
     ratio = np.empty((n_paths, n + 1))
+    V_full = np.empty((n_paths, n + 1))
     pfs_mu = np.empty((n_paths, n))
 
     for k in range(n + 1):
-        s_k = cloud.s_now
+        t, s_k, x_own = cloud.t, cloud.s_now, bundle.X[:, k:k + 1]
         try:
             rows = g_sol.slice_at_s(("value", "d_s", "d_x"), k, s_k[:, 0])
             fields = interp_rows(rows, x_grid, cloud.X)
+            own = interp_rows(rows, x_grid, x_own)
         except DomainExcursionError as exc:
-            raise _name_world(exc, bundle, k, exc.index[0]) from exc
-        # fields[1] becomes the position integrand
-        correction = c.rho / (c.sigma(cloud.t, s_k) * s_k) * cloud.a
-        correction *= fields[2]
-        fields[1] += correction
+            raise _name_world(exc, bundle, k) from exc
+        theta_full(c, t, s_k, cloud.a, fields[1], fields[2])
         ratio[:, k], theta_k = cloud.survival_ratio(fields[:2])
+        V_full[:, k] = own[0, :, 0]
         if k < n:
+            th_full[:, k] = theta_full(c, t, s_k, c.a(t, x_own), own[1], own[2])[:, 0]
             theta_star[:, k] = theta_k
             pfs_mu[:, k] = cloud.projected_drift()
             cloud.step()
-    del cloud, rows, fields, correction
+    del cloud, rows, fields, own
 
-    theta_star *= bundle.alive_mask()
-    th_full = theta_full(bundle, g_sol)
-
+    alive = bundle.alive_mask()
+    theta_star *= alive
+    th_full *= alive
     V = (1.0 - bundle.H) * ratio
     V[:, n] = 0.0
-    try:
-        V_full = g_sol.value(np.arange(n + 1), s=bundle.S, x=bundle.X)
-    except DomainExcursionError as exc:
-        raise _name_world(exc, bundle, exc.index[1], exc.index[0]) from exc
     V_full *= (1.0 - bundle.H)
     V_full[:, n] = 0.0
 
@@ -223,7 +223,7 @@ def _assert_uncorrelated_homogeneous(config: ScenarioConfig) -> None:
         raise ConfigError("closed-form pipeline requires rho = 0")
     recovery = config.contract.death_recovery
     if not (isinstance(recovery, LinearPayoff)
-            or float(np.max(np.abs(recovery(0.0, np.linspace(0.0, 2.0, 5))))) == 0.0):
+            or recovery == ZeroRecovery):
         raise ConfigError("closed-form pipeline needs a linear (or zero) death benefit")
 
 
@@ -244,9 +244,8 @@ def closed_form_theta(config: ScenarioConfig, bundle: PathBundle,
     recovery = config.contract.death_recovery
     delta = recovery.slope if isinstance(recovery, LinearPayoff) else 0.0
     n = config.n_steps
-    k = np.arange(n + 1)
-    m = phi.value(n - k, x=np.full(n + 1, config.x0))
-    gs = gtilde.value_ds(k[:-1], s=bundle.S[:, :-1])
+    m = np.array([phi.value(n - k, x=np.array([config.x0]))[0] for k in range(n + 1)])
+    gs = np.stack([gtilde.value_ds(k, s=bundle.S[:, k]) for k in range(n)], axis=1)
     theta = ((gs - delta) * m[n] + delta * m[:-1]) / m[:-1]
     return theta * bundle.alive_mask(), gtilde, phi
 
@@ -471,7 +470,7 @@ def backtest(config: ScenarioConfig, chunk_size: int = 4000, workers: int = 1,
         zeta0_pde=zeta0,
         cost_var_partial=float(stats.cost_partial.var(ddof=1)),
         cost_var_full=float(stats.cost_full.var(ddof=1)),
-        terminal_gap_max=float(stats.terminal_gap.max()) if n_paths else 0.0,
+        terminal_gap_max=float(stats.terminal_gap.max()),
         v_terminal_max=float(stats.v_settle.max()),
         n_paths=n_paths,
         n_particles=config.n_particles,

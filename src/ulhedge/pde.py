@@ -40,15 +40,17 @@ When a payoff carries a strike the s-grid is sinh-stretched around it (cells
 near the kink are ~alpha/n wide) and the terminal condition is seeded with its
 cell averages; the stored terminal slice remains the pointwise payoff.
 
-Every lookup uses one locate and one linear interpolation, s first, then x:
-point lookups gather cell corners, the hedging loop gathers particles from
-per-world rows (``slice_at_s``, then ``interp_rows``).  Only the values are
-stored: a derivative dg/ds or dg/dx is formed per time slice, from the one
-slice a lookup reads, and never kept.
+Every lookup reads one time slice, with one locate and one linear
+interpolation, s first, then x: point lookups gather cell corners, the
+hedging loop gathers per-world rows (``slice_at_s``, then ``interp_rows``)
+at the particles and at each world's own factor state.  Only the values are
+stored: a derivative dg/ds or dg/dx is formed from the one slice a lookup
+reads, and never kept.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,11 +126,12 @@ class PdeSolution:
     problem, (n_t+1, n+1) for the 1D ones, and it is the only surface the
     solution holds.  The hedge reads g at every step and keeps every slice;
     ``solve`` asks ``solve_g(config, surface=False)`` for a one-slice solution
-    (``t_grid`` [0.0], ``values`` of shape (1, n_s+1, n_x+1)).  A spatial
-    derivative ("d_s" or "d_x") is np.gradient of the one time slice a lookup
-    reads -- centered differences in the interior, one-sided at the edges --
-    formed per call and never stored, and is interpolated (bi)linearly like
-    the values themselves.
+    (``t_grid`` [0.0], ``values`` of shape (1, n_s+1, n_x+1)).  Every
+    accessor takes one integer time index k and reads that slice alone.  A
+    spatial derivative ("d_s" or "d_x") is np.gradient of that slice --
+    centered differences in the interior, one-sided at the edges -- formed
+    per call and never stored, and is interpolated (bi)linearly like the
+    values themselves.
     """
 
     kind: str                 # "sx", "s" or "x"
@@ -151,11 +154,13 @@ class PdeSolution:
             raise ValueError(f"time {t} is not on the solution grid")
         return k
 
-    def _slice(self, name: str, k) -> np.ndarray:
+    def _slice(self, name: str, k: int) -> np.ndarray:
         """Time slice k of the field ``name``: the values, or their derivative
         along s ("d_s") or x ("d_x").  np.gradient works along one axis, so
         the derivative of ``values[k]`` is bit-identical to slice k of the
-        derivative of the whole surface."""
+        derivative of the whole surface.  k is one integer: an array of steps
+        raises TypeError rather than index (and differentiate) several slices."""
+        k = operator.index(k)
         if name == "value":
             return self.values[k]
         grid = {"d_s": self.s_grid, "d_x": self.x_grid}[name]
@@ -164,11 +169,9 @@ class PdeSolution:
         axis = 1 if name == "d_x" and self.kind == "sx" else 0
         return np.gradient(self.values[k], grid, axis=axis)
 
-    def _interp(self, name: str, k, s=None, x=None):
-        """Field ``name`` at time index k (int or array, broadcast against the
-        points) and points s, x: the arithmetic of slice_at_s + interp_rows.
-        At an array of k a derivative slice is formed once per distinct step
-        and read by that step's points."""
+    def _interp(self, name: str, k: int, s=None, x=None):
+        """Field ``name`` at time index k and points s, x: the arithmetic of
+        slice_at_s + interp_rows, on the one slice ``_slice`` forms."""
         if self.kind == "sx":
             if s is None or x is None:
                 raise ValueError("2D solution needs both s and x")
@@ -178,21 +181,7 @@ class PdeSolution:
             if q is None:
                 raise ValueError(f"1D solution needs the {self.kind} coordinate")
             cells = [_locate(self.s_grid if self.kind == "s" else self.x_grid, q, self.kind)]
-        if name == "value":
-            return _lerp_cells(self.values, (k,), cells)
-        if np.ndim(k) == 0:
-            return _lerp_cells(self._slice(name, k), (), cells)
-        shape = np.broadcast_shapes(np.shape(k), *(i.shape for i, _ in cells))
-        ks = np.broadcast_to(k, shape).ravel()
-        cells = [(np.broadcast_to(i, shape).ravel(), np.broadcast_to(w, shape).ravel())
-                 for i, w in cells]
-        order = np.argsort(ks, kind="stable")
-        steps, first = np.unique(ks[order], return_index=True)
-        out = np.empty(ks.size)
-        for step, group in zip(steps, np.split(order, first[1:])):
-            out[group] = _lerp_cells(self._slice(name, step), (),
-                                     [(i[group], w[group]) for i, w in cells])
-        return out.reshape(shape)
+        return _lerp_cells(self._slice(name, k), cells)
 
     def value(self, k, s=None, x=None):
         return self._interp("value", k, s, x)
@@ -269,15 +258,15 @@ def _lerp(lo, hi, w):
     return lo
 
 
-def _lerp_cells(a: np.ndarray, lead: tuple, cells):
-    """Interpolation of ``a[lead + corner]`` over located cells: linear for
+def _lerp_cells(a: np.ndarray, cells):
+    """Interpolation of one time slice ``a`` over located cells: linear for
     one axis, bilinear (s first, then x) for two."""
     if len(cells) == 1:
         (qi, qw), = cells
-        return _lerp(a[lead + (qi,)], a[lead + (qi + 1,)], qw)
+        return _lerp(a[qi], a[qi + 1], qw)
     (si, sw), (xi, xw) = cells
-    lo = _lerp(a[lead + (si, xi)], a[lead + (si + 1, xi)], sw)
-    hi = _lerp(a[lead + (si, xi + 1)], a[lead + (si + 1, xi + 1)], sw)
+    lo = _lerp(a[si, xi], a[si + 1, xi], sw)
+    hi = _lerp(a[si, xi + 1], a[si + 1, xi + 1], sw)
     return _lerp(lo, hi, xw)
 
 

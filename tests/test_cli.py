@@ -281,6 +281,18 @@ class TestCli:
                      "--quiet"]) == 0
         assert (out / "closed_form_theta_star.csv").exists()
 
+    def test_closed_form_refuses_a_call_death_benefit(self, tmp_path, capsys):
+        shipped = os.path.join(os.path.dirname(__file__), "..", "configs", "uncorrelated.ini")
+        with open(shipped, encoding="utf-8") as fh:
+            text = fh.read()
+        linear = "death_recovery = linear\nrecovery_slope = 0.2"
+        assert linear in text
+        path = tmp_path / "call-benefit.ini"
+        path.write_text(text.replace(linear, "death_recovery = call\nrecovery_strike = 2.5"))
+        assert main(["closed-form", str(path), "--paths", "2",
+                     "--out-dir", str(tmp_path / "cf"), "--quiet"]) == 2
+        assert "death benefit" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_verify_wiring_and_exit_codes(self, config_file, tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 
 import ulhedge as uh
 from ulhedge import rng
+from ulhedge.config_io import load_config
 from ulhedge.csvio import HEDGE_SERIES, export_hedge_report, read_matrix
 from ulhedge.filtering import ParticleCloud
 from ulhedge.hedging import (
@@ -26,6 +27,7 @@ from ulhedge.simulate import simulate_paths
 
 from conftest import assert_within_se, make_config
 
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 CIR_GRID = uh.PdeGrid(n_s=300, n_x=50, s_max=6.0, x_min=-0.08, x_max=0.5)
 
 
@@ -79,7 +81,7 @@ class TestThetaFull:
         cfg = cir_scenario(survival=uh.LinearPayoff(0.5),
                            recovery=uh.LinearPayoff(0.5), n_paths=40, seed=53)
         b = simulate_paths(cfg, "P")
-        th = theta_full(b, solve_g(cfg))
+        th = hedge_paths(cfg, b, solve_g(cfg)).theta_full
         assert np.abs(th[b.alive_mask() > 0] - 0.5).max() <= 1e-10
 
     def test_black_scholes_delta(self):
@@ -88,7 +90,7 @@ class TestThetaFull:
                           grid=uh.PdeGrid(1000, 40, 5.0, -0.5, 0.6),
                           n_steps=200, n_paths=30, seed=54)
         b = simulate_paths(cfg, "P")
-        th = theta_full(b, solve_g(cfg))
+        th = hedge_paths(cfg, b, solve_g(cfg)).theta_full
         t_left = b.t_grid[:-1][None, :]
         oracle = black_scholes_delta(b.S[:, :-1], 1.0, 0.2, 1.0 - t_left)
         # relative delta accuracy is checked away from the terminal kink
@@ -107,7 +109,7 @@ class TestThetaFull:
                           grid=uh.PdeGrid(500, 60, 6.0, -0.08, 0.6),
                           n_paths=50, seed=55)
         b = simulate_paths(cfg, "P")
-        th = theta_full(b, solve_g(cfg))
+        th = hedge_paths(cfg, b, solve_g(cfg)).theta_full
         th_cf, gtilde, phi = closed_form_theta(cfg, b)
         # full-information closed form replaces the survival mass by Phi(t, X_t)
         delta = 0.2
@@ -127,7 +129,7 @@ class TestThetaFull:
         b = simulate_paths(cfg, "P")
         sol = solve_g(cfg)
         with pytest.raises(uh.DomainExcursionError):
-            theta_full(b, sol)
+            hedge_paths(cfg, b, sol)
 
 
 class TestThetaPartial:
@@ -171,6 +173,19 @@ class TestThetaPartial:
         b = simulate_paths(cfg, "P")
         with pytest.raises(uh.ConfigError):
             closed_form_theta(cfg, b)
+
+    def test_closed_form_requires_linear_or_zero_death_benefit(self):
+        # a call benefit struck beyond s = 2 vanishes on [0, 2] but is not zero
+        cfg = load_config(os.path.join(CONFIGS, "uncorrelated.ini")).with_updates(n_paths=3)
+        b = simulate_paths(cfg, "P")
+        for recovery in (uh.CallPayoff(2.5), uh.CallPayoff(1.5)):
+            bad = cfg.with_updates(contract=uh.Contract(1.0, uh.CallPayoff(1.0), recovery))
+            with pytest.raises(uh.ConfigError, match="death benefit"):
+                closed_form_theta(bad, b)
+        for recovery in (uh.ZeroRecovery, uh.LinearPayoff(0.2)):
+            ok = cfg.with_updates(contract=uh.Contract(1.0, uh.CallPayoff(1.0), recovery))
+            theta, _, _ = closed_form_theta(ok, b)
+            assert np.isfinite(theta).all()
 
     def test_measurability_from_observables_alone(self, tmp_path):
         # recompute theta* from the exported price path and death indicator
@@ -267,10 +282,15 @@ class TestValueAndCost:
         b = simulate_paths(cfg, "P")
         g_sol = solve_g(cfg)
         series = hedge_paths(cfg, b, g_sol)
-        n = cfg.n_steps
-        assert np.array_equal(series.theta_full, theta_full(b, g_sol))
-        v = g_sol.value(np.arange(n + 1), s=b.S, x=b.X) * (1.0 - b.H)
-        assert np.array_equal(series.V_full[:, :-1], v[:, :-1])
+        c, n = cfg.coefficients, cfg.n_steps
+        alive = b.alive_mask()
+        for k in range(n):
+            t, s, x = b.t_grid[k], b.S[:, k], b.X[:, k]
+            th = theta_full(c, t, s, c.a(t, x), g_sol.value_ds(k, s=s, x=x),
+                            g_sol.value_dx(k, s=s, x=x))
+            assert np.array_equal(series.theta_full[:, k], th * alive[:, k])
+            v = g_sol.value(k, s=s, x=x) * (1.0 - b.H[:, k])
+            assert np.array_equal(series.V_full[:, k], v)
         assert not series.V_full[:, -1].any()
 
     def test_value_zero_after_death_and_cost_jump(self):

@@ -198,13 +198,6 @@ class TestSliceDerivatives:
                 assert np.array_equal(got[i], refs[name].value(k, s=s[:, None], x=x_rows))
             assert np.array_equal(sol.value_ds(k, s=s, x=x), refs["d_s"].value(k, s=s, x=x))
             assert np.array_equal(sol.value_dx(k, s=s, x=x), refs["d_x"].value(k, s=s, x=x))
-        # an array of k: unordered per point, and broadcast against a 2D point set
-        ks = rng.integers(0, 6, len(s))
-        grid_k = np.arange(6)
-        s2, x2 = np.repeat(s[:, None], 6, axis=1), np.repeat(x[:, None], 6, axis=1)
-        for k, ss, xx in ((ks, s, x), (grid_k, s2, x2)):
-            assert np.array_equal(sol.value_ds(k, s=ss, x=xx), refs["d_s"].value(k, s=ss, x=xx))
-            assert np.array_equal(sol.value_dx(k, s=ss, x=xx), refs["d_x"].value(k, s=ss, x=xx))
 
     def test_1d_slice_derivative_matches_full_surface_gradient(self):
         rng = np.random.default_rng(6)
@@ -214,12 +207,21 @@ class TestSliceDerivatives:
         s = self.points(self.S_GRID, rng)
         for k in (0, 2, 5):
             assert np.array_equal(sol.value_ds(k, s=s), ref.value(k, s=s))
-        ks = rng.integers(0, 6, len(s))
-        assert np.array_equal(sol.value_ds(ks, s=s), ref.value(ks, s=s))
-        s2 = np.repeat(s[:, None], 5, axis=1)
-        assert np.array_equal(sol.value_ds(np.arange(5), s=s2), ref.value(np.arange(5), s=s2))
         with pytest.raises(ValueError, match="no x axis"):
             sol.value_dx(0, s=s)
+
+    def test_every_accessor_reads_one_time_slice(self):
+        # an array of steps is refused, not indexed (or differentiated) as a
+        # stack of slices
+        rng = np.random.default_rng(7)
+        sol = PdeSolution("sx", self.T_GRID, rng.standard_normal((6, 41, 13)),
+                          s_grid=self.S_GRID, x_grid=self.X_GRID)
+        s, x = np.full(3, 1.0), np.full(3, 0.1)
+        for accessor in (sol.value, sol.value_ds, sol.value_dx):
+            assert np.isfinite(accessor(np.int64(2), s=s, x=x)).all()
+            for k in (np.arange(3), np.array([2, 2, 2]), 2.0):
+                with pytest.raises(TypeError):
+                    accessor(k, s=s, x=x)
 
     def test_hedge_leaves_only_the_value_surface(self):
         cfg = make_config(m0=0.02, m1=0.5, sigma=0.25, rho=0.4,
