@@ -97,9 +97,9 @@ def cmd_solve(args) -> int:
     manifest.mark("solve_g")
     manifest.blocks["pde"] = g_sol.health()
     outputs = [csvio.export_pde_solution(g_sol, config, args.out_dir, "g", k=0)]
-    gtilde = solve_gtilde(config)
+    gtilde = solve_gtilde(config, surface=False)
     outputs.append(csvio.export_pde_solution(gtilde, config, args.out_dir, "gtilde", k=0))
-    phi = solve_phi(config)
+    phi = solve_phi(config, surface=False)
     outputs.append(csvio.export_pde_solution(phi, config, args.out_dir, "phi", k=0))
     manifest.mark("solve_1d")
     manifest.add_outputs(outputs)

@@ -3,9 +3,16 @@
 Every emitted file starts with a single comment line carrying the config
 hash and column units, so artifacts are self-identifying and diffable; the
 manifest lists every file a run produced together with timings and peak
-memory.  Readers round-trip everything the writers emit.
+memory.  The matrix CSVs (``paths_*``, ``filter_*``, the per-path
+``hedge_*`` series and ``closed_form_theta_star.csv``) hold the shortest
+round-trip text of each double, so ``read_matrix`` returns exactly the
+doubles that were written; ``hedge_summary.csv`` writes its floats the same
+way.  The PDE surface files (``export_pde_solution``) keep 12 significant
+digits of each value and 10 of each grid coordinate, so they do not
+round-trip exactly.
 
-``write_rows`` is the one formatter of matrix rows (``repr`` of each float).
+``write_rows`` is the one formatter of matrix rows (``repr`` of each float,
+formed by the numpy kernel in ``floatfmt``).
 The eight per-path hedge series (``HEDGE_SERIES``) exist only inside the
 backtest's chunks, which use it to write their rows to part files;
 ``assemble_hedge_series`` writes each series' header and appends the parts in
@@ -24,6 +31,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import floatfmt
 from .config_io import config_hash
 from .errors import ConfigError
 from .models import ScenarioConfig
@@ -42,7 +50,10 @@ __all__ = ["HEDGE_SERIES", "write_rows", "write_matrix", "read_matrix", "export_
 # interval-left (one column per step), the rest have one column per grid time
 HEDGE_SERIES = ("theta_star", "theta_full", "pfs_mu", "V", "C", "C_full", "N", "S_stopped")
 _INTERVAL_LEFT = frozenset(HEDGE_SERIES[:3])
-_ROW_BLOCK = 256      # rows converted to Python floats at a time
+# values formatted per call of floatfmt.format_rows: 4-8k were fastest on a
+# backtest chunk's series (its temporaries, ~0.15 kB a value, stay in cache;
+# fewer values pay more per-call overhead), 1k and 32k were ~1.5x slower
+_BLOCK_VALUES = 8192
 
 
 def _header(columns, cfg_hash: str, meta: str = "") -> str:
@@ -51,11 +62,19 @@ def _header(columns, cfg_hash: str, meta: str = "") -> str:
 
 
 def write_rows(fh, matrix: np.ndarray) -> None:
-    """Write a 2-D array as CSV rows, each value the ``repr`` of its float."""
+    """Write a 2-D array as CSV rows, each value the ``repr`` of its float.
+
+    The text is ``",".join(map(repr, row)) + "\\n"`` per row, byte for
+    byte, formed by ``floatfmt.format_rows`` a block of rows at a time: a
+    numpy kernel that derives the shortest round-trip digits of most values
+    with certified error bounds and hands every value it cannot certify
+    (non-finite, subnormal, |x| < 1e-280 or >= 1e16, a power of two, or a
+    rounding decision within the kernel's error bound) to ``repr``.
+    """
     matrix = np.asarray(matrix, dtype=float)
-    for start in range(0, matrix.shape[0], _ROW_BLOCK):
-        for row in matrix[start:start + _ROW_BLOCK].tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+    rows = max(1, _BLOCK_VALUES // max(1, matrix.shape[1]))
+    for start in range(0, matrix.shape[0], rows):
+        fh.write(floatfmt.format_rows(matrix[start:start + rows]))
 
 
 def write_matrix(path, matrix: np.ndarray, columns, cfg_hash: str, meta: str = "") -> None:

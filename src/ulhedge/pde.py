@@ -22,9 +22,10 @@ constant and affine solutions stay exact.  The 2D problem adds its mixed
 derivative, lagged one level; ``_mixed_term`` forms its coefficient and
 s-weights once per solve.
 The march writes slice k into ``out[k % len(out)]``, so one loop serves two
-storage plans: the backtest keeps every slice (it reads g at each rebalancing
-date), while ``ulhedge solve``, which reports only t = 0, marches through a
-ring of two slices and keeps t = 0 alone (``solve_g(config, surface=False)``).
+storage plans: the backtest and the closed-form strategy keep every slice
+(they read the solutions at each rebalancing date), while ``ulhedge solve``,
+which reports only t = 0, marches all three problems through a ring of two
+slices and keeps t = 0 alone (``surface=False``).
 The march forms the extrema behind the max-principle gap and the finiteness
 check from every slice it writes, the terminal slice included, so both plans
 report the same health counters.
@@ -125,8 +126,8 @@ class PdeSolution:
     ``values`` has the time axis first: (n_t+1, n_s+1, n_x+1) for the 2D
     problem, (n_t+1, n+1) for the 1D ones, and it is the only surface the
     solution holds.  The hedge reads g at every step and keeps every slice;
-    ``solve`` asks ``solve_g(config, surface=False)`` for a one-slice solution
-    (``t_grid`` [0.0], ``values`` of shape (1, n_s+1, n_x+1)).  Every
+    ``solve`` asks each solver with ``surface=False`` for a one-slice solution
+    (``t_grid`` [0.0], ``values`` with one time slice).  Every
     accessor takes one integer time index k and reads that slice alone.  A
     spatial derivative ("d_s" or "d_x") is np.gradient of that slice --
     centered differences in the interior, one-sided at the edges -- formed
@@ -492,20 +493,24 @@ def solve_g(config: ScenarioConfig, surface: bool = True) -> PdeSolution:
 
 
 def _solve_1d(config: ScenarioConfig, grid, terminal_payoff, terminal_seed,
-              diff_coef, drift, gamma, source):
+              diff_coef, drift, gamma, source, surface: bool):
     """Shared backward march for the 1D problems: the 2D problem's stencil
     and march on one axis.  The coefficients are arrays over the grid or
-    scalars: no family depends on t.  Returns the values and the factor's fill."""
-    values = np.empty((config.n_steps + 1, len(grid)))
-    values[-1] = terminal_payoff
-    nnz, _, _ = _march(values, config.n_steps,
-                       _operator(_axis_stencil(grid, diff_coef, drift, axis=0)),
-                       terminal_seed, config.contract.maturity / config.n_steps, gamma, source)
-    return values, nnz
+    scalars: no family depends on t.  Returns the values (every slice, or with
+    ``surface=False`` the t = 0 slice alone from a two-slice ring) and the
+    factor's fill."""
+    n_t = config.n_steps
+    values = np.empty((n_t + 1 if surface else 2, len(grid)))
+    values[n_t % len(values)] = terminal_payoff
+    nnz, _, _ = _march(values, n_t, _operator(_axis_stencil(grid, diff_coef, drift, axis=0)),
+                       terminal_seed, config.contract.maturity / n_t, gamma, source)
+    return (values if surface else values[:1]), nnz
 
 
-def solve_gtilde(config: ScenarioConfig) -> PdeSolution:
-    """Solve the 1D survival-benefit price: dg/dt + s^2 sigma^2 g_ss / 2 = 0."""
+def solve_gtilde(config: ScenarioConfig, surface: bool = True) -> PdeSolution:
+    """Solve the 1D survival-benefit price: dg/dt + s^2 sigma^2 g_ss / 2 = 0.
+
+    ``surface=False`` keeps the t = 0 slice alone, as in ``solve_g``."""
     grid = config.pde_grid
     c = config.coefficients
     payoff = config.contract.survival_payoff
@@ -519,18 +524,20 @@ def solve_gtilde(config: ScenarioConfig) -> PdeSolution:
         drift=0.0,
         gamma=0.0,
         source=0.0,
+        surface=surface,
     )
-    return PdeSolution(kind="s", t_grid=config.t_grid(), values=values, s_grid=s_grid,
-                       factor_nnz=nnz)
+    return PdeSolution(kind="s", t_grid=config.t_grid()[:len(values)], values=values,
+                       s_grid=s_grid, factor_nnz=nnz)
 
 
-def solve_phi(config: ScenarioConfig) -> PdeSolution:
+def solve_phi(config: ScenarioConfig, surface: bool = True) -> PdeSolution:
     """Solve the survival transform: dPhi/dt + b Phi_x + a^2 Phi_xx / 2 = gamma Phi.
 
     Phi(t, X_t) is the conditional expectation of exp(-int_t^T gamma) given
     the factor filtration; the factor keeps its physical drift (the solve is
     used in the uncorrelated setting where the measure change leaves the
-    factor dynamics unchanged).
+    factor dynamics unchanged).  ``surface=False`` keeps the t = 0 slice
+    alone, as in ``solve_g``.
     """
     grid = config.pde_grid
     c = config.coefficients
@@ -544,9 +551,10 @@ def solve_phi(config: ScenarioConfig) -> PdeSolution:
         drift=c.b(0.0, x_grid),
         gamma=c.gamma_fn(0.0, x_grid),
         source=0.0,
+        surface=surface,
     )
-    return PdeSolution(kind="x", t_grid=config.t_grid(), values=values, x_grid=x_grid,
-                       factor_nnz=nnz)
+    return PdeSolution(kind="x", t_grid=config.t_grid()[:len(values)], values=values,
+                       x_grid=x_grid, factor_nnz=nnz)
 
 
 # ---------------------------------------------------------------------------

@@ -267,9 +267,10 @@ CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 def test_two_slice_solve_matches_full_surface(name, monkeypatch):
     # smoke has rho = 0.4 (mixed term), uncorrelated rho = 0
     cfg = load_config(os.path.join(CONFIGS, name))
-    marches, march = [], pde._march
+    marches, rings, march = [], [], pde._march
 
     def recorded(*args, **kwargs):
+        rings.append(len(args[0]))
         marches.append(march(*args, **kwargs))
         return marches[-1]
 
@@ -297,6 +298,21 @@ def test_two_slice_solve_matches_full_surface(name, monkeypatch):
         t0.time_index(full.t_grid[1])
     # two slices in the march, not the surface (SuperLU's factor is not traced)
     assert peak < 0.5 * full.values.nbytes
+
+    # the 1D solves that ``solve`` exports take the same ring
+    for solver in (solve_gtilde, solve_phi):
+        full = solver(cfg)
+        del rings[:]
+        t0 = solver(cfg, surface=False)
+        assert rings == [2]
+        assert t0.values.shape == (1,) + full.values.shape[1:]
+        assert np.array_equal(t0.values[0], full.values[0])
+        assert t0.health() == full.health()
+        assert list(t0.t_grid) == [0.0]
+        assert t0.to_csv_rows(0) == full.to_csv_rows(0)
+        grid = t0.s_grid if t0.kind == "s" else t0.x_grid
+        q = {t0.kind: grid[1:-1:7] + 0.3 * np.diff(grid)[1::7]}
+        assert np.array_equal(t0.value(0, **q), full.value(0, **q))
 
 
 def test_march_names_the_step_of_a_non_finite_value():
