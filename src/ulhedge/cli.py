@@ -96,11 +96,11 @@ def cmd_solve(args) -> int:
     g_sol = solve_g(config, surface=False)   # the t = 0 slice is all solve reports
     manifest.mark("solve_g")
     manifest.blocks["pde"] = g_sol.health()
-    outputs = [csvio.export_pde_solution(g_sol, config, args.out_dir, "g", k=0)]
+    outputs = [csvio.export_pde_solution(g_sol, config, args.out_dir, "g")]
     gtilde = solve_gtilde(config, surface=False)
-    outputs.append(csvio.export_pde_solution(gtilde, config, args.out_dir, "gtilde", k=0))
+    outputs.append(csvio.export_pde_solution(gtilde, config, args.out_dir, "gtilde"))
     phi = solve_phi(config, surface=False)
-    outputs.append(csvio.export_pde_solution(phi, config, args.out_dir, "phi", k=0))
+    outputs.append(csvio.export_pde_solution(phi, config, args.out_dir, "phi"))
     manifest.mark("solve_1d")
     manifest.add_outputs(outputs)
     manifest.write(args.out_dir)
@@ -151,8 +151,8 @@ def cmd_closed_form(args) -> int:
     csvio.write_matrix(path, theta, [f"t={t:.10g}" for t in bundle.t_grid[:-1]],
                        config_hash(config), meta="quantity=theta_star pipeline=closed-form")
     outputs = [path,
-               csvio.export_pde_solution(gtilde, config, args.out_dir, "gtilde", k=0),
-               csvio.export_pde_solution(phi, config, args.out_dir, "phi", k=0)]
+               csvio.export_pde_solution(gtilde, config, args.out_dir, "gtilde"),
+               csvio.export_pde_solution(phi, config, args.out_dir, "phi")]
     manifest.add_outputs(outputs)
     manifest.write(args.out_dir)
     _say(args, f"closed-form strategy written for {bundle.n_paths} path(s)")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 
 from .errors import ConfigError
 from .models import (
@@ -180,58 +179,3 @@ def load_config(path) -> ScenarioConfig:
 def config_hash(config: ScenarioConfig) -> str:
     """Short stable hash identifying a scenario (stamped into CSV headers)."""
     return hashlib.sha256(repr(config).encode()).hexdigest()[:12]
-
-
-def dump_config(config: ScenarioConfig) -> str:
-    """Render a ScenarioConfig back to INI text (round-trips via parse)."""
-    c = config.coefficients
-    parser = configparser.ConfigParser(interpolation=None)
-    parser["run"] = {
-        "seed": str(config.seed),
-        "n_steps": str(config.n_steps),
-        "n_paths": str(config.n_paths),
-        "n_particles": str(config.n_particles),
-        "s0": repr(config.s0),
-        "x0": repr(config.x0),
-        "c_bound": repr(c.c_bound),
-        "survival_floor": repr(config.survival_floor),
-    }
-    if config.label:
-        parser["run"]["label"] = config.label
-    parser["price"] = {
-        "sigma": repr(c.sigma0), "m0": repr(c.m0), "m1": repr(c.m1), "rho": repr(c.rho),
-    }
-    factor = {"family": c.factor.name}
-    if not isinstance(c.factor, FrozenFactor):
-        factor.update(kappa=repr(c.factor.kappa), xbar=repr(c.factor.xbar),
-                      a=repr(c.factor.a_vol))
-    parser["factor"] = factor
-    gamma = {"family": c.gamma.name}
-    if isinstance(c.gamma, ConstantGamma):
-        gamma["gamma0"] = repr(c.gamma.gamma0)
-    elif isinstance(c.gamma, AffineGamma):
-        gamma.update(gamma0=repr(c.gamma.gamma0), gamma1=repr(c.gamma.gamma1))
-    parser["gamma"] = gamma
-
-    contract = {"maturity": repr(config.contract.maturity)}
-    for role, payoff, prefix in (
-        ("survival_payoff", config.contract.survival_payoff, ""),
-        ("death_recovery", config.contract.death_recovery, "recovery_"),
-    ):
-        contract[role] = payoff.name
-        if isinstance(payoff, ConstantPayoff):
-            contract[prefix + "level"] = repr(payoff.level)
-        elif isinstance(payoff, LinearPayoff):
-            contract[prefix + "slope"] = repr(payoff.slope)
-        else:
-            contract[prefix + "strike"] = repr(payoff.strike)
-    parser["contract"] = contract
-
-    g = config.pde_grid
-    parser["pde_grid"] = {
-        "n_s": str(g.n_s), "n_x": str(g.n_x), "s_max": repr(g.s_max),
-        "x_min": repr(g.x_min), "x_max": repr(g.x_max),
-    }
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()

@@ -7,9 +7,10 @@ memory.  The matrix CSVs (``paths_*``, ``filter_*``, the per-path
 ``hedge_*`` series and ``closed_form_theta_star.csv``) hold the shortest
 round-trip text of each double, so ``read_matrix`` returns exactly the
 doubles that were written; ``hedge_summary.csv`` writes its floats the same
-way.  The PDE surface files (``export_pde_solution``) keep 12 significant
-digits of each value and 10 of each grid coordinate, so they do not
-round-trip exactly.
+way.  The PDE surface files (``export_pde_solution``, the t = 0 slice of a
+solution) keep 12 significant digits of each value and 10 of each grid
+coordinate, so they do not round-trip exactly; that function is the one
+place their format is written.
 
 ``write_rows`` is the one formatter of matrix rows (``repr`` of each float,
 formed by the numpy kernel in ``floatfmt``).
@@ -117,27 +118,35 @@ def export_bundle(bundle: PathBundle, out_dir, prefix: str = "paths") -> list[st
 
 
 def export_projection_series(series: ProjectionSeries, config: ScenarioConfig,
-                             out_dir, prefix: str = "filter") -> list[str]:
+                             out_dir) -> list[str]:
     h = config_hash(config)
     cols = _time_columns(series.t_grid)
     written = []
-    for name in series.names():
+    for name in series.estimates:
         for tag, table in (("", series.estimates), ("_se", series.std_errors)):
-            path = os.path.join(out_dir, f"{prefix}_{name}{tag}.csv")
+            path = os.path.join(out_dir, f"filter_{name}{tag}.csv")
             write_matrix(path, table[name], cols, h, meta=f"quantity={name}{tag}")
             written.append(path)
     return written
 
 
 def export_pde_solution(sol: PdeSolution, config: ScenarioConfig, out_dir,
-                        name: str, k: int = 0) -> str:
-    """Write the time-k slice of a solution as a CSV grid."""
+                        name: str) -> str:
+    """Write the t = 0 slice of a solution as a CSV grid: one row per s (2D,
+    one column per x) or per grid point (1D)."""
     h = config_hash(config)
-    header, rows = sol.to_csv_rows(k)
-    path = os.path.join(out_dir, f"{name}_t{sol.t_grid[k]:.6g}.csv")
+    t0, values = sol.t_grid[0], sol.values[0]
+    if sol.kind == "sx":
+        header = "s\\x," + ",".join(f"{x:.10g}" for x in sol.x_grid)
+        rows = [f"{s:.10g}," + ",".join(f"{v:.12g}" for v in row)
+                for s, row in zip(sol.s_grid, values)]
+    else:
+        header = f"{sol.kind},value"
+        grid = sol.s_grid if sol.kind == "s" else sol.x_grid
+        rows = [f"{q:.10g},{v:.12g}" for q, v in zip(grid, values)]
+    path = os.path.join(out_dir, f"{name}_t{t0:.6g}.csv")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# ulhedge config={h} solution={name} kind={sol.kind}"
-                 f" t={sol.t_grid[k]:.10g}\n")
+        fh.write(f"# ulhedge config={h} solution={name} kind={sol.kind} t={t0:.10g}\n")
         fh.write(header + "\n")
         fh.write("\n".join(rows) + "\n")
     return path

@@ -271,9 +271,9 @@ class ParticleCloud:
                 f" below the floor {self.config.survival_floor:.3e}"
             )
 
-    def projected_drift(self, with_se: bool = False):
+    def projected_drift(self):
         """Estimate of the physical predictable projection of mu on survival."""
-        return self.survival_ratio(self.mu, "P", with_se)
+        return self.survival_ratio(self.mu, "P")
 
     def generator_apply(self, func: SmoothFunctional) -> np.ndarray:
         """Per-particle generator of (S, X, Y) under the martingale measure."""
@@ -306,9 +306,6 @@ class ProjectionSeries:
     t_grid: np.ndarray
     estimates: dict = field(default_factory=dict)
     std_errors: dict = field(default_factory=dict)
-
-    def names(self):
-        return list(self.estimates)
 
 
 def run_filter(config: ScenarioConfig, s_path, functionals=(),

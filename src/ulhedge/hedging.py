@@ -227,20 +227,17 @@ def _assert_uncorrelated_homogeneous(config: ScenarioConfig) -> None:
         raise ConfigError("closed-form pipeline needs a linear (or zero) death benefit")
 
 
-def closed_form_theta(config: ScenarioConfig, bundle: PathBundle,
-                      gtilde: PdeSolution | None = None,
-                      phi: PdeSolution | None = None):
+def closed_form_theta(config: ScenarioConfig, bundle: PathBundle):
     """Uncorrelated-case strategy from the two 1D solves.
 
     theta*_t = [(dgtilde/ds - delta) m(T) + delta m(t)] / m(t) with m(t) the
     unconditional survival mass E[Y_t].  Time-homogeneous coefficients let
-    m(t) be read off the survival transform as Phi(T - t, x0).
+    m(t) be read off the survival transform as Phi(T - t, x0).  Solves both
+    problems with every time slice (it reads them at each step) and returns
+    (theta, gtilde, phi).
     """
     _assert_uncorrelated_homogeneous(config)
-    if gtilde is None:
-        gtilde = solve_gtilde(config)
-    if phi is None:
-        phi = solve_phi(config)
+    gtilde, phi = solve_gtilde(config), solve_phi(config)
     recovery = config.contract.death_recovery
     delta = recovery.slope if isinstance(recovery, LinearPayoff) else 0.0
     n = config.n_steps
@@ -311,8 +308,9 @@ class HedgeReport:
     series_files: list = field(default_factory=list)
 
 
-def _block_edges(n_steps: int, n_blocks: int = 8) -> np.ndarray:
-    return np.unique(np.linspace(0, n_steps, n_blocks + 1).astype(int))
+def _block_edges(n_steps: int) -> np.ndarray:
+    """Step indices bounding the summary's eight checkpoint blocks."""
+    return np.unique(np.linspace(0, n_steps, 9).astype(int))
 
 
 def _cov_with_se(u: np.ndarray, v: np.ndarray):
@@ -402,10 +400,11 @@ def backtest(config: ScenarioConfig, chunk_size: int = 4000, workers: int = 1,
 
     The worlds go in chunks of at most ``chunk_size``, as many as a multiple
     of ``min(workers, n_paths)`` and never more than there are worlds, run by
-    a process pool when ``workers > 1``; the pool initializer hands each
-    worker the solved surface once.  The result is bit-identical for any
-    chunk size and worker count: each chunk returns only its worlds'
-    ``WorldStats``, and every cross-world reduction runs on their join.
+    a pool of that many processes when it exceeds 1 (a larger pool would
+    fork idle workers); the pool initializer hands each worker the solved
+    surface once.  The result is bit-identical for any chunk size and worker
+    count: each chunk returns only its worlds' ``WorldStats``, and every
+    cross-world reduction runs on their join.
 
     With ``out_dir``, the per-path series (``csvio.HEDGE_SERIES``) are
     written there as ``hedge_<name>.csv``: each chunk writes its rows to a
@@ -433,8 +432,8 @@ def backtest(config: ScenarioConfig, chunk_size: int = 4000, workers: int = 1,
     part_dir = None if out_dir is None else tempfile.mkdtemp(prefix=".hedge-parts-",
                                                              dir=out_dir)
     try:
-        if workers > 1:
-            with ProcessPoolExecutor(workers, initializer=_init_worker,
+        if per_round > 1:
+            with ProcessPoolExecutor(per_round, initializer=_init_worker,
                                      initargs=(config, g_sol, part_dir)) as pool:
                 parts = list(pool.map(_worker_chunk, chunks))
         else:

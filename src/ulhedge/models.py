@@ -156,9 +156,6 @@ class ConstantPayoff:
     def __call__(self, t, s):
         return np.full_like(np.asarray(s, dtype=float), self.level)
 
-    def ds(self, t, s):
-        return np.zeros_like(np.asarray(s, dtype=float))
-
 
 @dataclass(frozen=True)
 class LinearPayoff:
@@ -168,9 +165,6 @@ class LinearPayoff:
 
     def __call__(self, t, s):
         return self.slope * np.asarray(s, dtype=float)
-
-    def ds(self, t, s):
-        return np.full_like(np.asarray(s, dtype=float), self.slope)
 
 
 @dataclass(frozen=True)
@@ -182,9 +176,6 @@ class CallPayoff:
     def __call__(self, t, s):
         return np.maximum(np.asarray(s, dtype=float) - self.strike, 0.0)
 
-    def ds(self, t, s):
-        return (np.asarray(s, dtype=float) > self.strike).astype(float)
-
 
 @dataclass(frozen=True)
 class PutPayoff:
@@ -194,9 +185,6 @@ class PutPayoff:
 
     def __call__(self, t, s):
         return np.maximum(self.strike - np.asarray(s, dtype=float), 0.0)
-
-    def ds(self, t, s):
-        return -(np.asarray(s, dtype=float) < self.strike).astype(float)
 
 
 ZeroRecovery = ConstantPayoff(0.0)
@@ -334,7 +322,8 @@ class ValidationReport:
         return "configuration: FAIL\n" + "\n".join(f"  - {v}" for v in self.violations)
 
 
-def _sample_lattice(config: ScenarioConfig, n: int = 9):
+def _sample_lattice(config: ScenarioConfig):
+    n = 9
     g = config.pde_grid
     t = np.linspace(0.0, config.maturity, n)
     s = np.linspace(g.s_max / n, g.s_max, n)

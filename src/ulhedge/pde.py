@@ -132,7 +132,7 @@ class PdeSolution:
     spatial derivative ("d_s" or "d_x") is np.gradient of that slice --
     centered differences in the interior, one-sided at the edges -- formed
     per call and never stored, and is interpolated (bi)linearly like the
-    values themselves.
+    values themselves.  ``csvio.export_pde_solution`` writes the t = 0 slice.
     """
 
     kind: str                 # "sx", "s" or "x"
@@ -205,19 +205,6 @@ class PdeSolution:
             a = self._slice(name, k)
             out[i] = _lerp(a[si], a[si + 1], sw)
         return out
-
-    def to_csv_rows(self, k: int):
-        """Header and rows for CSV export of the time-k slice."""
-        if self.kind == "sx":
-            header = "s\\x," + ",".join(f"{x:.10g}" for x in self.x_grid)
-            rows = [f"{self.s_grid[i]:.10g}," +
-                    ",".join(f"{v:.12g}" for v in self.values[k, i])
-                    for i in range(len(self.s_grid))]
-        else:
-            grid = self.s_grid if self.kind == "s" else self.x_grid
-            header = f"{self.kind},value"
-            rows = [f"{grid[i]:.10g},{self.values[k, i]:.12g}" for i in range(len(grid))]
-        return header, rows
 
 
 def _locate(grid: np.ndarray, q, label: str):

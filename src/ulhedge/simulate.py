@@ -22,8 +22,6 @@ from . import rng
 from .errors import NumericalError
 from .models import ScenarioConfig
 
-INFINITE_TAU = np.inf
-
 __all__ = [
     "PathBundle",
     "simulate_paths",
@@ -182,7 +180,7 @@ def sample_death_time(t_grid: np.ndarray, Gamma: np.ndarray, exp_draw: np.ndarra
     crossed = Gamma >= exp_draw[:, None]
     kstar = np.argmax(crossed, axis=1)
     hit = crossed[np.arange(Gamma.shape[0]), kstar]
-    tau = np.where(hit, t_grid[kstar], INFINITE_TAU)
+    tau = np.where(hit, t_grid[kstar], np.inf)
     H = (t_grid[None, :] >= tau[:, None]).astype(float)
     return tau, H
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ulhedge as uh
-from ulhedge import rng
+from ulhedge import hedging, rng
 from ulhedge.config_io import load_config
 from ulhedge.csvio import HEDGE_SERIES, export_hedge_report, read_matrix
 from ulhedge.filtering import ParticleCloud
@@ -465,6 +465,24 @@ class TestBacktest:
             for f in dataclasses.fields(ref.summary):
                 assert np.array_equal(getattr(rep.summary, f.name),
                                       getattr(ref.summary, f.name)), f.name
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # one world has no spread
+    def test_pool_holds_one_worker_per_chunk_of_a_round(self, monkeypatch):
+        # two worlds make two chunks: a pool of six would fork four idle workers
+        cfg = cir_scenario(n_steps=10, n_particles=4, seed=29)
+        pools = []
+
+        class Recording(hedging.ProcessPoolExecutor):
+            def __init__(self, max_workers, *args, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(hedging, "ProcessPoolExecutor", Recording)
+        backtest(cfg.with_updates(n_paths=2), workers=6)
+        assert pools == [2]
+        # one world runs in this process
+        backtest(cfg.with_updates(n_paths=1), workers=4)
+        assert pools == [2]
 
     def test_chunk_keys_each_world_stream_once(self, monkeypatch):
         # the P_hat and P legs of a chunk share one draw per world
