@@ -43,31 +43,25 @@ _SECTIONS = {
 _REQUIRED_SECTIONS = ("run", "price", "factor", "gamma", "contract", "pde_grid")
 
 
+# payoff kind -> (family, the one key it reads)
+_PAYOFFS = {
+    "constant": (ConstantPayoff, "level"),
+    "linear": (LinearPayoff, "slope"),
+    "call": (CallPayoff, "strike"),
+    "put": (PutPayoff, "strike"),
+}
+
+
 def _payoff(kind: str, sec, prefix: str = ""):
-    get = lambda key, fallback=None: sec.get(prefix + key, fallback)
-    if kind == "constant":
-        level = get("level")
-        if level is None:
-            raise ConfigError(f"constant payoff needs '{prefix}level'")
-        return ConstantPayoff(float(level))
-    if kind == "linear":
-        slope = get("slope")
-        if slope is None:
-            raise ConfigError(f"linear payoff needs '{prefix}slope'")
-        return LinearPayoff(float(slope))
-    if kind == "call":
-        strike = get("strike")
-        if strike is None:
-            raise ConfigError(f"call payoff needs '{prefix}strike'")
-        return CallPayoff(float(strike))
-    if kind == "put":
-        strike = get("strike")
-        if strike is None:
-            raise ConfigError(f"put payoff needs '{prefix}strike'")
-        return PutPayoff(float(strike))
     if kind == "zero":
         return ConstantPayoff(0.0)
-    raise ConfigError(f"unknown payoff kind '{kind}'")
+    if kind not in _PAYOFFS:
+        raise ConfigError(f"unknown payoff kind '{kind}'")
+    family, key = _PAYOFFS[kind]
+    value = sec.get(prefix + key)
+    if value is None:
+        raise ConfigError(f"{kind} payoff needs '{prefix}{key}'")
+    return family(float(value))
 
 
 def _factor(sec):

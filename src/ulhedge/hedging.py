@@ -179,12 +179,12 @@ def hedge_paths(config: ScenarioConfig, bundle: PathBundle,
             cloud.step()
     del cloud, rows, fields, own
 
-    alive = bundle.alive_mask()
-    theta_star *= alive
-    th_full *= alive
-    V = (1.0 - bundle.H) * ratio
+    alive = 1.0 - bundle.H
+    theta_star *= alive[:, :-1]
+    th_full *= alive[:, :-1]
+    V = alive * ratio
     V[:, n] = 0.0
-    V_full *= (1.0 - bundle.H)
+    V_full *= alive
     V_full[:, n] = 0.0
 
     survived = ~np.isfinite(bundle.tau)
@@ -412,15 +412,19 @@ def backtest(config: ScenarioConfig, chunk_size: int = 4000, workers: int = 1,
     parent writes each header and appends the chunks' rows in world order.
     The temporary directory is removed whether the run succeeds or fails.
 
-    Checks, across paths: (1) cost increments have zero mean at the block
-    checkpoints, (2) cost increments are uncorrelated with the stopped price
-    and with its martingale part, (3) the physical-measure price of the
-    hedged claim matches the martingale-measure value, (4) full-information
-    cost variance, reported next to the partial-information one.
+    Checks, across paths, so a run of fewer than two worlds is refused:
+    (1) cost increments have zero mean at the block checkpoints, (2) cost
+    increments are uncorrelated with the stopped price and with its
+    martingale part, (3) the physical-measure price of the hedged claim
+    matches the martingale-measure value, (4) full-information cost
+    variance, reported next to the partial-information one.
     """
     report = validate(config)
     if not report.ok:
         raise ConfigError(str(report))
+    if config.n_paths < 2:
+        raise ConfigError("the backtest needs n_paths >= 2: its standard errors"
+                          " and variances are taken across at least two worlds")
     g_sol = solve_g(config)
     n, n_paths = config.n_steps, config.n_paths
 

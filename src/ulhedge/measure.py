@@ -23,9 +23,11 @@ __all__ = ["DensityPath", "density_path", "girsanov_shift"]
 class DensityPath:
     """Doleans-Dade exponential L of -(mu/sigma) . W along each path."""
 
-    L: np.ndarray        # (n_paths, n_steps+1), positive, L_0 = 1
-    log_L: np.ndarray
-    kernel: np.ndarray   # mu/sigma at interval left endpoints, (n_paths, n_steps)
+    log_L: np.ndarray    # (n_paths, n_steps+1), log_L_0 = 0
+
+    @property
+    def L(self) -> np.ndarray:      # exp(log_L), formed when read
+        return np.exp(self.log_L)
 
 
 def _kernel(bundle: PathBundle) -> np.ndarray:
@@ -55,7 +57,7 @@ def density_path(bundle: PathBundle) -> DensityPath:
     if not np.all(np.isfinite(log_L)):
         bad = np.where(~np.isfinite(log_L).all(axis=1))[0]
         raise NumericalError(f"non-finite density on path row(s) {bad[:5].tolist()}")
-    return DensityPath(L=np.exp(log_L), log_L=log_L, kernel=kernel)
+    return DensityPath(log_L=log_L)
 
 
 def girsanov_shift(bundle: PathBundle) -> np.ndarray:

@@ -9,7 +9,8 @@ build a generator per world, and ``draw_worlds`` hands one batch's draws to
 the P and the P_hat run of the same worlds.  The price is advanced in log
 space (positivity is structural); the cumulative hazard uses the trapezoidal
 rule; the death time is the first grid time at which the cumulative hazard
-crosses an independent unit-exponential draw.
+crosses an independent unit-exponential draw.  A bundle stores only what is
+drawn and integrated: Y = exp(-Gamma) and H = 1{t >= tau} are formed when read.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ class PathBundle:
 
     ``W`` holds the Brownian motion driving S under the bundle's measure: the
     physical-measure W for ``measure == "P"`` and the martingale-measure
-    Brownian for ``measure == "P_hat"``.
+    Brownian for ``measure == "P_hat"``.  ``Y`` and ``H`` are not stored:
+    each read forms them from ``Gamma`` and ``tau``.
     """
 
     config: ScenarioConfig
@@ -50,10 +52,16 @@ class PathBundle:
     S: np.ndarray
     X: np.ndarray
     Gamma: np.ndarray           # cumulative hazard, trapezoidal
-    Y: np.ndarray               # survival process exp(-Gamma)
     tau: np.ndarray             # (n_paths,) grid time or +inf
-    H: np.ndarray               # death indicator 1{tau <= t}
     path_indices: np.ndarray    # (n_paths,) global path ids (RNG stream keys)
+
+    @property
+    def Y(self) -> np.ndarray:      # survival process exp(-Gamma)
+        return np.exp(-self.Gamma)
+
+    @property
+    def H(self) -> np.ndarray:      # death indicator 1{tau <= t}
+        return (self.t_grid[None, :] >= self.tau[:, None]).astype(float)
 
     @property
     def n_paths(self) -> int:
@@ -172,7 +180,7 @@ def sample_death_time(t_grid: np.ndarray, Gamma: np.ndarray, exp_draw: np.ndarra
 
     The crossing is snapped to the first grid point at or after it, keeping H
     and the stopped integrals consistent on one grid; tau = +inf when the
-    cumulative hazard never reaches the draw.
+    cumulative hazard never reaches the draw.  H is formed from tau when read.
     """
     exp_draw = np.atleast_1d(np.asarray(exp_draw, dtype=float))
     if np.any(exp_draw <= 0.0):
@@ -180,9 +188,7 @@ def sample_death_time(t_grid: np.ndarray, Gamma: np.ndarray, exp_draw: np.ndarra
     crossed = Gamma >= exp_draw[:, None]
     kstar = np.argmax(crossed, axis=1)
     hit = crossed[np.arange(Gamma.shape[0]), kstar]
-    tau = np.where(hit, t_grid[kstar], np.inf)
-    H = (t_grid[None, :] >= tau[:, None]).astype(float)
-    return tau, H
+    return np.where(hit, t_grid[kstar], np.inf)
 
 
 def simulate_paths(config: ScenarioConfig, measure: str = "P",
@@ -199,20 +205,11 @@ def simulate_paths(config: ScenarioConfig, measure: str = "P",
     dW, dB, edraw = draw_worlds(config, path_indices) if draws is None else draws
     S, X = advance_market(config, dW, dB, measure)
     Gamma = cumulative_hazard(config, t_grid, X)
-    tau, H = sample_death_time(t_grid, Gamma, edraw)
-    zeros = np.zeros((dW.shape[0], 1))
-    return PathBundle(
-        config=config,
-        measure=measure,
-        t_grid=t_grid,
-        W=np.hstack([zeros, np.cumsum(dW, axis=1)]),
-        B=np.hstack([zeros, np.cumsum(dB, axis=1)]),
-        S=S,
-        X=X,
-        Gamma=Gamma,
-        Y=np.exp(-Gamma),
-        tau=tau,
-        H=H,
-        path_indices=np.asarray(path_indices, dtype=np.int64),
-    )
+    tau = sample_death_time(t_grid, Gamma, edraw)
+    W, B = np.zeros_like(S), np.zeros_like(S)
+    np.cumsum(dW, axis=1, out=W[:, 1:])
+    np.cumsum(dB, axis=1, out=B[:, 1:])
+    return PathBundle(config=config, measure=measure, t_grid=t_grid, W=W, B=B, S=S, X=X,
+                      Gamma=Gamma, tau=tau,
+                      path_indices=np.asarray(path_indices, dtype=np.int64))
 

@@ -92,6 +92,22 @@ class TestConfigIO:
         with pytest.raises(uh.ConfigError):
             parse_config(text)
 
+    @pytest.mark.parametrize("prefix", ["", "recovery_"])
+    @pytest.mark.parametrize("kind, key, family", [
+        ("constant", "level", uh.ConstantPayoff), ("linear", "slope", uh.LinearPayoff),
+        ("call", "strike", uh.CallPayoff), ("put", "strike", uh.PutPayoff)])
+    def test_payoff_missing_key_named(self, kind, key, family, prefix):
+        leg = "death_recovery" if prefix else "survival_payoff"
+        text = re.sub(r"\[contract\][^\[]*",
+                      f"[contract]\nmaturity = 1.0\n{leg} = {kind}\n\n", SMALL_CONFIG)
+        with pytest.raises(uh.ConfigError,
+                           match=re.escape(f"{kind} payoff needs '{prefix}{key}'")):
+            parse_config(text)
+        contract = parse_config(text.replace(f"{leg} = {kind}\n",
+                                             f"{leg} = {kind}\n{prefix}{key} = 0.5\n")).contract
+        payoff = contract.death_recovery if prefix else contract.survival_payoff
+        assert type(payoff) is family
+
 
 class TestArtifacts:
     def test_bundle_round_trip(self, tmp_path):
@@ -176,6 +192,16 @@ class TestCli:
                      "--out-dir", str(tmp_path), "--quiet"])
         assert code == 2
         assert "n_paths must be >= 1" in capsys.readouterr().err
+
+    def test_hedge_one_path_is_config_error(self, config_file, tmp_path, capsys):
+        # every statistic of the summary is taken across at least two worlds
+        code = main(["hedge", config_file, "--paths", "1",
+                     "--out-dir", str(tmp_path), "--quiet"])
+        assert code == 2
+        assert "n_paths >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "hedge_summary.csv").exists()
+        assert main(["simulate", config_file, "--paths", "1",
+                     "--out-dir", str(tmp_path), "--quiet"]) == 0
 
     def test_bad_config_file(self, tmp_path):
         bad = tmp_path / "bad.ini"

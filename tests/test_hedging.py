@@ -466,7 +466,6 @@ class TestBacktest:
                 assert np.array_equal(getattr(rep.summary, f.name),
                                       getattr(ref.summary, f.name)), f.name
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # one world has no spread
     def test_pool_holds_one_worker_per_chunk_of_a_round(self, monkeypatch):
         # two worlds make two chunks: a pool of six would fork four idle workers
         cfg = cir_scenario(n_steps=10, n_particles=4, seed=29)
@@ -480,8 +479,9 @@ class TestBacktest:
         monkeypatch.setattr(hedging, "ProcessPoolExecutor", Recording)
         backtest(cfg.with_updates(n_paths=2), workers=6)
         assert pools == [2]
-        # one world runs in this process
-        backtest(cfg.with_updates(n_paths=1), workers=4)
+        # one world has no spread to summarize: refused before any pool forms
+        with pytest.raises(uh.ConfigError, match="n_paths >= 2"):
+            backtest(cfg.with_updates(n_paths=1), workers=4)
         assert pools == [2]
 
     def test_chunk_keys_each_world_stream_once(self, monkeypatch):

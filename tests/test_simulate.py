@@ -1,9 +1,13 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import ulhedge as uh
 from ulhedge import rng
 from ulhedge.simulate import (
+    PathBundle,
     advance_market,
     draw_brownian_increments,
     draw_worlds,
@@ -114,6 +118,36 @@ class TestSurvivalMachinery:
         m_T = b.H[rows, k] - b.Gamma[rows, k]
         assert_within_se(m_T.mean(), 0.0, m_T.std(ddof=1) / np.sqrt(cfg.n_paths),
                          label="E[M_(T^tau)]")
+
+
+class TestLeanBundle:
+    def test_bundle_stores_what_is_simulated(self):
+        # Y and H are functions of Gamma and tau, formed when read
+        assert [f.name for f in dataclasses.fields(PathBundle)] == [
+            "config", "measure", "t_grid", "W", "B", "S", "X", "Gamma", "tau",
+            "path_indices"]
+        cfg = make_config(factor=uh.OUFactor(1.0, 0.1, 0.3),
+                          gamma=uh.AffineGamma(0.2, 0.7), n_paths=300, seed=4)
+        b = simulate_paths(cfg, "P")
+        assert np.isfinite(b.tau).any() and np.isinf(b.tau).any()
+        assert np.array_equal(b.Y, np.exp(-b.Gamma))
+        assert np.array_equal(b.H, (b.t_grid[None, :] >= b.tau[:, None]).astype(float))
+
+    def test_simulate_paths_memory(self):
+        # measured in arrays of one world-by-grid-time size: the bundle holds
+        # W, B, S, X and Gamma, and the simulation needs at most two more
+        cfg = make_config(factor=uh.OUFactor(1.0, 0.1, 0.3),
+                          gamma=uh.AffineGamma(0.02, 0.7), n_paths=20_000, n_steps=100)
+        unit = cfg.n_paths * (cfg.n_steps + 1) * 8
+        tracemalloc.start()
+        try:
+            b = simulate_paths(cfg, "P")
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert b.S.shape == (cfg.n_paths, cfg.n_steps + 1)
+        assert held / unit <= 5.5, f"held {held / unit:.2f} arrays"
+        assert peak / unit <= 7.5, f"peak {peak / unit:.2f} arrays"
 
 
 class TestStoppedView:
