@@ -128,6 +128,7 @@ def cmd_hedge(args) -> int:
     report = backtest(config, workers=args.workers, out_dir=args.out_dir)
     manifest.mark("backtest")
     manifest.blocks["pde"] = report.pde_health
+    manifest.blocks["filter"] = report.filter_health
     manifest.add_outputs(csvio.export_hedge_report(report, args.out_dir))
     manifest.write(args.out_dir)
     s = report.summary

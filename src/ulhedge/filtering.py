@@ -11,10 +11,17 @@ resampling, so the martingale-measure averages never degenerate.  Estimates
 given survival under either measure are one survival-weighted ratio,
 ``ParticleCloud.survival_ratio``, that differs only in the particle weights:
 Y under the martingale measure, Y times the inverse density exp(-log L) under
-the physical measure (Kallianpur-Striebel).  The physical-measure weights
-(projected drift, observable hazard rate) can degenerate over long horizons
-or with a strong drift sensitivity.  A Kushner-Stratonovich residual checks
-the filter against the generator equation it should solve.
+the physical measure (Kallianpur-Striebel).  One weighing code
+(``ParticleCloud._weight``) forms both weights, checks the survival mass
+against the floor and records its smallest value per world; it also serves
+``ParticleCloud.survival_deposit``, which spreads the martingale-measure
+weights over the nodes of a uniform x grid (cloud-in-cell: Hockney &
+Eastwood, *Computer Simulation Using Particles*, 1988), so that the survival
+ratio of any field interpolated linearly from that grid is one dot product
+per world.  The physical-measure weights (projected drift, observable hazard
+rate) can degenerate over long horizons or with a strong drift sensitivity.
+A Kushner-Stratonovich residual checks the filter against the generator
+equation it should solve.
 
 Clouds are batched: axis 0 indexes worlds (observed paths), axis 1 particles.
 Each world draws its orthogonal noise from its own counter-based stream, kept
@@ -34,6 +41,7 @@ import numpy as np
 from . import rng
 from .errors import CoefficientBoundError, NumericalError, SurvivalFloorError
 from .models import ScenarioConfig
+from .pde import locate
 
 # bytes of orthogonal noise drawn per block (at least one step's worth)
 NOISE_BLOCK_BYTES = 2 * 1024 * 1024
@@ -82,7 +90,10 @@ class ParticleCloud:
     the martingale-measure density kernel along (observed price, particle
     factor); its inverse exponential weights physical-measure projections.
     Survival ``Y = exp(-Gamma_p)`` and the coefficients ``mu``, ``a`` and
-    ``gam`` at the current time are evaluated once per step and shared.
+    ``gam`` at the current time are evaluated once per step and shared;
+    ``step`` updates ``Gamma_p``, ``log_L`` and ``Y`` in place.
+    ``min_mass`` (n_worlds,) is the smallest survival mass any floor check
+    has seen per world.
     """
 
     def __init__(self, config: ScenarioConfig, s_paths: np.ndarray,
@@ -116,13 +127,17 @@ class ParticleCloud:
         self.X = np.full(shape, config.x0, dtype=float)
         self.Gamma_p = np.zeros(shape)
         self.log_L = np.zeros(shape)
+        self.Y = np.empty(shape)
+        self.min_mass = np.full(self.n_worlds, np.inf)
+        # two work arrays of the state's shape, reused within each call
+        self._scratch = np.empty((2,) + shape)
         self.k = 0
         self._evaluate(c.gamma_fn(self.t, self.X))
 
     def _evaluate(self, gam: np.ndarray) -> None:
         """Cache Y and the coefficients at the current (t_k, S_k, X)."""
         c = self.config.coefficients
-        self.Y = np.negative(self.Gamma_p)
+        np.negative(self.Gamma_p, out=self.Y)
         np.exp(self.Y, out=self.Y)
         self.mu = c.mu(self.t, self.s_now, self.X)
         self.a = c.a(self.t, self.X)
@@ -142,7 +157,9 @@ class ParticleCloud:
     def step(self) -> None:
         """Advance every world one grid interval (Euler factor, exact density).
 
-        Updates run in place, in the operation order of the formulas.
+        Updates run in place, in the operation order of the formulas; the
+        two scalar factors of the orthogonal noise, sqrt(dt) and
+        sqrt(1 - rho^2), are applied as one product.
         """
         if self.k >= self.config.n_steps:
             raise IndexError("cloud already at the terminal time")
@@ -150,7 +167,7 @@ class ParticleCloud:
         k = self.k
         t = self.t_grid[k]
         dt = self.dt
-        kernel = self.mu / c.sigma(t, self.s_now)
+        kernel = np.divide(self.mu, c.sigma(t, self.s_now), out=self._scratch[0])
         # |kernel| > c_bound without forming |kernel| (a NaN trips neither test)
         if kernel.max() > c.c_bound or kernel.min() < -c.c_bound:
             over = np.abs(kernel) > c.c_bound
@@ -163,25 +180,26 @@ class ParticleCloud:
         rho = c.rho
         dw = self.dW_obs[:, k][:, None]
 
-        dB = self._next_noise()
-        dB *= np.sqrt(dt)
-
-        # x_new = X + (b - a rho kernel) dt + a (rho dw + sqrt(1 - rho^2) dB)
-        x_new = a * rho
-        x_new *= kernel
-        np.subtract(c.b(t, self.X), x_new, out=x_new)
+        # x_new = X + (b - a rho kernel) dt + a (rho dw + sqrt(1 - rho^2) dB),
+        # with dB = sqrt(dt) z
+        noise = self._next_noise()
+        noise *= np.sqrt(dt) * np.sqrt(1.0 - rho**2)
+        noise += rho * dw
+        noise *= a
+        x_new = c.b(t, self.X)
+        work = np.multiply(a, rho, out=self._scratch[1])
+        work *= kernel
+        x_new -= work
         x_new *= dt
         x_new += self.X
-        dB *= np.sqrt(1.0 - rho**2)
-        dB += rho * dw
-        dB *= a
-        x_new += dB
+        x_new += noise
         gam_new = c.gamma_fn(self.t_grid[k + 1], x_new)
-        # trapezoidal hazard and the density kernel: 0.5 x dt == x (0.5 dt) exactly
-        hazard = self.gam + gam_new
+        # trapezoidal hazard (in the buffer of the rate at t_k, which is not
+        # read again) and the density kernel: 0.5 x dt == x (0.5 dt) exactly
+        hazard = np.add(self.gam, gam_new, out=self.gam)
         hazard *= 0.5 * dt
         self.Gamma_p += hazard
-        self.log_L -= kernel * dw
+        self.log_L -= np.multiply(kernel, dw, out=work)
         kernel *= kernel
         kernel *= 0.5 * dt
         self.log_L += kernel
@@ -230,33 +248,90 @@ class ParticleCloud:
     def pi_functional(self, func: SmoothFunctional) -> np.ndarray:
         return self.pi(func.f(self.t, self.s_now, self.X, self.Y))
 
+    def _weight(self, measure: str):
+        """The particle weights of ``measure``, up to a factor per world, and
+        their particle average; the survival mass is checked on the way.
+
+        The weight W is Y under ``"P_hat"`` and Y exp(-log L) under ``"P"``,
+        the inverse density scaled to mean 1 per world, so the survival mass
+        pi(W) and its floor check mean the same for both measures.  Every
+        estimate is a ratio in which a factor per world cancels, so under
+        ``"P"`` the weights returned are Y exp(min log L - log L), formed
+        once, and the scale enters only the mass that is checked and
+        recorded in ``min_mass``.
+        """
+        if measure == "P_hat":
+            weight = self.Y
+            total = mass = self.pi(weight)
+        elif measure == "P":
+            weight = np.subtract(self.log_L.min(axis=1, keepdims=True), self.log_L,
+                                 out=self._scratch[0])
+            np.exp(weight, out=weight)
+            density_sum = weight.sum(axis=1)
+            weight *= self.Y
+            total = self.pi(weight)
+            mass = total * self.n_particles / density_sum
+        else:
+            raise ValueError(f"unknown measure {measure!r}; expected 'P' or 'P_hat'")
+        np.minimum(self.min_mass, mass, out=self.min_mass)
+        self._check_floor(mass)
+        return weight, total
+
     def survival_ratio(self, values: np.ndarray, measure: str = "P_hat",
                        with_se: bool = False):
         """pi(values * W) / pi(W): conditional expectation given survival.
 
-        The weight W is Y under ``"P_hat"`` and Y exp(-log L) under ``"P"``,
-        the inverse density scaled to mean 1 per world, so the survival mass
-        pi(W) and its floor check are the same for both measures.  ``values``
-        is (n_worlds, n_particles), or a stack of such arrays along leading
+        W is the weight of ``measure`` (see ``_weight``).  ``values`` is
+        (n_worlds, n_particles), or a stack of such arrays along leading
         axes.  With ``with_se`` also returns the delta-method standard error
         sqrt(pi(W^2 (values - ratio)^2) / n_particles) / pi(W).
         """
-        if measure == "P_hat":
-            weight = self.Y
-        elif measure == "P":
-            weight = self.log_L.min(axis=1, keepdims=True) - self.log_L
-            np.exp(weight, out=weight)
-            weight *= self.n_particles / weight.sum(axis=1, keepdims=True)
-            weight *= self.Y
-        else:
-            raise ValueError(f"unknown measure {measure!r}; expected 'P' or 'P_hat'")
-        mass = self.pi(weight)
-        self._check_floor(mass)
-        est = self.pi(values * weight) / mass
+        weight, total = self._weight(measure)
+        est = np.vecdot(values, weight) / self.n_particles / total
         if not with_se:
             return est
         resid = weight * (values - est[..., None])
-        return est, np.sqrt(self.pi(resid**2) / self.n_particles) / mass
+        return est, np.sqrt(self.pi(resid**2) / self.n_particles) / total
+
+    def survival_deposit(self, grid: np.ndarray) -> tuple:
+        """Cloud-in-cell deposit of the martingale-measure survival weights.
+
+        A particle at cell c with interpolation weight w adds its weight
+        times 1 - w to node c and times w to node c + 1, and the deposits
+        are summed per world and divided by the world's total deposit of Y,
+        so a world's node weights sum to 1 (a cloud inside one cell, as at
+        the Dirac start, keeps 1 - w and w to the last bits).  Returns the
+        deposits (D_Y, D_Ya), each (n_worlds, len(grid)), of the weights Y
+        and Y a(X): for rows r (n_worlds, len(grid)), the dot product of
+        each world's row of D_Y with its row of r is ``survival_ratio`` of r
+        interpolated linearly at X, and with D_Ya the same ratio of
+        a(X) r(X).  The cost is one ``locate`` (a particle outside the grid
+        raises DomainExcursionError) and two ``bincount``s per weight over
+        world * len(grid) + cell: the whole weight, less the upper share,
+        at c, and the upper share, shifted one node up.  The survival mass
+        is checked as in ``survival_ratio``.
+        """
+        weight, _ = self._weight("P_hat")
+        n_nodes = len(grid)
+        size = self.n_worlds * n_nodes
+        cell, upper = locate(grid, self.X, "x")
+        cell += np.arange(0, size, n_nodes)[:, None]
+        cell = cell.ravel()
+        upper *= weight                           # Y w
+        weight_a = np.multiply(weight, self.a, out=self._scratch[0])
+        deposit = []
+        for whole in (weight, weight_a):
+            if deposit:
+                upper *= self.a                   # Y w a
+            dep = np.bincount(cell, whole.ravel(), size)
+            shifted = np.bincount(cell, upper.ravel(), size)
+            dep -= shifted
+            dep[1:] += shifted[:-1]
+            deposit.append(dep.reshape(self.n_worlds, n_nodes))
+        total = deposit[0].sum(axis=1)[:, None]
+        for dep in deposit:
+            dep /= total
+        return tuple(deposit)
 
     def _where(self, row: int) -> str:
         """The current step and the global index of world ``row``, for messages."""

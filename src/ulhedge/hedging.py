@@ -9,9 +9,13 @@ evaluated one grid point before the price increment it multiplies, so the
 position is a functional of the observable history only.  ``theta_full`` is
 the one place theta_F is written.  The book value is the survival-weighted
 projection of g.  Each step forms one row of g, dg/ds and dg/dx per world
-from that step's slice of g alone and gathers it twice: at the particles
-(partial information) and at the world's own factor state (full
-information).  The cost process is assembled pathwise as
+from that step's slice of g alone.  For full information the rows are
+gathered at the world's own factor state.  For partial information the
+particles never gather: interpolation is linear in each particle's cell
+weights, so the survival ratio of an interpolated field is the row dotted
+with the cloud's cloud-in-cell deposit of the weights Y and Y a(X)
+(``ParticleCloud.survival_deposit``), and theta* is ``theta_full`` applied
+to those dot products.  The cost process is assembled pathwise as
 payments plus book value minus trading gains, and the backtest checks the
 martingale / orthogonality / pricing properties that characterize the
 locally risk-minimizing strategy.  ``HedgeSeries`` is the one per-world
@@ -95,13 +99,25 @@ def theta_full(c, t: float, s, a, g_s: np.ndarray, g_x: np.ndarray) -> np.ndarra
     ``c`` holds the coefficients; ``s`` is each world's price at t, shaped to
     broadcast against ``g_s`` ((n_worlds, 1)), and ``a`` is a(t, x) at the
     factor states where ``g_s`` and ``g_x`` were gathered.  The hedge applies
-    it to the particles' gather, whose survival-weighted projection is theta*,
-    and to the gather at each world's own (S, X), where it is theta_F.
+    it to the gather at each world's own (S, X), where it is theta_F, and,
+    with a = 1, to the survival ratios of g_s and a g_x at the particles,
+    where it is theta*.
     """
     correction = c.rho / (c.sigma(t, s) * s) * a
     correction *= g_x
     g_s += correction
     return g_s
+
+
+def _projected(c, t: float, s: np.ndarray, rows: np.ndarray, deposit: tuple):
+    """The partial-information value and position of each world: its rows of
+    g, dg/ds and dg/dx (``slice_at_s``) dotted with the cloud's survival
+    deposit (``ParticleCloud.survival_deposit``) give the survival ratios of
+    g, g_s and a g_x at the particles, and ``theta_full`` with a = 1 turns
+    the last two into theta*.  ``s`` is each world's price, (n_worlds,)."""
+    value, g_s = np.vecdot(deposit[0], rows[:2])
+    a_g_x = np.vecdot(deposit[1], rows[2])
+    return value, theta_full(c, t, s, 1.0, g_s, a_g_x)
 
 
 @dataclass
@@ -120,7 +136,8 @@ class HedgeSeries:
     pre-settlement book value and the claim actually paid at maturity
     (survivors only) and ``death_step`` the index k* of tau = t_{k*}
     (n_steps for survivors).  The survival mass behind each ratio is checked
-    against the floor in the cloud and not kept.
+    against the floor in the cloud; ``min_mass`` is the smallest one per
+    world (``ParticleCloud.min_mass``).
     """
 
     theta_star: np.ndarray
@@ -134,6 +151,7 @@ class HedgeSeries:
     V_full: np.ndarray
     terminal_gap: np.ndarray
     death_step: np.ndarray
+    min_mass: np.ndarray
 
 
 def hedge_paths(config: ScenarioConfig, bundle: PathBundle,
@@ -143,11 +161,12 @@ def hedge_paths(config: ScenarioConfig, bundle: PathBundle,
     The cloud sees only the observed price paths; positions and book values
     at index k use the cloud state at k (information up to t_k) and apply to
     the increment over [t_k, t_{k+1}).  Each step locates every world once in
-    s (``slice_at_s``: one row of g, dg/ds and dg/dx per world) and gathers
-    those rows twice: at the particles, where ``theta_full`` forms the
-    position integrand that one survival ratio projects together with g, and
-    at the world's own X, where it gives the full-information value and
-    position.  The cost processes are formed against the stopped price.
+    s (``slice_at_s``: one row of g, dg/ds and dg/dx per world) and reads
+    those rows twice: dotted with the cloud's survival deposit, which gives
+    the book value and the survival ratios of g_s and a g_x that
+    ``theta_full`` turns into theta*, and gathered at the world's own X,
+    where they give the full-information value and position.  The cost
+    processes are formed against the stopped price.
     """
     c = config.coefficients
     n = config.n_steps
@@ -165,19 +184,19 @@ def hedge_paths(config: ScenarioConfig, bundle: PathBundle,
         t, s_k, x_own = cloud.t, cloud.s_now, bundle.X[:, k:k + 1]
         try:
             rows = g_sol.slice_at_s(("value", "d_s", "d_x"), k, s_k[:, 0])
-            fields = interp_rows(rows, x_grid, cloud.X)
+            deposit = cloud.survival_deposit(x_grid)
             own = interp_rows(rows, x_grid, x_own)
         except DomainExcursionError as exc:
             raise _name_world(exc, bundle, k) from exc
-        theta_full(c, t, s_k, cloud.a, fields[1], fields[2])
-        ratio[:, k], theta_k = cloud.survival_ratio(fields[:2])
+        ratio[:, k], theta_k = _projected(c, t, s_k[:, 0], rows, deposit)
         V_full[:, k] = own[0, :, 0]
         if k < n:
             th_full[:, k] = theta_full(c, t, s_k, c.a(t, x_own), own[1], own[2])[:, 0]
             theta_star[:, k] = theta_k
             pfs_mu[:, k] = cloud.projected_drift()
             cloud.step()
-    del cloud, rows, fields, own
+    min_mass = cloud.min_mass
+    del cloud, rows, deposit, own
 
     alive = 1.0 - bundle.H
     theta_star *= alive[:, :-1]
@@ -198,7 +217,7 @@ def hedge_paths(config: ScenarioConfig, bundle: PathBundle,
         C=cost_process(N, V, theta_star, S_stopped),
         C_full=cost_process(N, V_full, th_full, S_stopped),
         N=N, S_stopped=S_stopped, V_full=V_full, terminal_gap=gap,
-        death_step=bundle.death_step())
+        death_step=bundle.death_step(), min_mass=min_mass)
 
 
 def trading_gains(theta: np.ndarray, S_stopped: np.ndarray) -> np.ndarray:
@@ -297,14 +316,18 @@ class HedgeReport:
     """What one backtest keeps: the summary, not the per-path series.
 
     ``pde_health`` holds the numerical-health counters of the solved g the
-    worlds were hedged against; ``series_files`` lists the per-path series
-    CSVs the backtest wrote (empty unless it was given an output directory),
-    the only place the series outlive the chunks that formed them.
+    worlds were hedged against, and ``filter_health`` those of the particle
+    clouds: the smallest survival mass any world reached (``min_mass``)
+    next to the ``survival_floor`` it was checked against; ``series_files``
+    lists the per-path series CSVs the backtest wrote (empty unless it was
+    given an output directory), the only place the series outlive the
+    chunks that formed them.
     """
 
     config: ScenarioConfig
     summary: BacktestSummary
     pde_health: dict
+    filter_health: dict
     series_files: list = field(default_factory=list)
 
 
@@ -329,8 +352,9 @@ class WorldStats(NamedTuple):
     (n_worlds, n_blocks); ``price_leg`` is C_T (= N_T - int theta dS^tau, as
     V_T = 0), ``cost_partial`` and ``cost_full`` are C_T - C_0 and
     C_full,T - C_full,0, ``terminal_gap`` is ``HedgeSeries.terminal_gap``,
-    ``v_settle`` is |V| at the death step and ``claim_hat`` the
-    martingale-measure claim N_T of the same world.
+    ``v_settle`` is |V| at the death step, ``claim_hat`` the
+    martingale-measure claim N_T of the same world and ``min_mass`` the
+    smallest survival mass its cloud reached (``HedgeSeries.min_mass``).
     """
 
     dC: np.ndarray
@@ -342,6 +366,7 @@ class WorldStats(NamedTuple):
     terminal_gap: np.ndarray
     v_settle: np.ndarray
     claim_hat: np.ndarray
+    min_mass: np.ndarray
 
 
 def _backtest_chunk(config: ScenarioConfig, g_sol: PdeSolution, part_dir,
@@ -379,7 +404,8 @@ def _backtest_chunk(config: ScenarioConfig, g_sol: PdeSolution, part_dir,
         cost_full=series.C_full[:, -1] - series.C_full[:, 0],
         terminal_gap=series.terminal_gap,
         v_settle=np.abs(series.V[np.arange(idx.size), series.death_step]),
-        claim_hat=claim_hat)
+        claim_hat=claim_hat,
+        min_mass=series.min_mass)
 
 
 _worker_inputs = ()   # (config, g_sol, part_dir), set once in each pool worker by its initializer
@@ -478,5 +504,7 @@ def backtest(config: ScenarioConfig, chunk_size: int = 4000, workers: int = 1,
         n_paths=n_paths,
         n_particles=config.n_particles,
     )
-    return HedgeReport(config=config, summary=summary,
-                       pde_health=g_sol.health(), series_files=series_files)
+    filter_health = {"min_survival_mass": float(stats.min_mass.min()),
+                     "survival_floor": config.survival_floor}
+    return HedgeReport(config=config, summary=summary, pde_health=g_sol.health(),
+                       filter_health=filter_health, series_files=series_files)

@@ -9,7 +9,8 @@ with a policyholder whose death intensity is gamma(t, X).  The concrete
 families below keep sigma constant and the drift affine in the factor,
 ``mu = m0 + m1 x``; the factor is frozen (no dynamics), Ornstein-Uhlenbeck or
 square-root mean reverting.  All coefficient callables accept and broadcast
-numpy arrays.
+numpy arrays, and each returns a fresh array, formed in place with the
+arithmetic of its formula.
 """
 
 from __future__ import annotations
@@ -48,6 +49,12 @@ __all__ = [
 # factor dynamics families
 # ---------------------------------------------------------------------------
 
+def _clamped(x) -> np.ndarray:
+    """max(x, 0) as a fresh float array (0-d for a scalar), to update in place."""
+    x = np.asarray(x, dtype=float)
+    return np.maximum(x, 0.0, out=np.empty_like(x))
+
+
 @dataclass(frozen=True)
 class FrozenFactor:
     """Degenerate factor: b = a = 0, so X_t = x0 for all t."""
@@ -72,7 +79,9 @@ class OUFactor:
     name = "ou"
 
     def b(self, t, x):
-        return self.kappa * (self.xbar - np.asarray(x, dtype=float))
+        drift = self.xbar - np.asarray(x, dtype=float)
+        drift *= self.kappa
+        return drift
 
     def a(self, t, x):
         return np.full_like(np.asarray(x, dtype=float), self.a_vol)
@@ -89,10 +98,15 @@ class CIRFactor:
     name = "cir"
 
     def b(self, t, x):
-        return self.kappa * (self.xbar - np.asarray(x, dtype=float))
+        drift = self.xbar - np.asarray(x, dtype=float)
+        drift *= self.kappa
+        return drift
 
     def a(self, t, x):
-        return self.a_vol * np.sqrt(np.maximum(np.asarray(x, dtype=float), 0.0))
+        vol = _clamped(x)
+        np.sqrt(vol, out=vol)
+        vol *= self.a_vol
+        return vol
 
     def feller_ok(self) -> bool:
         return 2.0 * self.kappa * self.xbar >= self.a_vol**2
@@ -137,7 +151,10 @@ class AffineGamma:
     name = "affine"
 
     def __call__(self, t, x):
-        return self.gamma0 + self.gamma1 * np.maximum(np.asarray(x, dtype=float), 0.0)
+        rate = _clamped(x)
+        rate *= self.gamma1
+        rate += self.gamma0
+        return rate
 
 
 GammaFamily = ConstantGamma | LinearGamma | AffineGamma
@@ -246,7 +263,11 @@ class CoefficientSet:
     c_bound: float
 
     def mu(self, t, s, x):
-        return self.m0 + self.m1 * np.asarray(x, dtype=float) + 0.0 * np.asarray(s, dtype=float)
+        """m0 + m1 x, broadcast against s (on which it does not depend)."""
+        drift = self.m1 * np.asarray(x, dtype=float)
+        drift += self.m0
+        shape = np.broadcast_shapes(np.shape(drift), np.shape(s))
+        return drift if np.shape(drift) == shape else np.broadcast_to(drift, shape).copy()
 
     def sigma(self, t, s):
         return np.full_like(np.asarray(s, dtype=float), self.sigma0)

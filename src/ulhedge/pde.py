@@ -42,9 +42,11 @@ near the kink are ~alpha/n wide) and the terminal condition is seeded with its
 cell averages; the stored terminal slice remains the pointwise payoff.
 
 Every lookup reads one time slice, with one locate and one linear
-interpolation, s first, then x: point lookups gather cell corners, the
-hedging loop gathers per-world rows (``slice_at_s``, then ``interp_rows``)
-at the particles and at each world's own factor state.  Only the values are
+interpolation, s first, then x: point lookups gather cell corners, and the
+hedging loop interpolates per-world rows (``slice_at_s``) along x, by a
+gather at each world's own factor state (``interp_rows``) and, for the
+particles, by a dot product with the cloud-in-cell deposit the particle
+cloud forms on the x grid with the same ``locate``.  Only the values are
 stored: a derivative dg/ds or dg/dx is formed from the one slice a lookup
 reads, and never kept.
 """
@@ -52,7 +54,7 @@ reads, and never kept.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,7 +66,7 @@ from .models import CallPayoff, PutPayoff, ScenarioConfig
 from .simulate import advance_market
 
 __all__ = ["PdeSolution", "solve_g", "solve_gtilde", "solve_phi",
-           "feynman_kac_check", "ProbeResult", "interp_rows", "stretched_s_grid"]
+           "feynman_kac_check", "ProbeResult", "interp_rows", "locate", "stretched_s_grid"]
 
 _EDGE_TOL = 1e-9
 _STRETCH_ALPHA = 0.4      # sinh cluster width as a fraction of the strike
@@ -131,8 +133,9 @@ class PdeSolution:
     accessor takes one integer time index k and reads that slice alone.  A
     spatial derivative ("d_s" or "d_x") is np.gradient of that slice --
     centered differences in the interior, one-sided at the edges -- formed
-    per call and never stored, and is interpolated (bi)linearly like the
-    values themselves.  ``csvio.export_pde_solution`` writes the t = 0 slice.
+    per call (``_gradient``, from stencil weights kept per axis) and never
+    stored, and is interpolated (bi)linearly like the values themselves.
+    ``csvio.export_pde_solution`` writes the t = 0 slice.
     """
 
     kind: str                 # "sx", "s" or "x"
@@ -142,6 +145,7 @@ class PdeSolution:
     x_grid: np.ndarray | None = None
     max_principle_gap: float = 0.0
     factor_nnz: int = 0       # entries stored for L and U by the march's factorization
+    _stencils: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def health(self) -> dict:
         """The numerical-health counters a run manifest reports for this solve."""
@@ -157,9 +161,9 @@ class PdeSolution:
 
     def _slice(self, name: str, k: int) -> np.ndarray:
         """Time slice k of the field ``name``: the values, or their derivative
-        along s ("d_s") or x ("d_x").  np.gradient works along one axis, so
-        the derivative of ``values[k]`` is bit-identical to slice k of the
-        derivative of the whole surface.  k is one integer: an array of steps
+        along s ("d_s") or x ("d_x").  The derivative works along one axis,
+        so the derivative of ``values[k]`` is bit-identical to slice k of
+        np.gradient of the whole surface.  k is one integer: an array of steps
         raises TypeError rather than index (and differentiate) several slices."""
         k = operator.index(k)
         if name == "value":
@@ -168,7 +172,10 @@ class PdeSolution:
         if grid is None:
             raise ValueError(f"solution has no {name[-1]} axis")
         axis = 1 if name == "d_x" and self.kind == "sx" else 0
-        return np.gradient(self.values[k], grid, axis=axis)
+        f = self.values[k]
+        if name not in self._stencils:
+            self._stencils[name] = _stencil(grid, f.shape, axis)
+        return _gradient(f, self._stencils[name])
 
     def _interp(self, name: str, k: int, s=None, x=None):
         """Field ``name`` at time index k and points s, x: the arithmetic of
@@ -176,12 +183,12 @@ class PdeSolution:
         if self.kind == "sx":
             if s is None or x is None:
                 raise ValueError("2D solution needs both s and x")
-            cells = [_locate(self.s_grid, s, "s"), _locate(self.x_grid, x, "x")]
+            cells = [locate(self.s_grid, s, "s"), locate(self.x_grid, x, "x")]
         else:
             q = s if self.kind == "s" else x
             if q is None:
                 raise ValueError(f"1D solution needs the {self.kind} coordinate")
-            cells = [_locate(self.s_grid if self.kind == "s" else self.x_grid, q, self.kind)]
+            cells = [locate(self.s_grid if self.kind == "s" else self.x_grid, q, self.kind)]
         return _lerp_cells(self._slice(name, k), cells)
 
     def value(self, k, s=None, x=None):
@@ -197,17 +204,76 @@ class PdeSolution:
         """The named fields ("value", "d_s", "d_x") interpolated along s only:
         shape (len(names), len(s_vals), n_x+1), one row over the x grid per
         field and world, each world located once for all fields and each
-        derivative formed once from the time-k slice."""
-        si, sw = _locate(self.s_grid, s_vals, "s")
+        derivative formed once from the time-k slice, with ``_lerp``'s
+        arithmetic written into the output."""
+        si, sw = locate(self.s_grid, s_vals, "s")
         sw = sw[:, None]
         out = np.empty((len(names), len(si), len(self.x_grid)))
-        for i, name in enumerate(names):
+        for row, name in zip(out, names):
             a = self._slice(name, k)
-            out[i] = _lerp(a[si], a[si + 1], sw)
+            np.multiply(a[si], 1 - sw, out=row)
+            upper = a[si + 1]
+            upper *= sw
+            row += upper
         return out
 
 
-def _locate(grid: np.ndarray, q, label: str):
+def _stencil(grid: np.ndarray, shape: tuple, axis: int):
+    """np.gradient's weights along ``axis`` of a C-ordered array of ``shape``
+    with coordinates ``grid`` (first-order edges), laid out for ``_gradient``.
+
+    Returns the axis, its stride in the flattened array, the edge spacings
+    and either the spacing of an exactly uniform grid (np.gradient's
+    uniform formula) or the weights of the points one stride below, at and
+    above each point between the first and last stride, over the flattened
+    array: np.gradient's nonuniform three-point weights where the point is
+    inside the axis, 0 where it lies on an edge (``_gradient`` overwrites
+    those).
+    """
+    stride = int(np.prod(shape[axis + 1:]))
+    dx = np.diff(grid)
+    edges = (dx[0], dx[-1])
+    if (dx == dx[0]).all():
+        return axis, stride, edges, dx[0]
+    dx1, dx2 = dx[:-1], dx[1:]
+    weights = (-(dx2) / (dx1 * (dx1 + dx2)), (dx2 - dx1) / (dx1 * dx2),
+               dx1 / (dx2 * (dx1 + dx2)))
+    inner = [slice(None)] * len(shape)
+    inner[axis] = slice(1, -1)
+    along = [1] * len(shape)
+    along[axis] = -1
+    laid_out = []
+    for w in weights:
+        full = np.zeros(shape)
+        full[tuple(inner)] = w.reshape(along)
+        laid_out.append(full.ravel()[stride:-stride])
+    return axis, stride, edges, tuple(laid_out)
+
+
+def _gradient(f: np.ndarray, stencil) -> np.ndarray:
+    """np.gradient(f, grid, axis=axis) bit for bit, for the ``_stencil`` of
+    that grid and axis: the interior as whole-array passes over the
+    flattened f (a * f[below] + b * f[at] + c * f[above], or the uniform
+    (f[above] - f[below]) / (2 dx)), then both edges one-sided."""
+    axis, stride, (dx_first, dx_last), weights = stencil
+    flat = f.ravel()
+    out = np.empty_like(f)
+    inner = out.reshape(-1)[stride:-stride]
+    below, at, above = flat[:-2 * stride], flat[stride:-stride], flat[2 * stride:]
+    if isinstance(weights, tuple):
+        np.multiply(weights[0], below, out=inner)
+        inner += weights[1] * at
+        inner += weights[2] * above
+    else:
+        np.subtract(above, below, out=inner)
+        inner /= 2.0 * weights
+    f, edge = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
+    edge[0] = (f[1] - f[0]) / dx_first
+    edge[-1] = (f[-1] - f[-2]) / dx_last
+    return out
+
+
+def locate(grid: np.ndarray, q, label: str):
     """Cell index and in-cell weight of every query point on axis ``label``.
 
     The x axes are uniform (index arithmetic), the s axes may be stretched
@@ -226,13 +292,15 @@ def _locate(grid: np.ndarray, q, label: str):
             f" [{lo:.6g}, {hi:.6g}]", index)
     span = len(grid) - 1
     if label == "x":
+        # the cell is formed as a float (floor = truncation for u >= 0), so
+        # every pass runs on one type
         u = q - lo
         u /= grid[1] - lo
         np.clip(u, 0.0, span, out=u)
-        idx = u.astype(np.intp)
-        np.minimum(idx, span - 1, out=idx)
-        u -= idx
-        return idx, u
+        cell = np.floor(u)
+        np.minimum(cell, span - 1, out=cell)
+        u -= cell
+        return cell.astype(np.intp), u
     idx = np.clip(np.searchsorted(grid, q, side="right") - 1, 0, span - 1)
     w = (q - grid[idx]) / (grid[idx + 1] - grid[idx])
     return idx, np.clip(w, 0.0, 1.0)
@@ -264,13 +332,13 @@ def interp_rows(rows: np.ndarray, grid: np.ndarray, q: np.ndarray) -> np.ndarray
     ``take`` at row offset + cell, one field at a time into preallocated
     buffers to bound memory; the arithmetic of ``_lerp``.  One buffer holds
     1 - w while the lower corners are weighted, then each upper gather."""
-    cell, w = _locate(grid, q, "x")
+    cell, w = locate(grid, q, "x")
     cell += (np.arange(q.shape[0]) * rows.shape[-1])[:, None]
     fields = rows.reshape(len(rows), -1)
     out = np.empty(rows.shape[:1] + q.shape)
     buffer = 1 - w
     # mode="clip" skips numpy's buffered bounds-checked path; it never clips,
-    # since _locate keeps every cell in [0, n_x - 1] and rejects NaN
+    # since locate keeps every cell in [0, n_x - 1] and rejects NaN
     for f, field in enumerate(fields):
         field.take(cell, out=out[f], mode="clip")
         out[f] *= buffer

@@ -166,12 +166,19 @@ def advance_market(config: ScenarioConfig, dW: np.ndarray, dB: np.ndarray,
 
 
 def cumulative_hazard(config: ScenarioConfig, t_grid: np.ndarray, X: np.ndarray):
-    """Trapezoidal integral of gamma(t, X_t) along each path."""
+    """Trapezoidal integral of gamma(t, X_t) along each path.
+
+    The increments 0.5 (g_k + g_{k+1}) dt are formed in one temporary and
+    cumulated into the array that held the rates, which becomes Gamma.
+    """
     c = config.coefficients
-    g = c.gamma_fn(t_grid[None, :], X)
+    Gamma = c.gamma_fn(t_grid[None, :], X)
     dt = float(t_grid[1] - t_grid[0])
-    Gamma = np.zeros_like(X)
-    np.cumsum(0.5 * (g[:, 1:] + g[:, :-1]) * dt, axis=1, out=Gamma[:, 1:])
+    increments = Gamma[:, 1:] + Gamma[:, :-1]
+    increments *= 0.5
+    increments *= dt
+    Gamma[:, 0] = 0.0
+    np.cumsum(increments, axis=1, out=Gamma[:, 1:])
     return Gamma
 
 
@@ -198,17 +205,20 @@ def simulate_paths(config: ScenarioConfig, measure: str = "P",
     The same per-path streams drive both measures, so a P run and a P_hat run
     with one config are coupled by common random numbers.  ``draws``, when
     given, must be ``draw_worlds(config, path_indices)``; it is only read.
+    W and B are cumulated before the hazard stage, so increments drawn here
+    are let go before the hazard's arrays exist.
     """
     if path_indices is None:
         path_indices = np.arange(config.n_paths)
     t_grid = config.t_grid()
     dW, dB, edraw = draw_worlds(config, path_indices) if draws is None else draws
     S, X = advance_market(config, dW, dB, measure)
-    Gamma = cumulative_hazard(config, t_grid, X)
-    tau = sample_death_time(t_grid, Gamma, edraw)
     W, B = np.zeros_like(S), np.zeros_like(S)
     np.cumsum(dW, axis=1, out=W[:, 1:])
     np.cumsum(dB, axis=1, out=B[:, 1:])
+    del dW, dB, draws
+    Gamma = cumulative_hazard(config, t_grid, X)
+    tau = sample_death_time(t_grid, Gamma, edraw)
     return PathBundle(config=config, measure=measure, t_grid=t_grid, W=W, B=B, S=S, X=X,
                       Gamma=Gamma, tau=tau,
                       path_indices=np.asarray(path_indices, dtype=np.int64))

@@ -282,6 +282,11 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["pde"]) == {"factor_nnz", "max_principle_gap"}
         assert manifest["pde"] == solve_g(load_config(config_file)).health()
+        # the smallest survival mass any world's cloud reached, next to its floor
+        health = manifest["filter"]
+        assert set(health) == {"min_survival_mass", "survival_floor"}
+        assert health["survival_floor"] == load_config(config_file).survival_floor
+        assert health["survival_floor"] <= health["min_survival_mass"] < 1.0
 
     def test_summary_values_are_plain_floats(self, config_file, tmp_path):
         out = tmp_path / "h"

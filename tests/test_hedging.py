@@ -14,6 +14,7 @@ from ulhedge.hedging import (
     HedgeSeries,
     _backtest_chunk,
     _block_edges,
+    _projected,
     backtest,
     closed_form_theta,
     hedge_paths,
@@ -232,6 +233,20 @@ class TestThetaPartial:
                 assert np.array_equal(getattr(alone, f.name)[0],
                                       getattr(batch, f.name)[row]), (f.name, path)
 
+    def test_row_offset_leaves_results_identical(self, smoke_g):
+        # per-world sums must not depend on where a world's row sits in
+        # memory: the same worlds at rows 0, 1, 3 and 7 of a batch
+        cfg = load_config(SMOKE)
+        worlds = np.array([11, 12, 13])
+        runs = []
+        for offset in (0, 1, 3, 7):
+            idx = np.concatenate([np.arange(100, 100 + offset), worlds])
+            series = hedge_paths(cfg, simulate_paths(cfg, "P", path_indices=idx), smoke_g)
+            runs.append([getattr(series, name)[offset:] for name in ("theta_star", "V", "pfs_mu")])
+        for run in runs[1:]:
+            for got, want in zip(run, runs[0]):
+                assert np.array_equal(got, want)
+
     def test_excursion_names_step_and_path(self):
         # x_max just above x0: particles leave the x-domain on the first step
         cfg = cir_scenario(grid=uh.PdeGrid(100, 30, 6.0, -0.08, 0.051),
@@ -265,6 +280,152 @@ class TestThetaPartial:
                 hedge_paths(cfg, b, g_sol)
             msg = str(info.value)
             assert f"step k={k}, path {40 + row}:" in msg and "x-coordinate" in msg
+
+
+SMOKE = os.path.join(CONFIGS, "smoke.ini")
+
+
+@pytest.fixture(scope="module")
+def smoke_g():
+    return solve_g(load_config(SMOKE))
+
+
+def _deposit_against_gather(cloud, g_sol, k):
+    """max |V - V_ref| and max |theta* - theta*_ref| at step k: the cloud's
+    deposit projection against the gather it replaces (rows interpolated at
+    every particle, ``theta_full`` there, one survival ratio)."""
+    c = cloud.config.coefficients
+    s = cloud.s_now
+    rows = g_sol.slice_at_s(("value", "d_s", "d_x"), k, s[:, 0])
+    fields = interp_rows(rows, g_sol.x_grid, cloud.X)
+    theta_full(c, cloud.t, s, cloud.a, fields[1], fields[2])
+    value_ref, theta_ref = cloud.survival_ratio(fields[:2])
+    value, theta = _projected(c, cloud.t, s[:, 0], rows, cloud.survival_deposit(g_sol.x_grid))
+    return np.abs(value - value_ref).max(), np.abs(theta - theta_ref).max()
+
+
+class TestSurvivalDeposit:
+    """The cloud-in-cell deposit projection against the gather reference."""
+
+    def test_smoke_cloud_matches_gather(self, smoke_g):
+        cfg = load_config(SMOKE).with_updates(n_paths=120)
+        b = simulate_paths(cfg, "P")
+        cloud = ParticleCloud(cfg, b.S, b.path_indices)
+        for k in range(cfg.n_steps):
+            if k in (0, 1, 10, 50, 99):   # the Dirac start, then a spreading cloud
+                dv, dth = _deposit_against_gather(cloud, smoke_g, k)
+                assert dv <= 1e-15 and dth <= 1e-15, (k, dv, dth)
+            cloud.step()
+
+    def test_particles_on_nodes_and_domain_edges(self, smoke_g):
+        cfg = load_config(SMOKE).with_updates(n_paths=40)
+        b = simulate_paths(cfg, "P")
+        cloud = ParticleCloud(cfg, b.S, b.path_indices)
+        for _ in range(20):
+            cloud.step()
+        grid = smoke_g.x_grid
+        nodes = np.random.default_rng(5).integers(0, len(grid), cloud.X.shape)
+        nodes[:, :2] = [0, len(grid) - 1]          # x_min and x_max in every world
+        cloud.X = grid[nodes]
+        dv, dth = _deposit_against_gather(cloud, smoke_g, 20)
+        assert dv <= 1e-15 and dth <= 1e-15
+        # a particle on a node puts its whole weight there
+        deposit = cloud.survival_deposit(grid)
+        want = np.zeros_like(deposit[0])
+        np.add.at(want, (np.arange(40)[:, None], nodes), cloud.Y)
+        assert np.abs(deposit[0] - want / want.sum(axis=1, keepdims=True)).max() <= 1e-15
+
+    def test_cloud_inside_one_cell(self, smoke_g):
+        cfg = load_config(SMOKE).with_updates(n_paths=30)
+        b = simulate_paths(cfg, "P")
+        cloud = ParticleCloud(cfg, b.S, b.path_indices)
+        for _ in range(5):
+            cloud.step()
+        grid = smoke_g.x_grid
+        cloud.X = np.random.default_rng(6).uniform(grid[7], grid[8], cloud.X.shape)
+        dv, dth = _deposit_against_gather(cloud, smoke_g, 5)
+        assert dv <= 1e-15 and dth <= 1e-15
+        deposit = cloud.survival_deposit(grid)
+        assert not np.delete(deposit, [7, 8], axis=-1).any()
+
+    def test_one_particle(self, smoke_g):
+        cfg = load_config(SMOKE).with_updates(n_paths=25)
+        b = simulate_paths(cfg, "P")
+        cloud = ParticleCloud(cfg, b.S, b.path_indices, n_particles=1)
+        for k in range(cfg.n_steps):
+            if k % 20 == 0:
+                dv, dth = _deposit_against_gather(cloud, smoke_g, k)
+                assert dv <= 1e-15 and dth <= 1e-15, k
+            cloud.step()
+
+    @staticmethod
+    def _smoke_cloud(n_paths, **coefficients):
+        base = load_config(SMOKE)
+        cfg = base.with_updates(coefficients=dataclasses.replace(base.coefficients,
+                                                                 **coefficients),
+                                n_paths=n_paths)
+        b = simulate_paths(cfg, "P")
+        return cfg, solve_g(cfg), ParticleCloud(cfg, b.S, b.path_indices)
+
+    def test_uncorrelated(self):
+        cfg, g_sol, cloud = self._smoke_cloud(30, rho=0.0)
+        for k in range(cfg.n_steps):
+            if k % 25 == 0:
+                dv, dth = _deposit_against_gather(cloud, g_sol, k)
+                assert dv <= 1e-15 and dth <= 1e-15, k
+            cloud.step()
+
+    def test_frozen_factor_keeps_the_dirac_value(self):
+        # a frozen factor (a = 0) keeps every particle at x0 with one survival:
+        # V and theta* are the gather at that one state, which the deposit
+        # reproduces (the 300-particle gather's mean of equal values carries
+        # about ten ulps of rounding of its own here, the deposit none)
+        cfg, g_sol, cloud = self._smoke_cloud(30, rho=0.0, factor=uh.FrozenFactor())
+        c, grid = cfg.coefficients, g_sol.x_grid
+        for k in range(cfg.n_steps):
+            if k % 25 == 0:
+                s = cloud.s_now
+                rows = g_sol.slice_at_s(("value", "d_s", "d_x"), k, s[:, 0])
+                one = interp_rows(rows, grid, cloud.X[:, :1])
+                theta_ref = theta_full(c, cloud.t, s, cloud.a[:, :1], one[1], one[2])[:, 0]
+                deposit = cloud.survival_deposit(grid)
+                value, theta = _projected(c, cloud.t, s[:, 0], rows, deposit)
+                assert np.abs(value - one[0, :, 0]).max() <= 1e-15, k
+                assert np.abs(theta - theta_ref).max() <= 1e-15, k
+                assert not deposit[1].any()
+            cloud.step()
+
+    def test_floor_breach_in_the_hedge_names_step_and_path(self):
+        # deterministic survival exp(-40 t) crosses the floor 1e-6 between
+        # t = 0.34 and t = 0.36, in every world at once: the first row is named
+        cfg = cir_scenario(gamma=uh.ConstantGamma(40.0), n_steps=50, n_particles=16,
+                           seed=74).with_updates(survival_floor=1e-6)
+        b = simulate_paths(cfg, "P", path_indices=np.arange(40, 46))
+        with pytest.raises(uh.SurvivalFloorError) as info:
+            hedge_paths(cfg, b, solve_g(cfg))
+        assert re.search(r"survival mass exhausted at step k=18 \(t=0\.36\), path 40:",
+                         str(info.value)), str(info.value)
+
+    def test_min_mass_is_the_smallest_checked_mass(self):
+        cfg = cir_scenario(recovery=uh.LinearPayoff(0.2), n_steps=20, n_particles=40,
+                           seed=75)
+        b = simulate_paths(cfg, "P", path_indices=np.arange(12))
+        series = hedge_paths(cfg, b, solve_g(cfg))
+        # an independent run of the same clouds: the martingale-measure mass
+        # at every step, and the physical-measure mass (density scaled to
+        # mean 1) at every interval-left step
+        cloud = ParticleCloud(cfg, b.S, b.path_indices)
+        masses = []
+        for k in range(cfg.n_steps + 1):
+            masses.append(cloud.Y.mean(axis=1))
+            if k < cfg.n_steps:
+                density = np.exp(-cloud.log_L)
+                density /= density.mean(axis=1, keepdims=True)
+                masses.append((density * cloud.Y).mean(axis=1))
+                cloud.step()
+        want = np.min(masses, axis=0)
+        assert np.abs(series.min_mass / want - 1.0).max() <= 1e-14
+        assert want.min() < 1.0
 
 
 class TestValueAndCost:

@@ -210,6 +210,19 @@ class TestSliceDerivatives:
         with pytest.raises(ValueError, match="no x axis"):
             sol.value_dx(0, s=s)
 
+    def test_slice_derivatives_on_equally_spaced_grids(self):
+        # np.gradient has another formula for a grid of exactly equal
+        # spacings (a linspace's spacings differ in the last bits)
+        rng = np.random.default_rng(8)
+        s_grid, x_grid = np.arange(41) * 0.125, np.arange(13) * 0.0625 - 0.125
+        values = rng.standard_normal((6, 41, 13))
+        sol = PdeSolution("sx", self.T_GRID, values, s_grid=s_grid, x_grid=x_grid)
+        line = PdeSolution("x", self.T_GRID, values[:, 0], x_grid=x_grid)
+        for k in (0, 4):
+            assert np.array_equal(sol._slice("d_s", k), np.gradient(values[k], s_grid, axis=0))
+            assert np.array_equal(sol._slice("d_x", k), np.gradient(values[k], x_grid, axis=1))
+            assert np.array_equal(line._slice("d_x", k), np.gradient(values[k, 0], x_grid))
+
     def test_every_accessor_reads_one_time_slice(self):
         # an array of steps is refused, not indexed (or differentiated) as a
         # stack of slices

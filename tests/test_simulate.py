@@ -135,7 +135,9 @@ class TestLeanBundle:
 
     def test_simulate_paths_memory(self):
         # measured in arrays of one world-by-grid-time size: the bundle holds
-        # W, B, S, X and Gamma, and the simulation needs at most two more
+        # W, B, S, X and Gamma; the peak is six, while W and B are cumulated
+        # from the increments (which then go) and while the hazard's rates
+        # and its one temporary of increments live next to S, X, W and B
         cfg = make_config(factor=uh.OUFactor(1.0, 0.1, 0.3),
                           gamma=uh.AffineGamma(0.02, 0.7), n_paths=20_000, n_steps=100)
         unit = cfg.n_paths * (cfg.n_steps + 1) * 8
@@ -147,7 +149,7 @@ class TestLeanBundle:
             tracemalloc.stop()
         assert b.S.shape == (cfg.n_paths, cfg.n_steps + 1)
         assert held / unit <= 5.5, f"held {held / unit:.2f} arrays"
-        assert peak / unit <= 7.5, f"peak {peak / unit:.2f} arrays"
+        assert peak / unit <= 6.5, f"peak {peak / unit:.2f} arrays"
 
 
 class TestStoppedView:
