@@ -18,7 +18,7 @@ against the floor and records its smallest value per world; it also serves
 weights over the nodes of a uniform x grid (cloud-in-cell: Hockney &
 Eastwood, *Computer Simulation Using Particles*, 1988), so that the survival
 ratio of any field interpolated linearly from that grid is one dot product
-per world.  The physical-measure weights (projected drift, observable hazard
+per world, divided by the world's total deposit.  The physical-measure weights (projected drift, observable hazard
 rate) can degenerate over long horizons or with a strong drift sensitivity.
 A Kushner-Stratonovich residual checks the filter against the generator
 equation it should solve.
@@ -297,19 +297,19 @@ class ParticleCloud:
         """Cloud-in-cell deposit of the martingale-measure survival weights.
 
         A particle at cell c with interpolation weight w adds its weight
-        times 1 - w to node c and times w to node c + 1, and the deposits
-        are summed per world and divided by the world's total deposit of Y,
-        so a world's node weights sum to 1 (a cloud inside one cell, as at
-        the Dirac start, keeps 1 - w and w to the last bits).  Returns the
-        deposits (D_Y, D_Ya), each (n_worlds, len(grid)), of the weights Y
-        and Y a(X): for rows r (n_worlds, len(grid)), the dot product of
-        each world's row of D_Y with its row of r is ``survival_ratio`` of r
-        interpolated linearly at X, and with D_Ya the same ratio of
-        a(X) r(X).  The cost is one ``locate`` (a particle outside the grid
-        raises DomainExcursionError) and two ``bincount``s per weight over
-        world * len(grid) + cell: the whole weight, less the upper share,
-        at c, and the upper share, shifted one node up.  The survival mass
-        is checked as in ``survival_ratio``.
+        times 1 - w to node c and times w to node c + 1, summed per world.
+        Returns the deposits D_Y and D_Ya, each (n_worlds, len(grid)), of
+        the weights Y and Y a(X), and each world's total deposit of Y,
+        (n_worlds,): for rows r (n_worlds, len(grid)), the dot product of
+        each world's row of D_Y with its row of r, divided by its total, is
+        ``survival_ratio`` of r interpolated linearly at X, and with D_Ya
+        the same ratio of a(X) r(X).  The total is the deposit's own sum of
+        Y, so a cloud inside one cell (the Dirac start) keeps 1 - w and w to
+        the last bits.  The cost is one ``locate`` (a particle outside the
+        grid raises DomainExcursionError) and two ``bincount``s per weight
+        over world * len(grid) + cell: the whole weight, less the upper
+        share, at c, and the upper share, shifted one node up.  The survival
+        mass is checked as in ``survival_ratio``.
         """
         weight, _ = self._weight("P_hat")
         n_nodes = len(grid)
@@ -328,10 +328,7 @@ class ParticleCloud:
             dep -= shifted
             dep[1:] += shifted[:-1]
             deposit.append(dep.reshape(self.n_worlds, n_nodes))
-        total = deposit[0].sum(axis=1)[:, None]
-        for dep in deposit:
-            dep /= total
-        return tuple(deposit)
+        return deposit[0], deposit[1], deposit[0].sum(axis=1)
 
     def _where(self, row: int) -> str:
         """The current step and the global index of world ``row``, for messages."""

@@ -112,11 +112,13 @@ def theta_full(c, t: float, s, a, g_s: np.ndarray, g_x: np.ndarray) -> np.ndarra
 def _projected(c, t: float, s: np.ndarray, rows: np.ndarray, deposit: tuple):
     """The partial-information value and position of each world: its rows of
     g, dg/ds and dg/dx (``slice_at_s``) dotted with the cloud's survival
-    deposit (``ParticleCloud.survival_deposit``) give the survival ratios of
-    g, g_s and a g_x at the particles, and ``theta_full`` with a = 1 turns
-    the last two into theta*.  ``s`` is each world's price, (n_worlds,)."""
-    value, g_s = np.vecdot(deposit[0], rows[:2])
-    a_g_x = np.vecdot(deposit[1], rows[2])
+    deposit (``ParticleCloud.survival_deposit``) and divided by its total
+    give the survival ratios of g, g_s and a g_x at the particles, and
+    ``theta_full`` with a = 1 turns the last two into theta*.  ``s`` is each
+    world's price, (n_worlds,)."""
+    d_y, d_ya, total = deposit
+    value, g_s = np.vecdot(d_y, rows[:2]) / total
+    a_g_x = np.vecdot(d_ya, rows[2]) / total
     return value, theta_full(c, t, s, 1.0, g_s, a_g_x)
 
 

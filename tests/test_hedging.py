@@ -330,10 +330,10 @@ class TestSurvivalDeposit:
         dv, dth = _deposit_against_gather(cloud, smoke_g, 20)
         assert dv <= 1e-15 and dth <= 1e-15
         # a particle on a node puts its whole weight there
-        deposit = cloud.survival_deposit(grid)
-        want = np.zeros_like(deposit[0])
+        d_y, _, total = cloud.survival_deposit(grid)
+        want = np.zeros_like(d_y)
         np.add.at(want, (np.arange(40)[:, None], nodes), cloud.Y)
-        assert np.abs(deposit[0] - want / want.sum(axis=1, keepdims=True)).max() <= 1e-15
+        assert np.abs(d_y / total[:, None] - want / want.sum(axis=1, keepdims=True)).max() <= 1e-15
 
     def test_cloud_inside_one_cell(self, smoke_g):
         cfg = load_config(SMOKE).with_updates(n_paths=30)
@@ -345,8 +345,8 @@ class TestSurvivalDeposit:
         cloud.X = np.random.default_rng(6).uniform(grid[7], grid[8], cloud.X.shape)
         dv, dth = _deposit_against_gather(cloud, smoke_g, 5)
         assert dv <= 1e-15 and dth <= 1e-15
-        deposit = cloud.survival_deposit(grid)
-        assert not np.delete(deposit, [7, 8], axis=-1).any()
+        d_y, d_ya, _ = cloud.survival_deposit(grid)
+        assert not np.delete(np.stack([d_y, d_ya]), [7, 8], axis=-1).any()
 
     def test_one_particle(self, smoke_g):
         cfg = load_config(SMOKE).with_updates(n_paths=25)
