@@ -317,18 +317,19 @@ class ParticleCloud:
         cell, upper = locate(grid, self.X, "x")
         cell += np.arange(0, size, n_nodes)[:, None]
         cell = cell.ravel()
-        upper *= weight                           # Y w
-        weight_a = np.multiply(weight, self.a, out=self._scratch[0])
-        deposit = []
-        for whole in (weight, weight_a):
-            if deposit:
-                upper *= self.a                   # Y w a
-            dep = np.bincount(cell, whole.ravel(), size)
+
+        def deposit(whole, upper):
+            nodes = np.bincount(cell, whole.ravel(), size)
             shifted = np.bincount(cell, upper.ravel(), size)
-            dep -= shifted
-            dep[1:] += shifted[:-1]
-            deposit.append(dep.reshape(self.n_worlds, n_nodes))
-        return deposit[0], deposit[1], deposit[0].sum(axis=1)
+            nodes -= shifted
+            nodes[1:] += shifted[:-1]
+            return nodes.reshape(self.n_worlds, n_nodes)
+
+        upper *= weight                                   # Y w
+        d_y = deposit(weight, upper)
+        upper *= self.a                                   # Y w a
+        d_ya = deposit(np.multiply(weight, self.a, out=self._scratch[0]), upper)
+        return d_y, d_ya, d_y.sum(axis=1)
 
     def _where(self, row: int) -> str:
         """The current step and the global index of world ``row``, for messages."""

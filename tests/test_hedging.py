@@ -30,6 +30,12 @@ from conftest import assert_within_se, make_config
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 CIR_GRID = uh.PdeGrid(n_s=300, n_x=50, s_max=6.0, x_min=-0.08, x_max=0.5)
+SMOKE = os.path.join(CONFIGS, "smoke.ini")
+
+
+@pytest.fixture(scope="module")
+def smoke_g():
+    return solve_g(load_config(SMOKE))
 
 
 def cir_scenario(**kw):
@@ -280,14 +286,6 @@ class TestThetaPartial:
                 hedge_paths(cfg, b, g_sol)
             msg = str(info.value)
             assert f"step k={k}, path {40 + row}:" in msg and "x-coordinate" in msg
-
-
-SMOKE = os.path.join(CONFIGS, "smoke.ini")
-
-
-@pytest.fixture(scope="module")
-def smoke_g():
-    return solve_g(load_config(SMOKE))
 
 
 def _deposit_against_gather(cloud, g_sol, k):
