@@ -14,8 +14,8 @@ gathered at the world's own factor state.  For partial information the
 particles never gather: interpolation is linear in each particle's cell
 weights, so the survival ratio of an interpolated field is the row dotted
 with the cloud's cloud-in-cell deposit of the weights Y and Y a(X)
-(``ParticleCloud.survival_deposit``), and theta* is ``theta_full`` applied
-to those dot products.  The cost process is assembled pathwise as
+(``ParticleCloud.survival_deposit``) over the deposit's total, and theta*
+is ``theta_full`` applied to those ratios.  The cost process is assembled pathwise as
 payments plus book value minus trading gains, and the backtest checks the
 martingale / orthogonality / pricing properties that characterize the
 locally risk-minimizing strategy.  ``HedgeSeries`` is the one per-world
@@ -164,8 +164,8 @@ def hedge_paths(config: ScenarioConfig, bundle: PathBundle,
     at index k use the cloud state at k (information up to t_k) and apply to
     the increment over [t_k, t_{k+1}).  Each step locates every world once in
     s (``slice_at_s``: one row of g, dg/ds and dg/dx per world) and reads
-    those rows twice: dotted with the cloud's survival deposit, which gives
-    the book value and the survival ratios of g_s and a g_x that
+    those rows twice: dotted with the cloud's survival deposit (``_projected``),
+    which gives the book value and the survival ratios of g_s and a g_x that
     ``theta_full`` turns into theta*, and gathered at the world's own X,
     where they give the full-information value and position.  The cost
     processes are formed against the stopped price.
