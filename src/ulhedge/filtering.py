@@ -18,8 +18,14 @@ against the floor and records its smallest value per world; it also serves
 weights over the nodes of a uniform x grid (cloud-in-cell: Hockney &
 Eastwood, *Computer Simulation Using Particles*, 1988), so that the survival
 ratio of any field interpolated linearly from that grid is one dot product
-per world, divided by the world's total deposit.  The physical-measure weights (projected drift, observable hazard
-rate) can degenerate over long horizons or with a strong drift sensitivity.
+per world, divided by the world's total deposit.  The deposit covers one
+window of nodes per world, the cells of its particles and of its own state
+plus the node above the highest, in arrays as wide as the widest window of
+the batch; its total and the dot products are ``node_sums``, which add a
+world's nodes in node order, so the zeros a wider window adds change no bit
+and a world's results do not depend on the worlds batched with it.  The
+physical-measure weights (projected drift, observable hazard rate) can
+degenerate over long horizons or with a strong drift sensitivity.
 A Kushner-Stratonovich residual checks the filter against the generator
 equation it should solve.
 
@@ -34,7 +40,7 @@ normals are sequential, so the block length does not change the draws.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,13 +53,40 @@ from .pde import locate
 NOISE_BLOCK_BYTES = 2 * 1024 * 1024
 
 __all__ = [
+    "Deposit",
     "ParticleCloud",
     "ProjectionSeries",
     "SmoothFunctional",
     "run_filter",
     "ks_residual",
     "functional_coord_x",
+    "node_sums",
 ]
+
+
+def node_sums(nodes: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, each from 0.0 adding the entries one at a
+    time in order, so a sum depends on its entries alone: leading or
+    trailing zeros change no bit of it, whatever the length of the axis.
+    (A ``sum`` or ``vecdot`` along the axis groups its terms by the axis'
+    length and alignment.)  One whole-array add per entry of the axis."""
+    out = np.zeros(nodes.shape[:-1])
+    for column in np.moveaxis(nodes, -1, 0):
+        out += column
+    return out
+
+
+class Deposit(NamedTuple):
+    """A cloud's survival deposit over one window of x nodes per world
+    (``ParticleCloud.survival_deposit``): ``d_y`` and ``d_ya`` (n_worlds, W)
+    hold the deposits of Y and Y a(X) on nodes lo, ..., lo + W - 1,
+    ``total`` (n_worlds,) is each world's total deposit of Y, and ``lo``
+    (n_worlds,) each window's first node."""
+
+    d_y: np.ndarray
+    d_ya: np.ndarray
+    total: np.ndarray
+    lo: np.ndarray
 
 
 def _zero(t, s, x, y):
@@ -93,7 +126,8 @@ class ParticleCloud:
     ``gam`` at the current time are evaluated once per step and shared;
     ``step`` updates ``Gamma_p``, ``log_L`` and ``Y`` in place.
     ``min_mass`` (n_worlds,) is the smallest survival mass any floor check
-    has seen per world.
+    has seen per world, and ``max_window`` (n_worlds,) the widest window of
+    x nodes any ``survival_deposit`` needed for it.
     """
 
     def __init__(self, config: ScenarioConfig, s_paths: np.ndarray,
@@ -129,6 +163,7 @@ class ParticleCloud:
         self.log_L = np.zeros(shape)
         self.Y = np.empty(shape)
         self.min_mass = np.full(self.n_worlds, np.inf)
+        self.max_window = np.zeros(self.n_worlds, dtype=np.intp)
         # two work arrays of the state's shape, reused within each call
         self._scratch = np.empty((2,) + shape)
         self.k = 0
@@ -293,43 +328,62 @@ class ParticleCloud:
         resid = weight * (values - est[..., None])
         return est, np.sqrt(self.pi(resid**2) / self.n_particles) / total
 
-    def survival_deposit(self, grid: np.ndarray) -> tuple:
-        """Cloud-in-cell deposit of the martingale-measure survival weights.
+    def survival_deposit(self, grid: np.ndarray, own_x: np.ndarray) -> Deposit:
+        """Cloud-in-cell deposit of the martingale-measure survival weights
+        over one window of x nodes per world.
 
         A particle at cell c with interpolation weight w adds its weight
         times 1 - w to node c and times w to node c + 1, summed per world.
-        Returns the deposits D_Y and D_Ya, each (n_worlds, len(grid)), of
-        the weights Y and Y a(X), and each world's total deposit of Y,
-        (n_worlds,): for rows r (n_worlds, len(grid)), the dot product of
-        each world's row of D_Y with its row of r, divided by its total, is
-        ``survival_ratio`` of r interpolated linearly at X, and with D_Ya
-        the same ratio of a(X) r(X).  The total is the deposit's own sum of
-        Y, so a cloud inside one cell (the Dirac start) keeps 1 - w and w to
-        the last bits.  The cost is one ``locate`` (a particle outside the
-        grid raises DomainExcursionError) and two ``bincount``s per weight
-        over world * len(grid) + cell: the whole weight, less the upper
-        share, at c, and the upper share, shifted one node up.  The survival
-        mass is checked as in ``survival_ratio``.
+        A world's window starts at its lowest cell among its particles and
+        its own state ``own_x`` (n_worlds, 1) and ends one node above the
+        highest; all worlds share the widest window's width W (at most
+        len(grid)), and a start is lowered where the window would pass the
+        last node.  Returns a ``Deposit``: the deposits of the weights Y and
+        Y a(X), each (n_worlds, W), node lo + j of the grid in column j,
+        each world's total deposit of Y and the starts lo.  For rows r over
+        the same windows, the dot product of each world's row of D_Y with
+        its row of r, divided by its total, is ``survival_ratio`` of r
+        interpolated linearly at X, and with D_Ya the same ratio of a(X)
+        r(X).  The total is the deposit's own sum of Y, so a cloud inside
+        one cell (the Dirac start) keeps 1 - w and w to the last bits; it
+        and the dot products are ``node_sums``, which add a world's nodes
+        in node order, so the zero nodes a wider window adds leave every
+        result as it is.  The cost is one ``locate`` of the cloud and one
+        of the own states (a point outside the grid raises
+        DomainExcursionError) and two ``bincount``s per weight over
+        world * W + cell - lo: the whole weight, less the upper share, at
+        c, and the upper share, shifted one node up.  The survival mass is
+        checked as in ``survival_ratio``; ``max_window`` records each
+        world's own width hi - lo + 2.
         """
         weight, _ = self._weight("P_hat")
-        n_nodes = len(grid)
-        size = self.n_worlds * n_nodes
         cell, upper = locate(grid, self.X, "x")
-        cell += np.arange(0, size, n_nodes)[:, None]
+        own = locate(grid, own_x, "x")[0][:, 0]
+        lo = np.minimum(cell.min(axis=1), own)
+        need = np.maximum(cell.max(axis=1), own) - lo + 2
+        np.maximum(self.max_window, need, out=self.max_window)
+        # a cell is at most len(grid) - 2, so the width is at most len(grid)
+        width = int(need.max())
+        np.minimum(lo, len(grid) - width, out=lo)
+        size = self.n_worlds * width
+        cell -= lo[:, None]
+        cell += np.arange(0, size, width)[:, None]
         cell = cell.ravel()
 
         def deposit(whole, upper):
             nodes = np.bincount(cell, whole.ravel(), size)
             shifted = np.bincount(cell, upper.ravel(), size)
             nodes -= shifted
+            # a window's last node takes no upper share, so none crosses
+            # into the next world's window
             nodes[1:] += shifted[:-1]
-            return nodes.reshape(self.n_worlds, n_nodes)
+            return nodes.reshape(self.n_worlds, width)
 
         upper *= weight                                   # Y w
         d_y = deposit(weight, upper)
         upper *= self.a                                   # Y w a
         d_ya = deposit(np.multiply(weight, self.a, out=self._scratch[0]), upper)
-        return d_y, d_ya, d_y.sum(axis=1)
+        return Deposit(d_y, d_ya, node_sums(d_y), lo)
 
     def _where(self, row: int) -> str:
         """The current step and the global index of world ``row``, for messages."""

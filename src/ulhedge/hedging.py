@@ -9,14 +9,20 @@ evaluated one grid point before the price increment it multiplies, so the
 position is a functional of the observable history only.  ``theta_full`` is
 the one place theta_F is written.  The book value is the survival-weighted
 projection of g.  Each step forms one row of g, dg/ds and dg/dx per world
-from that step's slice of g alone.  For full information the rows are
-gathered at the world's own factor state.  For partial information the
-particles never gather: interpolation is linear in each particle's cell
-weights, so the survival ratio of an interpolated field is the row dotted
-with the cloud's cloud-in-cell deposit of the weights Y and Y a(X)
-(``ParticleCloud.survival_deposit``) over the deposit's total, and theta*
-is ``theta_full`` applied to those ratios.  The cost process is assembled pathwise as
-payments plus book value minus trading gains, and the backtest checks the
+from that step's slice of g alone, over the world's window of x nodes: the
+cells its particles and its own factor state occupy, plus the node above
+the highest.  For full information the rows are gathered at the world's own
+factor state.  For partial information the particles never gather:
+interpolation is linear in each particle's cell weights, so the survival
+ratio of an interpolated field is the row dotted with the cloud's
+cloud-in-cell deposit of the weights Y and Y a(X) on the same window
+(``ParticleCloud.survival_deposit``), divided by the deposit's total, and
+theta* is ``theta_full`` applied to those ratios.  The windows of a batch
+share the widest one's width, so the dot products and the total add each
+world's nodes in node order (``filtering.node_sums``): the zero nodes a
+wider window adds change no bit, and a world hedges the same beside any
+chunk-mates.  The cost process is assembled pathwise as payments plus book
+value minus trading gains, and the backtest checks the
 martingale / orthogonality / pricing properties that characterize the
 locally risk-minimizing strategy.  ``HedgeSeries`` is the one per-world
 record of a hedging run: it fixes which series exist and in what order.  Each
@@ -40,7 +46,7 @@ import numpy as np
 
 from . import csvio
 from .errors import ConfigError, DomainExcursionError
-from .filtering import ParticleCloud
+from .filtering import Deposit, ParticleCloud, node_sums
 from .models import LinearPayoff, ScenarioConfig, ZeroRecovery, validate
 from .pde import PdeSolution, interp_rows, solve_g, solve_gtilde, solve_phi
 from .simulate import PathBundle, draw_worlds, simulate_paths
@@ -109,16 +115,21 @@ def theta_full(c, t: float, s, a, g_s: np.ndarray, g_x: np.ndarray) -> np.ndarra
     return g_s
 
 
-def _projected(c, t: float, s: np.ndarray, rows: np.ndarray, deposit: tuple):
+def _projected(c, t: float, s: np.ndarray, rows: np.ndarray, deposit: Deposit):
     """The partial-information value and position of each world: its rows of
-    g, dg/ds and dg/dx (``slice_at_s``) dotted with the cloud's survival
-    deposit (``ParticleCloud.survival_deposit``) and divided by its total
-    give the survival ratios of g, g_s and a g_x at the particles, and
-    ``theta_full`` with a = 1 turns the last two into theta*.  ``s`` is each
+    g, dg/ds and dg/dx over its window (``slice_at_s``) dotted with the
+    cloud's survival deposit over the same window
+    (``ParticleCloud.survival_deposit``) and divided by its total give the
+    survival ratios of g, g_s and a g_x at the particles, and
+    ``theta_full`` with a = 1 turns the last two into theta*.  The dot
+    products are ``node_sums``, in node order, so a world's results do not
+    depend on how wide its chunk-mates made the window.  ``s`` is each
     world's price, (n_worlds,)."""
-    d_y, d_ya, total = deposit
-    value, g_s = np.vecdot(d_y, rows[:2]) / total
-    a_g_x = np.vecdot(d_ya, rows[2]) / total
+    d_y, d_ya, total, _ = deposit
+    products = np.empty_like(rows)
+    np.multiply(d_y, rows[:2], out=products[:2])
+    np.multiply(d_ya, rows[2], out=products[2])
+    value, g_s, a_g_x = node_sums(products) / total
     return value, theta_full(c, t, s, 1.0, g_s, a_g_x)
 
 
@@ -139,7 +150,9 @@ class HedgeSeries:
     (survivors only) and ``death_step`` the index k* of tau = t_{k*}
     (n_steps for survivors).  The survival mass behind each ratio is checked
     against the floor in the cloud; ``min_mass`` is the smallest one per
-    world (``ParticleCloud.min_mass``).
+    world (``ParticleCloud.min_mass``), and ``max_window`` the widest window
+    of x nodes its cloud and own state needed at any step
+    (``ParticleCloud.max_window``).
     """
 
     theta_star: np.ndarray
@@ -154,6 +167,7 @@ class HedgeSeries:
     terminal_gap: np.ndarray
     death_step: np.ndarray
     min_mass: np.ndarray
+    max_window: np.ndarray
 
 
 def hedge_paths(config: ScenarioConfig, bundle: PathBundle,
@@ -162,13 +176,15 @@ def hedge_paths(config: ScenarioConfig, bundle: PathBundle,
 
     The cloud sees only the observed price paths; positions and book values
     at index k use the cloud state at k (information up to t_k) and apply to
-    the increment over [t_k, t_{k+1}).  Each step locates every world once in
-    s (``slice_at_s``: one row of g, dg/ds and dg/dx per world) and reads
-    those rows twice: dotted with the cloud's survival deposit (``_projected``),
-    which gives the book value and the survival ratios of g_s and a g_x that
-    ``theta_full`` turns into theta*, and gathered at the world's own X,
-    where they give the full-information value and position.  The cost
-    processes are formed against the stopped price.
+    the increment over [t_k, t_{k+1}).  Each step deposits the clouds on the
+    x grid over one window of nodes per world, which covers the cells of its
+    particles and of its own state (``survival_deposit``), locates every
+    world once in s (``slice_at_s``: one row of g, dg/ds and dg/dx per world
+    over its window) and reads those rows twice: dotted with the deposit
+    (``_projected``), which gives the book value and the survival ratios of
+    g_s and a g_x that ``theta_full`` turns into theta*, and gathered at the
+    world's own X, where they give the full-information value and position.
+    The cost processes are formed against the stopped price.
     """
     c = config.coefficients
     n = config.n_steps
@@ -185,9 +201,10 @@ def hedge_paths(config: ScenarioConfig, bundle: PathBundle,
     for k in range(n + 1):
         t, s_k, x_own = cloud.t, cloud.s_now, bundle.X[:, k:k + 1]
         try:
-            rows = g_sol.slice_at_s(("value", "d_s", "d_x"), k, s_k[:, 0])
-            deposit = cloud.survival_deposit(x_grid)
-            own = interp_rows(rows, x_grid, x_own)
+            deposit = cloud.survival_deposit(x_grid, x_own)
+            rows = g_sol.slice_at_s(("value", "d_s", "d_x"), k, s_k[:, 0],
+                                    deposit.lo, deposit.d_y.shape[1])
+            own = interp_rows(rows, x_grid, x_own, deposit.lo)
         except DomainExcursionError as exc:
             raise _name_world(exc, bundle, k) from exc
         ratio[:, k], theta_k = _projected(c, t, s_k[:, 0], rows, deposit)
@@ -197,7 +214,7 @@ def hedge_paths(config: ScenarioConfig, bundle: PathBundle,
             theta_star[:, k] = theta_k
             pfs_mu[:, k] = cloud.projected_drift()
             cloud.step()
-    min_mass = cloud.min_mass
+    min_mass, max_window = cloud.min_mass, cloud.max_window
     del cloud, rows, deposit, own
 
     alive = 1.0 - bundle.H
@@ -219,7 +236,7 @@ def hedge_paths(config: ScenarioConfig, bundle: PathBundle,
         C=cost_process(N, V, theta_star, S_stopped),
         C_full=cost_process(N, V_full, th_full, S_stopped),
         N=N, S_stopped=S_stopped, V_full=V_full, terminal_gap=gap,
-        death_step=bundle.death_step(), min_mass=min_mass)
+        death_step=bundle.death_step(), min_mass=min_mass, max_window=max_window)
 
 
 def trading_gains(theta: np.ndarray, S_stopped: np.ndarray) -> np.ndarray:
@@ -320,7 +337,9 @@ class HedgeReport:
     ``pde_health`` holds the numerical-health counters of the solved g the
     worlds were hedged against, and ``filter_health`` those of the particle
     clouds: the smallest survival mass any world reached (``min_mass``)
-    next to the ``survival_floor`` it was checked against; ``series_files``
+    next to the ``survival_floor`` it was checked against, and the widest
+    window of x nodes any world needed in a step (``max_window_nodes``, from
+    ``max_window``) next to the grid's ``x_nodes``; ``series_files``
     lists the per-path series CSVs the backtest wrote (empty unless it was
     given an output directory), the only place the series outlive the
     chunks that formed them.
@@ -355,8 +374,10 @@ class WorldStats(NamedTuple):
     V_T = 0), ``cost_partial`` and ``cost_full`` are C_T - C_0 and
     C_full,T - C_full,0, ``terminal_gap`` is ``HedgeSeries.terminal_gap``,
     ``v_settle`` is |V| at the death step, ``claim_hat`` the
-    martingale-measure claim N_T of the same world and ``min_mass`` the
-    smallest survival mass its cloud reached (``HedgeSeries.min_mass``).
+    martingale-measure claim N_T of the same world, ``min_mass`` the
+    smallest survival mass its cloud reached (``HedgeSeries.min_mass``) and
+    ``max_window`` the widest window of x nodes it needed
+    (``HedgeSeries.max_window``).
     """
 
     dC: np.ndarray
@@ -369,6 +390,7 @@ class WorldStats(NamedTuple):
     v_settle: np.ndarray
     claim_hat: np.ndarray
     min_mass: np.ndarray
+    max_window: np.ndarray
 
 
 def _backtest_chunk(config: ScenarioConfig, g_sol: PdeSolution, part_dir,
@@ -407,7 +429,8 @@ def _backtest_chunk(config: ScenarioConfig, g_sol: PdeSolution, part_dir,
         terminal_gap=series.terminal_gap,
         v_settle=np.abs(series.V[np.arange(idx.size), series.death_step]),
         claim_hat=claim_hat,
-        min_mass=series.min_mass)
+        min_mass=series.min_mass,
+        max_window=series.max_window)
 
 
 _worker_inputs = ()   # (config, g_sol, part_dir), set once in each pool worker by its initializer
@@ -507,6 +530,8 @@ def backtest(config: ScenarioConfig, chunk_size: int = 4000, workers: int = 1,
         n_particles=config.n_particles,
     )
     filter_health = {"min_survival_mass": float(stats.min_mass.min()),
-                     "survival_floor": config.survival_floor}
+                     "survival_floor": config.survival_floor,
+                     "max_window_nodes": int(stats.max_window.max()),
+                     "x_nodes": len(g_sol.x_grid)}
     return HedgeReport(config=config, summary=summary, pde_health=g_sol.health(),
                        filter_health=filter_health, series_files=series_files)

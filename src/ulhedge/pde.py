@@ -46,9 +46,12 @@ interpolation, s first, then x: point lookups gather cell corners, and the
 hedging loop interpolates per-world rows (``slice_at_s``) along x, by a
 gather at each world's own factor state (``interp_rows``) and, for the
 particles, by a dot product with the cloud-in-cell deposit the particle
-cloud forms on the x grid with the same ``locate``.  Only the values are
-stored: a derivative dg/ds or dg/dx is formed from the one slice a lookup
-reads, and never kept.
+cloud forms on the x grid with the same ``locate``.  A world's rows cover
+only its window of x nodes, the one its deposit covers (the cells of its
+particles and of its own state, plus the node above the highest); whole
+rows are the window that starts at node 0 and spans the grid.  Only the
+values are stored: a derivative dg/ds or dg/dx is formed from the one slice
+a lookup reads, and never kept.
 """
 
 from __future__ import annotations
@@ -200,19 +203,29 @@ class PdeSolution:
     def value_dx(self, k, s=None, x=None):
         return self._interp("d_x", k, s, x)
 
-    def slice_at_s(self, names, k: int, s_vals) -> np.ndarray:
-        """The named fields ("value", "d_s", "d_x") interpolated along s only:
-        shape (len(names), len(s_vals), n_x+1), one row over the x grid per
-        field and world, each world located once for all fields and each
-        derivative formed once from the time-k slice, with ``_lerp``'s
-        arithmetic written into the output."""
+    def slice_at_s(self, names, k: int, s_vals, lo, width: int) -> np.ndarray:
+        """The named fields ("value", "d_s", "d_x") interpolated along s only,
+        over one window of x nodes per world: shape (len(names),
+        len(s_vals), width), node lo + j of the x grid in column j, with
+        ``lo`` each world's first node (an array, or 0 with width n_x+1 for
+        whole rows).  Each world is located once for all fields and each
+        derivative formed once from the time-k slice; the window's lower
+        and upper s rows are flat-index ``take``s, and ``_lerp``'s
+        arithmetic is written into the output."""
         si, sw = locate(self.s_grid, s_vals, "s")
         sw = sw[:, None]
-        out = np.empty((len(names), len(si), len(self.x_grid)))
+        n_nodes = len(self.x_grid)
+        below = (si * n_nodes + lo)[:, None] + np.arange(width)
+        above = below + n_nodes
+        out = np.empty((len(names), len(si), width))
+        upper = np.empty(out.shape[1:])
+        # mode="clip" skips numpy's buffered bounds-checked path; it never
+        # clips, since a window ends at or before the last node
         for row, name in zip(out, names):
-            a = self._slice(name, k)
-            np.multiply(a[si], 1 - sw, out=row)
-            upper = a[si + 1]
+            a = self._slice(name, k).ravel()
+            a.take(below, out=row, mode="clip")
+            row *= 1 - sw
+            a.take(above, out=upper, mode="clip")
             upper *= sw
             row += upper
         return out
@@ -326,19 +339,23 @@ def _lerp_cells(a: np.ndarray, cells):
     return _lerp(lo, hi, xw)
 
 
-def interp_rows(rows: np.ndarray, grid: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Linear interpolation of rows (n_fields, n_rows, n_x+1) at q (n_rows,
-    n_points), q[r] in row r of every field: one locate, then flat-index
-    ``take`` at row offset + cell, one field at a time into preallocated
-    buffers to bound memory; the arithmetic of ``_lerp``.  One buffer holds
-    1 - w while the lower corners are weighted, then each upper gather."""
+def interp_rows(rows: np.ndarray, grid: np.ndarray, q: np.ndarray, lo) -> np.ndarray:
+    """Linear interpolation of rows (n_fields, n_rows, W) at q (n_rows,
+    n_points), q[r] in row r of every field, where row r holds the grid
+    nodes lo[r], ..., lo[r] + W - 1 (``slice_at_s``'s windows; lo = 0 for
+    whole rows) and every q[r] lies in its window's cells: one locate, then
+    flat-index ``take`` at row offset + cell - lo, one field at a time into
+    preallocated buffers to bound memory; the arithmetic of ``_lerp``.  One
+    buffer holds 1 - w while the lower corners are weighted, then each
+    upper gather."""
     cell, w = locate(grid, q, "x")
-    cell += (np.arange(q.shape[0]) * rows.shape[-1])[:, None]
+    cell += (np.arange(q.shape[0]) * rows.shape[-1] - lo)[:, None]
     fields = rows.reshape(len(rows), -1)
     out = np.empty(rows.shape[:1] + q.shape)
     buffer = 1 - w
     # mode="clip" skips numpy's buffered bounds-checked path; it never clips,
-    # since locate keeps every cell in [0, n_x - 1] and rejects NaN
+    # since locate keeps every cell in [0, n_x - 1] and rejects NaN, and the
+    # windows hold the cells of q
     for f, field in enumerate(fields):
         field.take(cell, out=out[f], mode="clip")
         out[f] *= buffer

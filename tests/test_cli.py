@@ -282,11 +282,17 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["pde"]) == {"factor_nnz", "max_principle_gap"}
         assert manifest["pde"] == solve_g(load_config(config_file)).health()
-        # the smallest survival mass any world's cloud reached, next to its floor
+        # the smallest survival mass any world's cloud reached, next to its
+        # floor, and the widest window of x nodes any world needed, next to
+        # the number of x nodes
         health = manifest["filter"]
-        assert set(health) == {"min_survival_mass", "survival_floor"}
+        assert set(health) == {"min_survival_mass", "survival_floor",
+                               "max_window_nodes", "x_nodes"}
         assert health["survival_floor"] == load_config(config_file).survival_floor
         assert health["survival_floor"] <= health["min_survival_mass"] < 1.0
+        assert health["x_nodes"] == load_config(config_file).pde_grid.n_x + 1
+        assert isinstance(health["max_window_nodes"], int)
+        assert 2 <= health["max_window_nodes"] <= health["x_nodes"]
 
     def test_summary_values_are_plain_floats(self, config_file, tmp_path):
         out = tmp_path / "h"

@@ -213,8 +213,9 @@ class TestThetaPartial:
         for k in range(cfg.n_steps):
             s_k = s_exported[:, k]
             Y = cloud.Y
-            gs, gx = interp_rows(g_sol.slice_at_s(("d_s", "d_x"), k, s_k),
-                                 g_sol.x_grid, cloud.X)
+            gs, gx = interp_rows(g_sol.slice_at_s(("d_s", "d_x"), k, s_k, 0,
+                                                  len(g_sol.x_grid)),
+                                 g_sol.x_grid, cloud.X, 0)
             num = (Y * gs).mean(axis=1)
             t = cloud.t
             num = num + c.rho / (c.sigma(t, s_k) * s_k) \
@@ -288,18 +289,30 @@ class TestThetaPartial:
             assert f"step k={k}, path {40 + row}:" in msg and "x-coordinate" in msg
 
 
-def _deposit_against_gather(cloud, g_sol, k):
-    """max |V - V_ref| and max |theta* - theta*_ref| at step k: the cloud's
-    deposit projection against the gather it replaces (rows interpolated at
-    every particle, ``theta_full`` there, one survival ratio)."""
+def _deposit_against_gather(cloud, g_sol, k, own_x=None):
+    """max |V - V_ref| and max |theta* - theta*_ref| at step k, and the
+    deposit: the cloud's windowed deposit projection against the gather it
+    replaces (whole rows interpolated at every particle, ``theta_full``
+    there, one survival ratio).  The windows cover the cloud and ``own_x``
+    (by default each world's first particle), whose gather from the windowed
+    rows must equal its gather from the whole rows bit for bit."""
     c = cloud.config.coefficients
-    s = cloud.s_now
-    rows = g_sol.slice_at_s(("value", "d_s", "d_x"), k, s[:, 0])
-    fields = interp_rows(rows, g_sol.x_grid, cloud.X)
+    s, grid = cloud.s_now, g_sol.x_grid
+    names = ("value", "d_s", "d_x")
+    own_x = cloud.X[:, :1] if own_x is None else own_x
+    whole = g_sol.slice_at_s(names, k, s[:, 0], 0, len(grid))
+    fields = interp_rows(whole, grid, cloud.X, 0)
     theta_full(c, cloud.t, s, cloud.a, fields[1], fields[2])
     value_ref, theta_ref = cloud.survival_ratio(fields[:2])
-    value, theta = _projected(c, cloud.t, s[:, 0], rows, cloud.survival_deposit(g_sol.x_grid))
-    return np.abs(value - value_ref).max(), np.abs(theta - theta_ref).max()
+    deposit = cloud.survival_deposit(grid, own_x)
+    width = deposit.d_y.shape[1]
+    rows = g_sol.slice_at_s(names, k, s[:, 0], deposit.lo, width)
+    columns = deposit.lo[:, None] + np.arange(width)
+    assert np.array_equal(rows, np.take_along_axis(whole, columns[None], axis=2))
+    assert np.array_equal(interp_rows(rows, grid, own_x, deposit.lo),
+                          interp_rows(whole, grid, own_x, 0))
+    value, theta = _projected(c, cloud.t, s[:, 0], rows, deposit)
+    return np.abs(value - value_ref).max(), np.abs(theta - theta_ref).max(), deposit
 
 
 class TestSurvivalDeposit:
@@ -311,8 +324,9 @@ class TestSurvivalDeposit:
         cloud = ParticleCloud(cfg, b.S, b.path_indices)
         for k in range(cfg.n_steps):
             if k in (0, 1, 10, 50, 99):   # the Dirac start, then a spreading cloud
-                dv, dth = _deposit_against_gather(cloud, smoke_g, k)
+                dv, dth, deposit = _deposit_against_gather(cloud, smoke_g, k, b.X[:, k:k + 1])
                 assert dv <= 1e-15 and dth <= 1e-15, (k, dv, dth)
+                assert deposit.d_y.shape[1] < len(smoke_g.x_grid), k
             cloud.step()
 
     def test_particles_on_nodes_and_domain_edges(self, smoke_g):
@@ -325,10 +339,12 @@ class TestSurvivalDeposit:
         nodes = np.random.default_rng(5).integers(0, len(grid), cloud.X.shape)
         nodes[:, :2] = [0, len(grid) - 1]          # x_min and x_max in every world
         cloud.X = grid[nodes]
-        dv, dth = _deposit_against_gather(cloud, smoke_g, 20)
+        dv, dth, deposit = _deposit_against_gather(cloud, smoke_g, 20)
         assert dv <= 1e-15 and dth <= 1e-15
+        # every window is the whole grid
+        assert deposit.d_y.shape[1] == len(grid) and not deposit.lo.any()
         # a particle on a node puts its whole weight there
-        d_y, _, total = cloud.survival_deposit(grid)
+        d_y, total = deposit.d_y, deposit.total
         want = np.zeros_like(d_y)
         np.add.at(want, (np.arange(40)[:, None], nodes), cloud.Y)
         assert np.abs(d_y / total[:, None] - want / want.sum(axis=1, keepdims=True)).max() <= 1e-15
@@ -341,10 +357,77 @@ class TestSurvivalDeposit:
             cloud.step()
         grid = smoke_g.x_grid
         cloud.X = np.random.default_rng(6).uniform(grid[7], grid[8], cloud.X.shape)
-        dv, dth = _deposit_against_gather(cloud, smoke_g, 5)
+        dv, dth, deposit = _deposit_against_gather(cloud, smoke_g, 5)
         assert dv <= 1e-15 and dth <= 1e-15
-        d_y, d_ya, _ = cloud.survival_deposit(grid)
-        assert not np.delete(np.stack([d_y, d_ya]), [7, 8], axis=-1).any()
+        # the window is the cell's two nodes
+        assert deposit.d_y.shape[1] == 2 and (deposit.lo == 7).all()
+        assert np.stack([deposit.d_y, deposit.d_ya]).all()
+
+    def test_own_state_outside_the_cloud(self, smoke_g):
+        # the own state widens its world's window beyond the cloud's cells,
+        # above in one world and below in the other
+        cfg = load_config(SMOKE).with_updates(n_paths=2)
+        b = simulate_paths(cfg, "P")
+        cloud = ParticleCloud(cfg, b.S, b.path_indices)
+        for _ in range(5):
+            cloud.step()
+        grid = smoke_g.x_grid
+        cloud.X = np.random.default_rng(7).uniform(grid[20], grid[21], cloud.X.shape)
+        own_x = np.array([[0.5 * (grid[30] + grid[31])], [0.5 * (grid[3] + grid[4])]])
+        dv, dth, deposit = _deposit_against_gather(cloud, smoke_g, 5, own_x)
+        assert dv <= 1e-15 and dth <= 1e-15
+        # cells 20..30 and 3..20: the widest needs 19 nodes
+        assert deposit.d_y.shape[1] == 19 and list(deposit.lo) == [20, 3]
+        assert list(cloud.max_window) == [12, 19]
+
+    def test_a_spread_chunk_mate_leaves_a_world_unchanged(self, smoke_g):
+        # a world beside one whose particles cover every cell is projected
+        # over the whole grid, not over its own narrow window: its V and
+        # theta* must not move by a bit
+        cfg = load_config(SMOKE).with_updates(n_paths=2)
+        b = simulate_paths(cfg, "P")
+        c, grid, k = cfg.coefficients, smoke_g.x_grid, 30
+        alone = ParticleCloud(cfg, b.S[:1], b.path_indices[:1])
+        pair = ParticleCloud(cfg, b.S, b.path_indices)
+        for _ in range(k):
+            alone.step()
+            pair.step()
+        pair.X[1] = np.linspace(grid[0], grid[-1], pair.n_particles)
+        results = []
+        for cloud in (alone, pair):
+            own_x = b.X[:cloud.n_worlds, k:k + 1]
+            deposit = cloud.survival_deposit(grid, own_x)
+            rows = smoke_g.slice_at_s(("value", "d_s", "d_x"), k, cloud.s_now[:, 0],
+                                      deposit.lo, deposit.d_y.shape[1])
+            results.append((deposit, _projected(c, cloud.t, cloud.s_now[:, 0], rows, deposit)))
+        (narrow, want), (wide, got) = results
+        assert narrow.d_y.shape[1] < 15 and wide.d_y.shape[1] == len(grid)
+        assert not wide.lo.any() and narrow.lo[0] > 0
+        for g, w in zip(got, want):
+            assert np.array_equal(g[:1], w)
+        # the recorded need is the world's own, whatever its chunk-mates
+        assert pair.max_window[0] == alone.max_window[0] == narrow.d_y.shape[1]
+        assert pair.max_window[1] == len(grid)
+
+    def test_max_window_is_the_widest_window_needed(self):
+        cfg = cir_scenario(recovery=uh.LinearPayoff(0.2), n_steps=20, n_particles=16,
+                           seed=76)
+        b = simulate_paths(cfg, "P", path_indices=np.arange(9))
+        g_sol = solve_g(cfg)
+        series = hedge_paths(cfg, b, g_sol)
+        # an independent run of the same clouds: the cells of the particles
+        # and of the own state at every step, plus the node above the highest
+        cloud = ParticleCloud(cfg, b.S, b.path_indices)
+        h = g_sol.x_grid[1] - g_sol.x_grid[0]
+        want = np.zeros(9, dtype=int)
+        for k in range(cfg.n_steps + 1):
+            x = np.hstack([cloud.X, b.X[:, k:k + 1]])
+            cell = np.minimum(np.floor((x - g_sol.x_grid[0]) / h), cfg.pde_grid.n_x - 1)
+            want = np.maximum(want, cell.max(axis=1) - cell.min(axis=1) + 2)
+            if k < cfg.n_steps:
+                cloud.step()
+        assert np.array_equal(series.max_window, want)
+        assert 2 < want.min() and want.max() < len(g_sol.x_grid)
 
     def test_one_particle(self, smoke_g):
         cfg = load_config(SMOKE).with_updates(n_paths=25)
@@ -352,7 +435,7 @@ class TestSurvivalDeposit:
         cloud = ParticleCloud(cfg, b.S, b.path_indices, n_particles=1)
         for k in range(cfg.n_steps):
             if k % 20 == 0:
-                dv, dth = _deposit_against_gather(cloud, smoke_g, k)
+                dv, dth, _ = _deposit_against_gather(cloud, smoke_g, k)
                 assert dv <= 1e-15 and dth <= 1e-15, k
             cloud.step()
 
@@ -369,7 +452,7 @@ class TestSurvivalDeposit:
         cfg, g_sol, cloud = self._smoke_cloud(30, rho=0.0)
         for k in range(cfg.n_steps):
             if k % 25 == 0:
-                dv, dth = _deposit_against_gather(cloud, g_sol, k)
+                dv, dth, _ = _deposit_against_gather(cloud, g_sol, k)
                 assert dv <= 1e-15 and dth <= 1e-15, k
             cloud.step()
 
@@ -383,14 +466,15 @@ class TestSurvivalDeposit:
         for k in range(cfg.n_steps):
             if k % 25 == 0:
                 s = cloud.s_now
-                rows = g_sol.slice_at_s(("value", "d_s", "d_x"), k, s[:, 0])
-                one = interp_rows(rows, grid, cloud.X[:, :1])
+                deposit = cloud.survival_deposit(grid, cloud.X[:, :1])
+                rows = g_sol.slice_at_s(("value", "d_s", "d_x"), k, s[:, 0], deposit.lo,
+                                        deposit.d_y.shape[1])
+                one = interp_rows(rows, grid, cloud.X[:, :1], deposit.lo)
                 theta_ref = theta_full(c, cloud.t, s, cloud.a[:, :1], one[1], one[2])[:, 0]
-                deposit = cloud.survival_deposit(grid)
                 value, theta = _projected(c, cloud.t, s[:, 0], rows, deposit)
                 assert np.abs(value - one[0, :, 0]).max() <= 1e-15, k
                 assert np.abs(theta - theta_ref).max() <= 1e-15, k
-                assert not deposit[1].any()
+                assert not deposit.d_ya.any()
             cloud.step()
 
     def test_floor_breach_in_the_hedge_names_step_and_path(self):
@@ -624,6 +708,16 @@ class TestBacktest:
             for f in dataclasses.fields(ref.summary):
                 assert np.array_equal(getattr(rep.summary, f.name),
                                       getattr(ref.summary, f.name)), f.name
+
+    def test_filter_health_is_independent_of_chunks_and_workers(self):
+        # the manifest's filter block is a min and a max over per-world
+        # columns, so no chunk split or worker count moves it
+        cfg = cir_scenario(recovery=uh.LinearPayoff(0.2), n_steps=20, n_paths=30,
+                           n_particles=16, seed=73)
+        health = [backtest(cfg, chunk_size=size, workers=workers).filter_health
+                  for size, workers in ((4000, 1), (7, 1), (7, 2))]
+        assert health[0] == health[1] == health[2]
+        assert 2 <= health[0]["max_window_nodes"] < health[0]["x_nodes"] == 51
 
     def test_pool_holds_one_worker_per_chunk_of_a_round(self, monkeypatch):
         # two worlds make two chunks: a pool of six would fork four idle workers

@@ -125,7 +125,7 @@ class TestSolveG:
         x = np.full((2, 4), 0.1)
         x[0, 2] = np.nan
         with pytest.raises(DomainExcursionError) as err:
-            interp_rows(rows, sol.x_grid, x)
+            interp_rows(rows, sol.x_grid, x, 0)
         assert err.value.index == (0, 2)
 
     def test_smoke_factor_fill(self):
@@ -192,8 +192,9 @@ class TestSliceDerivatives:
         x = rng.permutation(self.points(self.X_GRID, rng))
         x_rows = np.stack([np.roll(x, r) for r in range(len(s))])
         for k in (0, 3, 5):
-            got = interp_rows(sol.slice_at_s(("value", "d_s", "d_x"), k, s),
-                              self.X_GRID, x_rows)
+            got = interp_rows(sol.slice_at_s(("value", "d_s", "d_x"), k, s, 0,
+                                             len(self.X_GRID)),
+                              self.X_GRID, x_rows, 0)
             for i, name in enumerate(("value", "d_s", "d_x")):
                 assert np.array_equal(got[i], refs[name].value(k, s=s[:, None], x=x_rows))
             assert np.array_equal(sol.value_ds(k, s=s, x=x), refs["d_s"].value(k, s=s, x=x))
@@ -222,6 +223,30 @@ class TestSliceDerivatives:
             assert np.array_equal(sol._slice("d_s", k), np.gradient(values[k], s_grid, axis=0))
             assert np.array_equal(sol._slice("d_x", k), np.gradient(values[k], x_grid, axis=1))
             assert np.array_equal(line._slice("d_x", k), np.gradient(values[k, 0], x_grid))
+
+    def test_windowed_rows_are_columns_of_the_whole_rows(self):
+        # a window is the whole rows' columns lo..lo+W-1, bit for bit, and a
+        # gather from it equals the gather from the whole rows; windows from
+        # the whole grid down to the two nodes of the first and last cell
+        rng = np.random.default_rng(9)
+        sol = PdeSolution("sx", self.T_GRID, rng.standard_normal((6, 41, 13)),
+                          s_grid=self.S_GRID, x_grid=self.X_GRID)
+        names, n_nodes = ("value", "d_s", "d_x"), len(self.X_GRID)
+        s = self.points(self.S_GRID, rng)
+        whole = sol.slice_at_s(names, 3, s, 0, n_nodes)
+        for width in (n_nodes, 7, 2):
+            lo = rng.integers(0, n_nodes - width + 1, len(s))
+            lo[:2] = [0, n_nodes - width]
+            rows = sol.slice_at_s(names, 3, s, lo, width)
+            columns = lo[:, None] + np.arange(width)
+            assert np.array_equal(rows, np.take_along_axis(whole, columns[None], axis=2))
+            # points in each window's cells and, in the window that ends
+            # there, x_max
+            x = self.X_GRID[lo][:, None] + (self.X_GRID[1] - self.X_GRID[0]) \
+                * (width - 1) * np.array([0.02, 0.3, 0.5, 0.98])
+            x[1, -1] = self.X_GRID[-1]
+            assert np.array_equal(interp_rows(rows, self.X_GRID, x, lo),
+                                  interp_rows(whole, self.X_GRID, x, 0))
 
     def test_every_accessor_reads_one_time_slice(self):
         # an array of steps is refused, not indexed (or differentiated) as a
