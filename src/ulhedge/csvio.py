@@ -51,9 +51,12 @@ __all__ = ["HEDGE_SERIES", "write_rows", "write_matrix", "read_matrix", "export_
 # interval-left (one column per step), the rest have one column per grid time
 HEDGE_SERIES = ("theta_star", "theta_full", "pfs_mu", "V", "C", "C_full", "N", "S_stopped")
 _INTERVAL_LEFT = frozenset(HEDGE_SERIES[:3])
-# values formatted per call of floatfmt.format_rows: 4-8k were fastest on a
-# backtest chunk's series (its temporaries, ~0.15 kB a value, stay in cache;
-# fewer values pay more per-call overhead), 1k and 32k were ~1.5x slower
+# values formatted per call of floatfmt.format_rows.  In process, alternating,
+# on the eight series of a 2500-world backtest (2-core Xeon, 48 kB L1 and
+# 2 MB L2 per core), 4096 took 0.80-0.86x the time of 8192 while the host
+# was busy and 1.08x while it was quiet (16384: 0.96-1.05x); end to end, ten
+# 40 s `wide-hedge` pairs read cpu_s -3.6 % (8/10 lower) at 4096 and -12.0 %
+# (10/10) at 8192.  A block's temporaries peak at ~0.14 kB a value.
 _BLOCK_VALUES = 8192
 
 
@@ -66,11 +69,14 @@ def write_rows(fh, matrix: np.ndarray) -> None:
     """Write a 2-D array as CSV rows, each value the ``repr`` of its float.
 
     The text is ``",".join(map(repr, row)) + "\\n"`` per row, byte for
-    byte, formed by ``floatfmt.format_rows`` a block of rows at a time: a
-    numpy kernel that derives the shortest round-trip digits of most values
-    with certified error bounds and hands every value it cannot certify
-    (non-finite, subnormal, |x| < 1e-280 or >= 1e16, a power of two, or a
-    rounding decision within the kernel's error bound) to ``repr``.
+    byte, formed by ``floatfmt.format_rows`` a block of whole rows, about
+    ``_BLOCK_VALUES`` values, at a time: a numpy kernel that derives the
+    shortest round-trip digits of most values with certified error bounds,
+    lays each value's text out in a 24-byte record and joins a block's
+    records in one pass.  It writes zeros without the digit kernel and hands
+    every value it cannot certify (non-finite, subnormal, |x| < 1e-99 or
+    >= 1e16, a power of two, or a rounding decision within the kernel's
+    error bound) to ``repr``.
     """
     matrix = np.asarray(matrix, dtype=float)
     rows = max(1, _BLOCK_VALUES // max(1, matrix.shape[1]))

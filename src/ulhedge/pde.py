@@ -162,12 +162,14 @@ class PdeSolution:
             raise ValueError(f"time {t} is not on the solution grid")
         return k
 
-    def _slice(self, name: str, k: int) -> np.ndarray:
+    def _slice(self, name: str, k: int, rows: slice = slice(None)) -> np.ndarray:
         """Time slice k of the field ``name``: the values, or their derivative
         along s ("d_s") or x ("d_x").  The derivative works along one axis,
         so the derivative of ``values[k]`` is bit-identical to slice k of
-        np.gradient of the whole surface.  k is one integer: an array of steps
-        raises TypeError rather than index (and differentiate) several slices."""
+        np.gradient of the whole surface; it is formed on the first-axis
+        ``rows`` alone, and the slice's other rows are left unset.  k is one
+        integer: an array of steps raises TypeError rather than index (and
+        differentiate) several slices."""
         k = operator.index(k)
         if name == "value":
             return self.values[k]
@@ -178,7 +180,7 @@ class PdeSolution:
         f = self.values[k]
         if name not in self._stencils:
             self._stencils[name] = _stencil(grid, f.shape, axis)
-        return _gradient(f, self._stencils[name])
+        return _gradient(f, self._stencils[name], rows)
 
     def _interp(self, name: str, k: int, s=None, x=None):
         """Field ``name`` at time index k and points s, x: the arithmetic of
@@ -209,10 +211,11 @@ class PdeSolution:
         len(s_vals), width), node lo + j of the x grid in column j, with
         ``lo`` each world's first node (an array, or 0 with width n_x+1 for
         whole rows).  Each world is located once for all fields and each
-        derivative formed once from the time-k slice; the window's lower
-        and upper s rows are flat-index ``take``s, and ``_lerp``'s
-        arithmetic is written into the output."""
+        derivative formed once from the time-k slice, on the band of s rows
+        the windows read; the window's lower and upper s rows are flat-index
+        ``take``s, and ``_lerp``'s arithmetic is written into the output."""
         si, sw = locate(self.s_grid, s_vals, "s")
+        rows = slice(si.min(), si.max() + 2) if si.size else slice(0)
         sw = sw[:, None]
         n_nodes = len(self.x_grid)
         below = (si * n_nodes + lo)[:, None] + np.arange(width)
@@ -222,7 +225,7 @@ class PdeSolution:
         # mode="clip" skips numpy's buffered bounds-checked path; it never
         # clips, since a window ends at or before the last node
         for row, name in zip(out, names):
-            a = self._slice(name, k).ravel()
+            a = self._slice(name, k, rows).ravel()
             a.take(below, out=row, mode="clip")
             row *= 1 - sw
             a.take(above, out=upper, mode="clip")
@@ -263,26 +266,39 @@ def _stencil(grid: np.ndarray, shape: tuple, axis: int):
     return axis, stride, edges, tuple(laid_out)
 
 
-def _gradient(f: np.ndarray, stencil) -> np.ndarray:
+def _gradient(f: np.ndarray, stencil, rows: slice = slice(None)) -> np.ndarray:
     """np.gradient(f, grid, axis=axis) bit for bit, for the ``_stencil`` of
-    that grid and axis: the interior as whole-array passes over the
-    flattened f (a * f[below] + b * f[at] + c * f[above], or the uniform
-    (f[above] - f[below]) / (2 dx)), then both edges one-sided."""
+    that grid and axis, on the first-axis ``rows`` of f (the other rows of
+    the result are left unset): the interior as whole-array passes over the
+    flattened rows (a * f[below] + b * f[at] + c * f[above], or the uniform
+    (f[above] - f[below]) / (2 dx)), then the edges among them one-sided."""
     axis, stride, (dx_first, dx_last), weights = stencil
+    first, stop, _ = rows.indices(len(f))
+    per_row = f.size // len(f)
+    start = max(first * per_row, stride)
+    end = max(start, min(stop * per_row, f.size - stride))
     flat = f.ravel()
     out = np.empty_like(f)
-    inner = out.reshape(-1)[stride:-stride]
-    below, at, above = flat[:-2 * stride], flat[stride:-stride], flat[2 * stride:]
+    inner = out.reshape(-1)[start:end]
+    below, at, above = (flat[start - stride:end - stride], flat[start:end],
+                        flat[start + stride:end + stride])
     if isinstance(weights, tuple):
-        np.multiply(weights[0], below, out=inner)
-        inner += weights[1] * at
-        inner += weights[2] * above
+        w = slice(start - stride, end - stride)
+        np.multiply(weights[0][w], below, out=inner)
+        inner += weights[1][w] * at
+        inner += weights[2][w] * above
     else:
         np.subtract(above, below, out=inner)
         inner /= 2.0 * weights
-    f, edge = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
-    edge[0] = (f[1] - f[0]) / dx_first
-    edge[-1] = (f[-1] - f[-2]) / dx_last
+    if axis == 0:
+        if first == 0:
+            out[0] = (f[1] - f[0]) / dx_first
+        if stop == len(f):
+            out[-1] = (f[-1] - f[-2]) / dx_last
+    else:
+        f, edge = np.moveaxis(f[rows], axis, 0), np.moveaxis(out[rows], axis, 0)
+        edge[0] = (f[1] - f[0]) / dx_first
+        edge[-1] = (f[-1] - f[-2]) / dx_last
     return out
 
 

@@ -135,3 +135,89 @@ def test_most_values_take_the_fast_path(monkeypatch):
     x = 0.01 * np.random.default_rng(7).standard_normal((1000, 100))
     assert written(x) == reference(x)
     assert len(fallbacks) <= 0.01 * x.size
+
+
+def _block_with_zeros(n_zeros, rng):
+    """One formatter block of hedge-like values (a full block at 101 columns)
+    with ``n_zeros`` of them set to 0.0 or -0.0 at random places."""
+    n_cols = 101
+    x = 0.01 * rng.standard_normal(csvio._BLOCK_VALUES // n_cols * n_cols)
+    at = rng.permutation(x.size)[:n_zeros]
+    x[at] = np.where(rng.random(n_zeros) < 0.5, 0.0, -0.0)
+    return x.reshape(-1, n_cols)
+
+
+@pytest.mark.parametrize("share", ["none", "one", "below an eighth", "an eighth", "half",
+                                   "all but one", "all"])
+def test_blocks_with_zeros(share):
+    # zeros are written without the digit kernel: a few in a block keep the
+    # block whole, many make it format only its other values
+    n = csvio._BLOCK_VALUES // 101 * 101
+    n_zeros = {"none": 0, "one": 1, "below an eighth": n // 8 - 1, "an eighth": n // 8 + 1,
+               "half": n // 2, "all but one": n - 1, "all": n}[share]
+    assert_same_text(_block_with_zeros(n_zeros, np.random.default_rng(n_zeros)))
+
+
+def test_zeros_next_to_values_that_go_to_repr():
+    # -0.0, subnormals, powers of two and non-finite values among zeros and
+    # ordinary values, in blocks that keep every value and in blocks that
+    # format only their fast ones
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, 0.5, -2.0,
+                1024.0, 2.0 ** -30, math.inf, -math.inf, math.nan, 1e16, -3.5e200]
+    rng = np.random.default_rng(12)
+    for n_special in (3, 40, 2000):
+        x = rng.standard_normal(4040)
+        x[rng.permutation(x.size)[:n_special]] = rng.choice(specials, n_special)
+        assert_same_text(x.reshape(-1, 101))
+        x[rng.random(x.size) < 0.7] = 0.0
+        assert_same_text(x.reshape(-1, 101))
+
+
+def test_widest_texts_at_the_record_edge():
+    # a record holds 23 characters after its separator: the widest fixed and
+    # exponent texts of the kernel fill it, and the 24-character reprs
+    # (negative, 17 digits, 3-digit exponent) are spliced in beside it, also
+    # first and last in a block and next to each other
+    widest = [-1.2345678901234567e-100, -1.2345678901234567e+200, -2.2250738585072014e-308]
+    fills = [-1.2345678901234567e-99, -0.00012345678901234567, -1234567890123456.7,
+             -1.2345678901234567e-05, 9.999999999999999e+15, -1.0000000000000002e-99]
+    rng = np.random.default_rng(13)
+    for text in map(repr, widest):
+        assert len(text) == 24
+    for text in map(repr, fills):
+        assert len(text) <= 23
+    x = rng.choice(widest + fills + [0.0, 0.25, 1e-5], (300, 7))
+    x[0, 0], x[-1, -1], x[5, 3:5] = widest[0], widest[1], widest[2]
+    assert_same_text(x)
+    assert_same_text(x[:, :1])
+    assert_same_text(np.array([[widest[0]]]))
+
+
+@pytest.mark.parametrize("n_cols", [1, 64])
+def test_rows_ending_on_a_block_boundary(n_cols):
+    # 64 and 1 divide the block size: every block ends a row, and a matrix
+    # of exactly two blocks, and one a row past it
+    rows = 2 * csvio._BLOCK_VALUES // n_cols
+    x = np.random.default_rng(n_cols).standard_normal((rows + 1, n_cols))
+    x[::7] = 0.0
+    assert_same_text(x[:rows])
+    assert_same_text(x)
+
+
+def test_blocks_of_zeros_do_not_call_the_digit_kernel(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(a.size)
+        return shortest(a)
+
+    shortest = floatfmt.shortest
+    monkeypatch.setattr(floatfmt, "shortest", counted)
+    zeros = np.zeros((200, 101))
+    zeros[::3, ::2] = -0.0
+    assert written(zeros) == reference(zeros)
+    assert calls == []
+    # a block with a few non-zeros runs the kernel on those alone
+    zeros[7, 5], zeros[150, 100] = 0.1, -2.5
+    assert written(zeros) == reference(zeros)
+    assert calls == [1, 1]

@@ -248,6 +248,45 @@ class TestSliceDerivatives:
             assert np.array_equal(interp_rows(rows, self.X_GRID, x, lo),
                                   interp_rows(whole, self.X_GRID, x, 0))
 
+    @pytest.mark.parametrize("spacing", ["stretched", "equal"])
+    def test_derivative_rows_match_the_whole_slice(self, spacing):
+        # _gradient on a band of first-axis rows equals those rows of
+        # np.gradient of the whole slice, bands on both edges included
+        rng = np.random.default_rng(10)
+        s_grid, x_grid = ((self.S_GRID, self.X_GRID) if spacing == "stretched"
+                          else (np.arange(41) * 0.125, np.arange(13) * 0.0625 - 0.125))
+        f = rng.standard_normal((41, 13))
+        for axis, grid in ((0, s_grid), (1, x_grid)):
+            stencil = pde._stencil(grid, f.shape, axis)
+            whole = np.gradient(f, grid, axis=axis)
+            for rows in (slice(0, 41), slice(0, 2), slice(0, 5), slice(17, 30),
+                         slice(20, 22), slice(36, 41), slice(39, 41)):
+                assert np.array_equal(pde._gradient(f, stencil, rows)[rows], whole[rows])
+
+    def test_windows_read_derivatives_of_the_whole_slice(self):
+        # slice_at_s forms d_s and d_x only on the s rows its windows read;
+        # what it reads equals np.gradient of the whole slice, with windows
+        # on every edge: s = 0, s_max, x_min and x_max
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal((6, 41, 13))
+        sol = PdeSolution("sx", self.T_GRID, values, s_grid=self.S_GRID, x_grid=self.X_GRID)
+        names, n_nodes, k = ("value", "d_s", "d_x"), len(self.X_GRID), 2
+        whole = {"value": values[k], "d_s": np.gradient(values[k], self.S_GRID, axis=0),
+                 "d_x": np.gradient(values[k], self.X_GRID, axis=1)}
+        S = self.S_GRID
+        for s in ([S[0], 0.5 * S[1]], [S[-1], 0.5 * (S[-2] + S[-1])], [S[0], S[-1]],
+                  [S[12], 0.5 * (S[12] + S[13]), S[14]]):
+            s = np.array(s)
+            si, sw = pde.locate(S, s, "s")
+            for width in (n_nodes, 5, 2):
+                lo = np.resize([0, n_nodes - width, (n_nodes - width) // 2], len(s))
+                rows = sol.slice_at_s(names, k, s, lo, width)
+                cols = lo[:, None] + np.arange(width)
+                for i, name in enumerate(names):
+                    lower = whole[name][si[:, None], cols] * (1 - sw[:, None])
+                    upper = whole[name][si[:, None] + 1, cols] * sw[:, None]
+                    assert np.array_equal(rows[i], lower + upper)
+
     def test_every_accessor_reads_one_time_slice(self):
         # an array of steps is refused, not indexed (or differentiated) as a
         # stack of slices
