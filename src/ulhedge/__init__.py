@@ -20,11 +20,9 @@ from .models import (
     CallPayoff,
     CIRFactor,
     CoefficientSet,
-    ConstantGamma,
     ConstantPayoff,
     Contract,
     FrozenFactor,
-    LinearGamma,
     LinearPayoff,
     OUFactor,
     PdeGrid,

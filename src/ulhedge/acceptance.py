@@ -24,11 +24,9 @@ from .models import (
     CallPayoff,
     CIRFactor,
     CoefficientSet,
-    ConstantGamma,
     ConstantPayoff,
     Contract,
     FrozenFactor,
-    LinearGamma,
     LinearPayoff,
     OUFactor,
     PdeGrid,
@@ -74,7 +72,7 @@ def criterion_measure_change(seed: int) -> CriterionResult:
         coefficients=CoefficientSet(
             m0=0.04, m1=0.6, sigma0=0.2,
             factor=OUFactor(kappa=1.0, xbar=0.05, a_vol=0.15),
-            gamma=ConstantGamma(0.0), rho=0.5, c_bound=5.0),
+            gamma=AffineGamma(0.0, 0.0), rho=0.5, c_bound=5.0),
         contract=Contract(1.0, CallPayoff(1.0)),
         s0=1.0, x0=0.05, n_steps=64, n_paths=100_000, n_particles=1,
         pde_grid=_grid(), seed=seed)
@@ -119,7 +117,7 @@ def criterion_mortality(seed: int) -> CriterionResult:
     cfg = ScenarioConfig(
         coefficients=CoefficientSet(m0=0.0, m1=0.0, sigma0=0.2,
                                     factor=FrozenFactor(),
-                                    gamma=ConstantGamma(gamma0), rho=0.0, c_bound=5.0),
+                                    gamma=AffineGamma(gamma0, 0.0), rho=0.0, c_bound=5.0),
         contract=Contract(T, ConstantPayoff(1.0)),
         s0=1.0, x0=0.0, n_steps=100, n_paths=100_000, n_particles=1,
         pde_grid=_grid(), seed=seed)
@@ -132,7 +130,7 @@ def criterion_mortality(seed: int) -> CriterionResult:
                    f"constant hazard: P(tau>T) = {surv:.5f} vs {target:.5f} +- {se:.5f}"))
 
     factor = CIRFactor(kappa=1.2, xbar=0.06, a_vol=0.25)
-    gamma = LinearGamma()
+    gamma = AffineGamma(0.0, 1.0)
     cfg2 = ScenarioConfig(
         coefficients=CoefficientSet(m0=0.0, m1=0.0, sigma0=0.2, factor=factor,
                                     gamma=gamma, rho=0.0, c_bound=5.0),
@@ -160,7 +158,7 @@ def criterion_pde(seed: int) -> CriterionResult:
     # survival-benefit price vs lognormal closed form
     cfg = ScenarioConfig(
         coefficients=CoefficientSet(m0=0.0, m1=0.0, sigma0=0.2, factor=FrozenFactor(),
-                                    gamma=ConstantGamma(0.0), rho=0.0, c_bound=5.0),
+                                    gamma=AffineGamma(0.0, 0.0), rho=0.0, c_bound=5.0),
         contract=Contract(1.0, CallPayoff(1.0)),
         s0=1.0, x0=0.0, n_steps=200, n_paths=1, n_particles=1,
         pde_grid=_grid(n_s=1000, n_x=40), seed=seed)
@@ -186,13 +184,13 @@ def criterion_pde(seed: int) -> CriterionResult:
     factor = CIRFactor(kappa=1.2, xbar=0.06, a_vol=0.25)
     cfg_phi = ScenarioConfig(
         coefficients=CoefficientSet(m0=0.0, m1=0.0, sigma0=0.2, factor=factor,
-                                    gamma=LinearGamma(), rho=0.0, c_bound=5.0),
+                                    gamma=AffineGamma(0.0, 1.0), rho=0.0, c_bound=5.0),
         contract=Contract(1.0, ConstantPayoff(1.0)),
         s0=1.0, x0=0.06, n_steps=200, n_paths=1, n_particles=1,
         pde_grid=_grid(n_s=100, n_x=200, x_min=-0.05, x_max=0.6), seed=seed)
     phi = solve_phi(cfg_phi)
     x_band = np.linspace(0.01, 0.45, 45)
-    exact = np.array([oracles.affine_survival(factor, LinearGamma(), float(x), 1.0)
+    exact = np.array([oracles.affine_survival(factor, AffineGamma(0.0, 1.0), float(x), 1.0)
                       for x in x_band])
     rel_phi = np.max(np.abs(phi.value(0, x=x_band) - exact) / exact)
     checks.append((rel_phi <= 0.01, f"Phi vs Riccati: max rel {rel_phi:.5f} (tol 1%)"))
@@ -225,7 +223,7 @@ def criterion_filter(seed: int) -> CriterionResult:
     # the constant and Dirac hazard identities
     cfg = ScenarioConfig(
         coefficients=CoefficientSet(m0=0.03, m1=0.4, sigma0=0.2, factor=factor,
-                                    gamma=ConstantGamma(0.05), rho=0.5, c_bound=5.0),
+                                    gamma=AffineGamma(0.05, 0.0), rho=0.5, c_bound=5.0),
         contract=Contract(1.0, CallPayoff(1.0)),
         s0=1.0, x0=0.08, n_steps=100, n_paths=1, n_particles=10_000,
         pde_grid=_grid(), seed=seed)
@@ -236,7 +234,7 @@ def criterion_filter(seed: int) -> CriterionResult:
 
     cfg_dirac = cfg.with_updates(
         coefficients=CoefficientSet(m0=0.03, m1=0.4, sigma0=0.2, factor=FrozenFactor(),
-                                    gamma=LinearGamma(), rho=0.0, c_bound=5.0),
+                                    gamma=AffineGamma(0.0, 1.0), rho=0.0, c_bound=5.0),
         x0=0.07, n_particles=100)
     b_d = simulate_paths(cfg_dirac, "P")
     ser_d = run_filter(cfg_dirac, b_d.S, world_indices=b_d.path_indices)
@@ -246,7 +244,7 @@ def criterion_filter(seed: int) -> CriterionResult:
     # rho = 0: for f(x, y) the filter must not depend on the observed path
     cfg0 = cfg.with_updates(
         coefficients=CoefficientSet(m0=0.03, m1=0.4, sigma0=0.2, factor=factor,
-                                    gamma=ConstantGamma(0.05), rho=0.0, c_bound=5.0),
+                                    gamma=AffineGamma(0.05, 0.0), rho=0.0, c_bound=5.0),
         n_paths=2, n_particles=10_000)
     b0 = simulate_paths(cfg0, "P")
     fx = functional_coord_x()
@@ -278,13 +276,13 @@ def criterion_filter(seed: int) -> CriterionResult:
     factor_c = CIRFactor(kappa=1.2, xbar=0.06, a_vol=0.25)
     cfg_ric = cfg.with_updates(
         coefficients=CoefficientSet(m0=0.0, m1=0.0, sigma0=0.2, factor=factor_c,
-                                    gamma=LinearGamma(), rho=0.0, c_bound=5.0),
+                                    gamma=AffineGamma(0.0, 1.0), rho=0.0, c_bound=5.0),
         x0=0.06, n_paths=8, n_particles=10_000)
     b_ric = simulate_paths(cfg_ric, "P")
     ser_ric = run_filter(cfg_ric, b_ric.S, world_indices=b_ric.path_indices)
     mid = cfg_ric.n_steps // 2
     got = float(ser_ric.estimates["hazard"][:, mid].mean())
-    want = float(oracles.affine_hazard_rate(factor_c, LinearGamma(), 0.06, 0.5))
+    want = float(oracles.affine_hazard_rate(factor_c, AffineGamma(0.0, 1.0), 0.06, 0.5))
     rel = abs(got - want) / want
     checks.append((rel <= 0.01,
                    f"hazard rate vs Riccati at T/2: {got:.5f} vs {want:.5f} (rel {rel:.4f})"))
@@ -292,14 +290,15 @@ def criterion_filter(seed: int) -> CriterionResult:
     # Kushner-Stratonovich residual shrinks at the Monte Carlo rate
     cfg_ks = cfg.with_updates(
         coefficients=CoefficientSet(m0=0.0, m1=0.0, sigma0=0.2, factor=factor,
-                                    gamma=ConstantGamma(0.0), rho=0.5, c_bound=5.0),
+                                    gamma=AffineGamma(0.0, 0.0), rho=0.5, c_bound=5.0),
         x0=0.1)
     b_ks = simulate_paths(cfg_ks, "P_hat")
     sizes = np.array([250, 1000, 4000])
     mean_abs = []
     for i, n_part in enumerate(sizes):
-        reps = [abs(ks_residual(cfg_ks, b_ks.S[:1], functional_coord_x(),
-                                world_indices=[1000 * r + i], n_particles=int(n_part))[0, -1])
+        cfg_n = cfg_ks.with_updates(n_particles=int(n_part))
+        reps = [abs(ks_residual(cfg_n, b_ks.S[:1], functional_coord_x(),
+                                world_indices=[1000 * r + i])[0, -1])
                 for r in range(8)]
         mean_abs.append(np.mean(reps))
     slope = np.polyfit(np.log(sizes), np.log(mean_abs), 1)[0]
@@ -320,7 +319,7 @@ def criterion_strategy(seed: int) -> CriterionResult:
     # uncorrelated closed form vs the generic filter pipeline along 50 paths
     cfg = ScenarioConfig(
         coefficients=CoefficientSet(m0=0.03, m1=0.5, sigma0=0.2, factor=factor,
-                                    gamma=LinearGamma(), rho=0.0, c_bound=5.0),
+                                    gamma=AffineGamma(0.0, 1.0), rho=0.0, c_bound=5.0),
         contract=Contract(1.0, CallPayoff(1.0), LinearPayoff(0.2)),
         s0=1.0, x0=0.06, n_steps=100, n_paths=50, n_particles=4000,
         pde_grid=_grid(n_s=500, n_x=60, s_max=6.0, x_min=-0.08, x_max=0.6), seed=seed)
@@ -336,7 +335,7 @@ def criterion_strategy(seed: int) -> CriterionResult:
     # no hidden state: theta* equals the full-information strategy exactly
     cfg_d = cfg.with_updates(
         coefficients=CoefficientSet(m0=0.03, m1=0.5, sigma0=0.2, factor=FrozenFactor(),
-                                    gamma=ConstantGamma(0.05), rho=0.0, c_bound=5.0),
+                                    gamma=AffineGamma(0.05, 0.0), rho=0.0, c_bound=5.0),
         x0=0.04, n_particles=64,
         pde_grid=_grid(n_s=400, n_x=8, s_max=5.0, x_min=-0.1, x_max=0.1))
     b_d = simulate_paths(cfg_d, "P")
@@ -430,7 +429,7 @@ def criterion_determinism(seed: int) -> CriterionResult:
     factor = OUFactor(kappa=1.0, xbar=0.05, a_vol=0.15)
     cfg = ScenarioConfig(
         coefficients=CoefficientSet(m0=0.03, m1=0.5, sigma0=0.2, factor=factor,
-                                    gamma=ConstantGamma(0.05), rho=0.4, c_bound=5.0),
+                                    gamma=AffineGamma(0.05, 0.0), rho=0.4, c_bound=5.0),
         contract=Contract(1.0, CallPayoff(1.0), LinearPayoff(0.2)),
         s0=1.0, x0=0.05, n_steps=50, n_paths=400, n_particles=100,
         pde_grid=_grid(n_s=200, n_x=40, s_max=5.0, x_min=-0.4, x_max=0.55), seed=seed)

@@ -16,11 +16,9 @@ from .models import (
     CallPayoff,
     CIRFactor,
     CoefficientSet,
-    ConstantGamma,
     ConstantPayoff,
     Contract,
     FrozenFactor,
-    LinearGamma,
     LinearPayoff,
     OUFactor,
     PdeGrid,
@@ -82,14 +80,15 @@ def _factor(sec):
 
 
 def _gamma(sec):
+    """The intensity: ``constant`` reads gamma0 (gamma1 = 0), ``linear`` is
+    max(x, 0) and ``affine`` reads both coefficients."""
     family = sec.get("family", "constant").strip().lower()
-    if family == "constant":
-        return ConstantGamma(float(sec.get("gamma0", "0")))
     if family == "linear":
-        return LinearGamma()
-    if family == "affine":
-        return AffineGamma(float(sec.get("gamma0", "0")), float(sec.get("gamma1", "0")))
-    raise ConfigError(f"unknown gamma family '{family}'")
+        return AffineGamma(0.0, 1.0)
+    if family not in ("constant", "affine"):
+        raise ConfigError(f"unknown gamma family '{family}'")
+    gamma1 = sec.get("gamma1", "0") if family == "affine" else "0"
+    return AffineGamma(float(sec.get("gamma0", "0")), float(gamma1))
 
 
 def parse_config(text: str) -> ScenarioConfig:

@@ -66,7 +66,8 @@ def _header(columns, cfg_hash: str, meta: str = "") -> str:
 
 
 def write_rows(fh, matrix: np.ndarray) -> None:
-    """Write a 2-D array as CSV rows, each value the ``repr`` of its float.
+    """Write a 2-D array as CSV rows to a binary file, each value the ASCII
+    ``repr`` of its float.
 
     The text is ``",".join(map(repr, row)) + "\\n"`` per row, byte for
     byte, formed by ``floatfmt.format_rows`` a block of whole rows, about
@@ -85,8 +86,8 @@ def write_rows(fh, matrix: np.ndarray) -> None:
 
 
 def write_matrix(path, matrix: np.ndarray, columns, cfg_hash: str, meta: str = "") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_header(columns, cfg_hash, meta))
+    with open(path, "wb") as fh:
+        fh.write(_header(columns, cfg_hash, meta).encode("utf-8"))
         write_rows(fh, np.atleast_2d(matrix))
 
 
@@ -165,7 +166,7 @@ def _part_path(part_dir, name: str, first_world: int) -> str:
 def write_hedge_parts(part_dir, first_world: int, series: HedgeSeries) -> None:
     """Write one chunk's rows of each hedge series to its own part file."""
     for name in HEDGE_SERIES:
-        with open(_part_path(part_dir, name, first_world), "w", encoding="utf-8") as fh:
+        with open(_part_path(part_dir, name, first_world), "wb") as fh:
             write_rows(fh, getattr(series, name))
 
 

@@ -130,15 +130,14 @@ class ParticleCloud:
     x nodes any ``survival_deposit`` needed for it.
     """
 
-    def __init__(self, config: ScenarioConfig, s_paths: np.ndarray,
-                 world_indices=None, n_particles: int | None = None):
+    def __init__(self, config: ScenarioConfig, s_paths: np.ndarray, world_indices=None):
         s_paths = np.atleast_2d(np.asarray(s_paths, dtype=float))
         if s_paths.shape[1] != config.n_steps + 1:
             raise ValueError("observed price path does not match the config grid")
         self.config = config
         self.s_paths = s_paths
         self.n_worlds = s_paths.shape[0]
-        self.n_particles = n_particles or config.n_particles
+        self.n_particles = config.n_particles
         self.t_grid = config.t_grid()
         self.dt = config.dt
 
@@ -167,7 +166,7 @@ class ParticleCloud:
         # two work arrays of the state's shape, reused within each call
         self._scratch = np.empty((2,) + shape)
         self.k = 0
-        self._evaluate(c.gamma_fn(self.t, self.X))
+        self._evaluate(c.gamma(self.t, self.X))
 
     def _evaluate(self, gam: np.ndarray) -> None:
         """Cache Y and the coefficients at the current (t_k, S_k, X)."""
@@ -175,7 +174,7 @@ class ParticleCloud:
         np.negative(self.Gamma_p, out=self.Y)
         np.exp(self.Y, out=self.Y)
         self.mu = c.mu(self.t, self.s_now, self.X)
-        self.a = c.a(self.t, self.X)
+        self.a = c.factor.a(self.t, self.X)
         self.gam = gam
 
     # -- state views ---------------------------------------------------------
@@ -221,14 +220,14 @@ class ParticleCloud:
         noise *= np.sqrt(dt) * np.sqrt(1.0 - rho**2)
         noise += rho * dw
         noise *= a
-        x_new = c.b(t, self.X)
+        x_new = c.factor.b(t, self.X)
         work = np.multiply(a, rho, out=self._scratch[1])
         work *= kernel
         x_new -= work
         x_new *= dt
         x_new += self.X
         x_new += noise
-        gam_new = c.gamma_fn(self.t_grid[k + 1], x_new)
+        gam_new = c.gamma(self.t_grid[k + 1], x_new)
         # trapezoidal hazard (in the buffer of the rate at t_k, which is not
         # read again) and the density kernel: 0.5 x dt == x (0.5 dt) exactly
         hazard = np.add(self.gam, gam_new, out=self.gam)
@@ -408,7 +407,7 @@ class ParticleCloud:
         t, s, x, y = self.t, self.s_now, self.X, self.Y
         sig = c.sigma(t, s)
         a = self.a
-        drift_x = c.b(t, x) - c.rho * a * self.mu / sig
+        drift_x = c.factor.b(t, x) - c.rho * a * self.mu / sig
         return (func.f_t(t, s, x, y)
                 + drift_x * func.f_x(t, s, x, y)
                 - y * self.gam * func.f_y(t, s, x, y)
@@ -436,13 +435,13 @@ class ProjectionSeries:
 
 
 def run_filter(config: ScenarioConfig, s_path, functionals=(),
-               world_indices=None, n_particles: int | None = None) -> ProjectionSeries:
+               world_indices=None) -> ProjectionSeries:
     """Run the cloud over the horizon collecting the standard projections.
 
     Always records pi(id_y), the projected drift and the observable hazard
     rate; extra ``SmoothFunctional``s are recorded under their names.
     """
-    cloud = ParticleCloud(config, s_path, world_indices, n_particles)
+    cloud = ParticleCloud(config, s_path, world_indices)
     n = config.n_steps
     shape = (cloud.n_worlds, n + 1)
     series = ProjectionSeries(t_grid=cloud.t_grid)
@@ -468,14 +467,14 @@ def run_filter(config: ScenarioConfig, s_path, functionals=(),
 
 
 def ks_residual(config: ScenarioConfig, s_path, func: SmoothFunctional,
-                world_indices=None, n_particles: int | None = None) -> np.ndarray:
+                world_indices=None) -> np.ndarray:
     """Residual of the filter equation for f along the observed path(s).
 
     R_t = pi_t(f) - pi_0(f) - int pi(Lf) du - int [rho pi(a f_x)
     + S sigma pi(f_s)] dW_obs, evaluated with left-endpoint sums.  Shrinks at
     the usual O(sqrt(dt) + 1/sqrt(n_particles)) rate.
     """
-    cloud = ParticleCloud(config, s_path, world_indices, n_particles)
+    cloud = ParticleCloud(config, s_path, world_indices)
     c = config.coefficients
     n = config.n_steps
     resid = np.zeros((cloud.n_worlds, n + 1))

@@ -1,11 +1,11 @@
 """Decimal text of float64 arrays, byte for byte what ``repr`` writes.
 
-``format_rows(block)`` returns ``"".join(",".join(map(repr, row)) + "\\n"
-for row in block.tolist())`` without a Python call per value.  ``repr`` of a
-float is the shortest decimal that reads back as the same double, the
-nearest one when several are that short (Steele & White 1990, Gay 1990),
-written in fixed notation for decimal exponents -4 < decpt <= 16 and in
-exponent notation otherwise.
+``format_rows(block)`` returns the ASCII bytes of
+``"".join(",".join(map(repr, row)) + "\\n" for row in block.tolist())``
+without a Python call per value.  ``repr`` of a float is the shortest
+decimal that reads back as the same double, the nearest one when several
+are that short (Steele & White 1990, Gay 1990), written in fixed notation
+for decimal exponents -4 < decpt <= 16 and in exponent notation otherwise.
 
 The kernel follows Loitsch ("Printing floating-point numbers quickly and
 accurately", PLDI 2010): fast arithmetic whose digits are certified, and the
@@ -294,21 +294,21 @@ def _records(x, n_cols):
     return words, sorted(wide)
 
 
-def _compact(words) -> str:
-    return words.tobytes().translate(None, b"\0").decode("ascii")
+def _compact(words) -> bytes:
+    return words.tobytes().translate(None, b"\0")
 
 
-def format_rows(block: np.ndarray) -> str:
-    """The CSV text of a 2-D float64 block: each value's ``repr``, joined by
-    commas, each row ended by a newline."""
+def format_rows(block: np.ndarray) -> bytes:
+    """The CSV text of a 2-D float64 block, as ASCII bytes: each value's
+    ``repr``, joined by commas, each row ended by a newline."""
     block = np.asarray(block, dtype=np.float64)
     n_rows, n_cols = block.shape
     if n_cols == 0 or n_rows == 0:
-        return "\n" * n_rows
+        return b"\n" * n_rows
     words, wide = _records(np.ascontiguousarray(block).ravel(), n_cols)
     parts, start = [], 0
     for i, text in wide:                # the record holds the separator before
-        parts += [_compact(words[start:i + 1]), text]
+        parts += [_compact(words[start:i + 1]), text.encode("ascii")]
         start = i + 1
     parts.append(_compact(words[start:]))
-    return "".join(parts)
+    return b"".join(parts)

@@ -210,7 +210,7 @@ def hedge_paths(config: ScenarioConfig, bundle: PathBundle,
         ratio[:, k], theta_k = _projected(c, t, s_k[:, 0], rows, deposit)
         V_full[:, k] = own[0, :, 0]
         if k < n:
-            th_full[:, k] = theta_full(c, t, s_k, c.a(t, x_own), own[1], own[2])[:, 0]
+            th_full[:, k] = theta_full(c, t, s_k, c.factor.a(t, x_own), own[1], own[2])[:, 0]
             theta_star[:, k] = theta_k
             pfs_mu[:, k] = cloud.projected_drift()
             cloud.step()
@@ -476,10 +476,12 @@ def backtest(config: ScenarioConfig, chunk_size: int = 4000, workers: int = 1,
     if config.n_paths < 2:
         raise ConfigError("the backtest needs n_paths >= 2: its standard errors"
                           " and variances are taken across at least two worlds")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     g_sol = solve_g(config)
     n, n_paths = config.n_steps, config.n_paths
 
-    per_round = max(1, min(workers, n_paths))
+    per_round = min(workers, n_paths)
     n_chunks = max(-(-n_paths // chunk_size), per_round)
     n_chunks = min(-(-n_chunks // per_round) * per_round, n_paths)
     bounds = np.linspace(0, n_paths, n_chunks + 1).astype(int)

@@ -8,7 +8,9 @@ The market is a riskless account pinned at 1 plus one risky asset
 with a policyholder whose death intensity is gamma(t, X).  The concrete
 families below keep sigma constant and the drift affine in the factor,
 ``mu = m0 + m1 x``; the factor is frozen (no dynamics), Ornstein-Uhlenbeck or
-square-root mean reverting.  All coefficient callables accept and broadcast
+square-root mean reverting; the intensity is the one affine family
+``gamma = gamma0 + gamma1 max(x, 0)``, which the affine-transform oracles
+solve in closed form.  All coefficient callables accept and broadcast
 numpy arrays, and each returns a fresh array, formed in place with the
 arithmetic of its formula.
 """
@@ -26,9 +28,6 @@ __all__ = [
     "FrozenFactor",
     "OUFactor",
     "CIRFactor",
-    "GammaFamily",
-    "ConstantGamma",
-    "LinearGamma",
     "AffineGamma",
     "Payoff",
     "ConstantPayoff",
@@ -59,7 +58,6 @@ def _clamped(x) -> np.ndarray:
 class FrozenFactor:
     """Degenerate factor: b = a = 0, so X_t = x0 for all t."""
 
-    name = "frozen"
 
     def b(self, t, x):
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -76,7 +74,6 @@ class OUFactor:
     xbar: float
     a_vol: float
 
-    name = "ou"
 
     def b(self, t, x):
         drift = self.xbar - np.asarray(x, dtype=float)
@@ -95,7 +92,6 @@ class CIRFactor:
     xbar: float
     a_vol: float
 
-    name = "cir"
 
     def b(self, t, x):
         drift = self.xbar - np.asarray(x, dtype=float)
@@ -116,48 +112,26 @@ FactorFamily = FrozenFactor | OUFactor | CIRFactor
 
 
 # ---------------------------------------------------------------------------
-# mortality intensity families
+# mortality intensity
 # ---------------------------------------------------------------------------
-# The x-dependent families clamp the factor at zero so the intensity stays
-# nonnegative even when an OU factor path dips negative.
-
-@dataclass(frozen=True)
-class ConstantGamma:
-    gamma0: float
-
-    name = "constant"
-
-    def __call__(self, t, x):
-        return np.full_like(np.asarray(x, dtype=float), self.gamma0)
-
-
-@dataclass(frozen=True)
-class LinearGamma:
-    """gamma(t, x) = max(x, 0)."""
-
-    name = "linear"
-
-    def __call__(self, t, x):
-        return np.maximum(np.asarray(x, dtype=float), 0.0)
-
 
 @dataclass(frozen=True)
 class AffineGamma:
-    """gamma(t, x) = gamma0 + gamma1 max(x, 0)."""
+    """gamma(t, x) = gamma0 + gamma1 max(x, 0).
+
+    The factor is clamped at zero so the intensity stays nonnegative even
+    when an OU factor path dips negative.  gamma1 = 0 is a constant
+    intensity, (gamma0, gamma1) = (0, 1) the intensity max(x, 0).
+    """
 
     gamma0: float
     gamma1: float
-
-    name = "affine"
 
     def __call__(self, t, x):
         rate = _clamped(x)
         rate *= self.gamma1
         rate += self.gamma0
         return rate
-
-
-GammaFamily = ConstantGamma | LinearGamma | AffineGamma
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +142,6 @@ GammaFamily = ConstantGamma | LinearGamma | AffineGamma
 class ConstantPayoff:
     level: float
 
-    name = "constant"
 
     def __call__(self, t, s):
         return np.full_like(np.asarray(s, dtype=float), self.level)
@@ -178,7 +151,6 @@ class ConstantPayoff:
 class LinearPayoff:
     slope: float
 
-    name = "linear"
 
     def __call__(self, t, s):
         return self.slope * np.asarray(s, dtype=float)
@@ -188,7 +160,6 @@ class LinearPayoff:
 class CallPayoff:
     strike: float
 
-    name = "call"
 
     def __call__(self, t, s):
         return np.maximum(np.asarray(s, dtype=float) - self.strike, 0.0)
@@ -198,7 +169,6 @@ class CallPayoff:
 class PutPayoff:
     strike: float
 
-    name = "put"
 
     def __call__(self, t, s):
         return np.maximum(self.strike - np.asarray(s, dtype=float), 0.0)
@@ -258,7 +228,7 @@ class CoefficientSet:
     m1: float
     sigma0: float
     factor: FactorFamily
-    gamma: GammaFamily
+    gamma: AffineGamma
     rho: float
     c_bound: float
 
@@ -271,15 +241,6 @@ class CoefficientSet:
 
     def sigma(self, t, s):
         return np.full_like(np.asarray(s, dtype=float), self.sigma0)
-
-    def b(self, t, x):
-        return self.factor.b(t, x)
-
-    def a(self, t, x):
-        return self.factor.a(t, x)
-
-    def gamma_fn(self, t, x):
-        return self.gamma(t, x)
 
     def market_price_of_risk(self, t, s, x, check: bool = True):
         """mu/sigma, raising when the configured bound is breached."""
@@ -395,9 +356,7 @@ def validate(config: ScenarioConfig) -> ValidationReport:
             f"CIR Feller condition violated: 2*kappa*xbar = {2*f.kappa*f.xbar:.6g}"
             f" < a^2 = {f.a_vol**2:.6g}"
         )
-    if isinstance(c.gamma, ConstantGamma) and c.gamma.gamma0 < 0:
-        rep.violations.append("gamma0 must be nonnegative")
-    if isinstance(c.gamma, AffineGamma) and (c.gamma.gamma0 < 0 or c.gamma.gamma1 < 0):
+    if c.gamma.gamma0 < 0 or c.gamma.gamma1 < 0:
         rep.violations.append("gamma0 and gamma1 must be nonnegative")
 
     if c.sigma0 > 0:
@@ -412,7 +371,5 @@ def validate(config: ScenarioConfig) -> ValidationReport:
                     f"|mu/sigma| reaches {float(ratio.max()):.6g} on the configured"
                     f" grid, above c_bound = {c.c_bound:.6g}"
                 )
-        if np.any(c.gamma_fn(t, x) < 0):
-            rep.violations.append("gamma must be nonnegative on the grid")
 
     return rep

@@ -2,7 +2,8 @@
 
 These are the cross-checks the verification suite tests against: lognormal
 closed forms for the driftless price, the closed-form affine transform for
-mean-reverting hazards, and the Ornstein-Uhlenbeck mean.  None of them share
+the intensity gamma0 + gamma1 x of a mean-reverting factor, and the
+Ornstein-Uhlenbeck mean.  None of them share
 code with the finite-difference solvers, the particle filter or the path
 simulator.
 """
@@ -12,16 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtr
 
-from .models import (
-    AffineGamma,
-    CIRFactor,
-    ConstantGamma,
-    FactorFamily,
-    FrozenFactor,
-    GammaFamily,
-    LinearGamma,
-    OUFactor,
-)
+from .models import AffineGamma, CIRFactor, FactorFamily, FrozenFactor, OUFactor
 
 __all__ = [
     "black_scholes_call",
@@ -60,10 +52,11 @@ def ou_mean(x0: float, kappa: float, xbar: float, t):
     return xbar + (x0 - xbar) * np.exp(-kappa * t)
 
 
-def _affine_parameters(factor: FactorFamily, gamma: GammaFamily):
-    """Map (factor, gamma) families onto dX = kappa(xbar - x)dt + sqrt(va + vb x)dB,
-    gamma(x) = c0 + c1 x.  Valid as long as paths stay where the max(x, 0)
-    clamps are inactive (x >= 0)."""
+def _affine_parameters(factor: FactorFamily, gamma: AffineGamma):
+    """Map the factor family and the intensity onto
+    dX = kappa(xbar - x)dt + sqrt(va + vb x)dB, gamma(x) = c0 + c1 x, with
+    (c0, c1) = (gamma0, gamma1).  Valid as long as paths stay where the
+    max(x, 0) clamps are inactive (x >= 0)."""
     if isinstance(factor, FrozenFactor):
         kappa, xbar, va, vb = 0.0, 0.0, 0.0, 0.0
     elif isinstance(factor, OUFactor):
@@ -72,15 +65,7 @@ def _affine_parameters(factor: FactorFamily, gamma: GammaFamily):
         kappa, xbar, va, vb = factor.kappa, factor.xbar, 0.0, factor.a_vol**2
     else:
         raise TypeError(f"unsupported factor family {factor!r}")
-    if isinstance(gamma, ConstantGamma):
-        c0, c1 = gamma.gamma0, 0.0
-    elif isinstance(gamma, LinearGamma):
-        c0, c1 = 0.0, 1.0
-    elif isinstance(gamma, AffineGamma):
-        c0, c1 = gamma.gamma0, gamma.gamma1
-    else:
-        raise TypeError(f"unsupported gamma family {gamma!r}")
-    return kappa, xbar, va, vb, c0, c1
+    return kappa, xbar, va, vb, gamma.gamma0, gamma.gamma1
 
 
 def _riccati_state(factor, gamma, t):
@@ -112,8 +97,8 @@ def _riccati_state(factor, gamma, t):
     return a - c0 * t, b, rhs
 
 
-def affine_survival(factor: FactorFamily, gamma: GammaFamily, x0: float, t):
-    """E[exp(-int_0^t gamma(X_u) du)] for the affine families.
+def affine_survival(factor: FactorFamily, gamma: AffineGamma, x0: float, t):
+    """E[exp(-int_0^t gamma(X_u) du)] for the affine intensity.
 
     Degenerate (frozen) factors reduce to exp(-gamma(x0) t) exactly.
     """
@@ -126,7 +111,7 @@ def affine_survival(factor: FactorFamily, gamma: GammaFamily, x0: float, t):
     return out if out.shape != (1,) else float(out[0])
 
 
-def affine_hazard_rate(factor: FactorFamily, gamma: GammaFamily, x0: float, t):
+def affine_hazard_rate(factor: FactorFamily, gamma: AffineGamma, x0: float, t):
     """-d/dt log E[exp(-int_0^t gamma(X_u) du)], the population hazard rate.
 
     Equals E[gamma(X_t) Y_t] / E[Y_t]; evaluated from the Riccati right-hand

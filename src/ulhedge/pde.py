@@ -234,6 +234,14 @@ class PdeSolution:
         return out
 
 
+def _three_point(dx: np.ndarray):
+    """np.gradient's nonuniform weights of the points below, at and above each
+    interior point, from the spacings ``dx`` along the first axis."""
+    dx1, dx2 = dx[:-1], dx[1:]
+    return (-(dx2) / (dx1 * (dx1 + dx2)), (dx2 - dx1) / (dx1 * dx2),
+            dx1 / (dx2 * (dx1 + dx2)))
+
+
 def _stencil(grid: np.ndarray, shape: tuple, axis: int):
     """np.gradient's weights along ``axis`` of a C-ordered array of ``shape``
     with coordinates ``grid`` (first-order edges), laid out for ``_gradient``.
@@ -251,9 +259,7 @@ def _stencil(grid: np.ndarray, shape: tuple, axis: int):
     edges = (dx[0], dx[-1])
     if (dx == dx[0]).all():
         return axis, stride, edges, dx[0]
-    dx1, dx2 = dx[:-1], dx[1:]
-    weights = (-(dx2) / (dx1 * (dx1 + dx2)), (dx2 - dx1) / (dx1 * dx2),
-               dx1 / (dx2 * (dx1 + dx2)))
+    weights = _three_point(dx)
     inner = [slice(None)] * len(shape)
     inner[axis] = slice(1, -1)
     along = [1] * len(shape)
@@ -437,9 +443,9 @@ def _operator(*stencils) -> sp.csc_matrix:
 def _coeff_arrays_2d(config: ScenarioConfig, SS, XX):
     c = config.coefficients
     sig = c.sigma(0.0, SS)
-    aa = c.a(0.0, XX)
-    drift = c.b(0.0, XX) - c.rho * aa * c.market_price_of_risk(0.0, SS, XX, check=False)
-    gam = c.gamma_fn(0.0, XX)
+    aa = c.factor.a(0.0, XX)
+    drift = c.factor.b(0.0, XX) - c.rho * aa * c.market_price_of_risk(0.0, SS, XX, check=False)
+    gam = c.gamma(0.0, XX)
     return sig, aa, drift, gam
 
 
@@ -461,11 +467,7 @@ def _mixed_term(sig, aa, SS, rho, s_grid, x_grid):
     """
     coef = (rho * aa * sig * SS)[1:-1, 1:-1]
     two_hx = 2.0 * (x_grid[1] - x_grid[0])
-    h = np.diff(s_grid)[:, None]
-    dx1, dx2 = h[:-1], h[1:]
-    lower = -(dx2) / (dx1 * (dx1 + dx2))
-    centre = (dx2 - dx1) / (dx1 * dx2)
-    upper = dx1 / (dx2 * (dx1 + dx2))
+    lower, centre, upper = _three_point(np.diff(s_grid)[:, None])
 
     def term(values):
         ds = lower * values[:-2] + centre * values[1:-1] + upper * values[2:]
@@ -635,9 +637,9 @@ def solve_phi(config: ScenarioConfig, surface: bool = True) -> PdeSolution:
         config, x_grid,
         terminal_payoff=ones,
         terminal_seed=ones,
-        diff_coef=0.5 * c.a(0.0, x_grid) ** 2,
-        drift=c.b(0.0, x_grid),
-        gamma=c.gamma_fn(0.0, x_grid),
+        diff_coef=0.5 * c.factor.a(0.0, x_grid) ** 2,
+        drift=c.factor.b(0.0, x_grid),
+        gamma=c.gamma(0.0, x_grid),
         source=0.0,
         surface=surface,
     )
@@ -685,7 +687,7 @@ def feynman_kac_check(config: ScenarioConfig, solution: PdeSolution, probes,
             S, X = advance_market(config, dW, dB, "P_hat",
                                   s_init=s0, x_init=x0, t_start=t0)
             t_rem = t0 + config.dt * np.arange(n_rem + 1)
-            gam = c.gamma_fn(t_rem[None, :], X)
+            gam = c.gamma(t_rem[None, :], X)
             disc = np.ones_like(S)
             np.cumprod(np.exp(-0.5 * (gam[:, 1:] + gam[:, :-1]) * config.dt),
                        axis=1, out=disc[:, 1:])

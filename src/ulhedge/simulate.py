@@ -149,8 +149,8 @@ def advance_market(config: ScenarioConfig, dW: np.ndarray, dB: np.ndarray,
         s_k, x_k = S[:, k], X[:, k]
         sig = c.sigma(t, s_k)
         mpr = c.market_price_of_risk(t, s_k, x_k)
-        a_k = c.a(t, x_k)
-        b_k = c.b(t, x_k)
+        a_k = c.factor.a(t, x_k)
+        b_k = c.factor.b(t, x_k)
         if measure == "P":
             log_drift = (mpr * sig - 0.5 * sig**2) * dt
             x_drift = b_k * dt
@@ -172,7 +172,7 @@ def cumulative_hazard(config: ScenarioConfig, t_grid: np.ndarray, X: np.ndarray)
     cumulated into the array that held the rates, which becomes Gamma.
     """
     c = config.coefficients
-    Gamma = c.gamma_fn(t_grid[None, :], X)
+    Gamma = c.gamma(t_grid[None, :], X)
     dt = float(t_grid[1] - t_grid[0])
     increments = Gamma[:, 1:] + Gamma[:, :-1]
     increments *= 0.5

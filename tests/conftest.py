@@ -12,7 +12,7 @@ def make_config(
 ):
     """One-stop scenario builder with plain defaults for the unit tests."""
     factor = factor if factor is not None else uh.FrozenFactor()
-    gamma = gamma if gamma is not None else uh.ConstantGamma(0.0)
+    gamma = gamma if gamma is not None else uh.AffineGamma(0.0, 0.0)
     survival = survival if survival is not None else uh.CallPayoff(1.0)
     recovery = recovery if recovery is not None else uh.ZeroRecovery
     grid = grid if grid is not None else uh.PdeGrid(n_s=200, n_x=40, s_max=5.0,

@@ -92,6 +92,17 @@ class TestConfigIO:
         with pytest.raises(uh.ConfigError):
             parse_config(text)
 
+    @pytest.mark.parametrize("family, params", [
+        ("constant", (0.02, 0.0)), ("linear", (0.0, 1.0)), ("affine", (0.02, 1.0))])
+    def test_gamma_families_parse_to_one_affine_intensity(self, family, params):
+        # gamma1 is read by affine only, gamma0 by constant and affine
+        text = SMALL_CONFIG.replace("family = affine", f"family = {family}")
+        assert parse_config(text).coefficients.gamma == uh.AffineGamma(*params)
+
+    def test_unknown_gamma_family_rejected(self):
+        with pytest.raises(uh.ConfigError, match="unknown gamma family 'quadratic'"):
+            parse_config(SMALL_CONFIG.replace("family = affine", "family = quadratic"))
+
     @pytest.mark.parametrize("prefix", ["", "recovery_"])
     @pytest.mark.parametrize("kind, key, family", [
         ("constant", "level", uh.ConstantPayoff), ("linear", "slope", uh.LinearPayoff),
@@ -202,6 +213,15 @@ class TestCli:
         assert not (tmp_path / "hedge_summary.csv").exists()
         assert main(["simulate", config_file, "--paths", "1",
                      "--out-dir", str(tmp_path), "--quiet"]) == 0
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_hedge_nonpositive_workers_is_config_error(self, config_file, tmp_path, capsys,
+                                                       workers):
+        code = main(["hedge", config_file, "--workers", workers,
+                     "--out-dir", str(tmp_path), "--quiet"])
+        assert code == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "hedge_summary.csv").exists()
 
     def test_bad_config_file(self, tmp_path):
         bad = tmp_path / "bad.ini"

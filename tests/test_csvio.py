@@ -21,9 +21,9 @@ def reference(matrix) -> str:
 
 
 def written(matrix) -> str:
-    fh = io.StringIO()
+    fh = io.BytesIO()
     csvio.write_rows(fh, matrix)
-    return fh.getvalue()
+    return fh.getvalue().decode("ascii")
 
 
 def assert_same_text(matrix):

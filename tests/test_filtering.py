@@ -55,14 +55,14 @@ class TestInitCloud:
         cfg = make_config(n_steps=2, maturity=0.02)
         bad = cfg.with_updates(coefficients=uh.CoefficientSet(
             m0=0.0, m1=0.0, sigma0=0.0, factor=uh.FrozenFactor(),
-            gamma=uh.ConstantGamma(0.0), rho=0.0, c_bound=5.0))
+            gamma=uh.AffineGamma(0.0, 0.0), rho=0.0, c_bound=5.0))
         with pytest.raises(uh.NumericalError):
             ParticleCloud(bad, np.array([[1.0, 1.0, 1.0]]))
 
 
 class TestStepCloud:
     def test_degenerate_factor_dirac_filter(self):
-        cfg = make_config(factor=uh.FrozenFactor(), gamma=uh.LinearGamma(),
+        cfg = make_config(factor=uh.FrozenFactor(), gamma=uh.AffineGamma(0.0, 1.0),
                           x0=0.06, n_particles=30, n_paths=1)
         b = simulate_paths(cfg, "P")
         cloud = ParticleCloud(cfg, b.S[:1])
@@ -87,7 +87,7 @@ class TestStepCloud:
         # for f(x, y) the conditional law does not depend on the price path
         cfg = make_config(m0=0.03, m1=0.4, rho=0.0,
                           factor=uh.OUFactor(1.0, 0.08, 0.15),
-                          gamma=uh.ConstantGamma(0.05),
+                          gamma=uh.AffineGamma(0.05, 0.0),
                           x0=0.08, n_paths=2, n_particles=20_000, seed=41)
         b = simulate_paths(cfg, "P")
         f = functional_coord_x()
@@ -158,7 +158,7 @@ class TestStepCloud:
 
 class TestProjectMu:
     def test_constant_drift_projection_exact(self):
-        cfg = make_config(m0=0.04, gamma=uh.ConstantGamma(0.1),
+        cfg = make_config(m0=0.04, gamma=uh.AffineGamma(0.1, 0.0),
                           factor=uh.OUFactor(1.0, 0.05, 0.2), n_paths=1,
                           n_particles=100)
         b = simulate_paths(cfg, "P")
@@ -170,7 +170,7 @@ class TestProjectMu:
 
     def test_dirac_projection_is_pointwise_drift(self):
         cfg = make_config(m0=0.01, m1=0.6, factor=uh.FrozenFactor(), x0=0.09,
-                          gamma=uh.ConstantGamma(0.02), n_paths=1, n_particles=64)
+                          gamma=uh.AffineGamma(0.02, 0.0), n_paths=1, n_particles=64)
         b = simulate_paths(cfg, "P")
         cloud = ParticleCloud(cfg, b.S[:1])
         for _ in range(10):
@@ -196,7 +196,7 @@ class TestProjectMu:
             assert_within_se(got, want, se, label=f"OU mean at step {k}")
 
     def test_survival_floor_raises(self):
-        cfg = make_config(gamma=uh.ConstantGamma(40.0), maturity=1.0,
+        cfg = make_config(gamma=uh.AffineGamma(40.0, 0.0), maturity=1.0,
                           n_steps=50, n_paths=1, n_particles=16)
         cfg = cfg.with_updates(survival_floor=1e-6)
         b = simulate_paths(cfg, "P")
@@ -257,7 +257,7 @@ class TestSurvivalRatio:
 
 class TestHazardRatePartial:
     def test_constant_hazard_exact(self):
-        cfg = make_config(gamma=uh.ConstantGamma(0.07),
+        cfg = make_config(gamma=uh.AffineGamma(0.07, 0.0),
                           factor=uh.OUFactor(1.0, 0.05, 0.2),
                           n_paths=1, n_particles=128)
         b = simulate_paths(cfg, "P")
@@ -268,7 +268,7 @@ class TestHazardRatePartial:
         assert abs(float(est[0]) - 0.07) <= 1e-14
 
     def test_dirac_hazard_tracks_deterministic_factor(self):
-        cfg = make_config(factor=uh.FrozenFactor(), gamma=uh.LinearGamma(),
+        cfg = make_config(factor=uh.FrozenFactor(), gamma=uh.AffineGamma(0.0, 1.0),
                           x0=0.06, n_paths=1, n_particles=32)
         b = simulate_paths(cfg, "P")
         cloud = ParticleCloud(cfg, b.S[:1])
@@ -280,20 +280,20 @@ class TestHazardRatePartial:
         # mu = 0 and rho = 0 make the observable hazard deterministic, so the
         # estimate may be averaged over independent worlds
         factor = uh.CIRFactor(kappa=1.2, xbar=0.06, a_vol=0.25)
-        cfg = make_config(m0=0.0, rho=0.0, factor=factor, gamma=uh.LinearGamma(),
+        cfg = make_config(m0=0.0, rho=0.0, factor=factor, gamma=uh.AffineGamma(0.0, 1.0),
                           x0=0.06, n_paths=8, n_steps=100, n_particles=10_000,
                           seed=43)
         b = simulate_paths(cfg, "P")
         series = run_filter(cfg, b.S, world_indices=b.path_indices)
         got = float(series.estimates["hazard"][:, 50].mean())
-        want = float(affine_hazard_rate(factor, uh.LinearGamma(), 0.06, 0.5))
+        want = float(affine_hazard_rate(factor, uh.AffineGamma(0.0, 1.0), 0.06, 0.5))
         assert abs(got - want) / want <= 0.01
 
 
 class TestKsResidual:
     def test_constant_functional_zero_residual(self):
         cfg = make_config(m0=0.02, rho=0.5, factor=uh.OUFactor(1.0, 0.05, 0.2),
-                          gamma=uh.ConstantGamma(0.05), n_paths=1, n_particles=50)
+                          gamma=uh.AffineGamma(0.05, 0.0), n_paths=1, n_particles=50)
         b = simulate_paths(cfg, "P")
         r = ks_residual(cfg, b.S[:1], functional_constant())
         assert np.abs(r).max() == 0.0
@@ -301,7 +301,7 @@ class TestKsResidual:
     def test_survival_functional_closed_ode(self):
         gamma0 = 0.06
         cfg = make_config(m0=0.02, rho=0.3, factor=uh.OUFactor(1.0, 0.05, 0.2),
-                          gamma=uh.ConstantGamma(gamma0), n_paths=1,
+                          gamma=uh.AffineGamma(gamma0, 0.0), n_paths=1,
                           n_steps=100, n_particles=80)
         b = simulate_paths(cfg, "P")
         r = ks_residual(cfg, b.S[:1], functional_survival())
@@ -315,9 +315,9 @@ class TestKsResidual:
         sizes = np.array([250, 1000, 4000])
         mean_abs = []
         for i, n_part in enumerate(sizes):
-            reps = [abs(ks_residual(cfg, b.S[:1], functional_coord_x(),
-                                    world_indices=[1000 * r + i],
-                                    n_particles=int(n_part))[0, -1])
+            cfg_n = cfg.with_updates(n_particles=int(n_part))
+            reps = [abs(ks_residual(cfg_n, b.S[:1], functional_coord_x(),
+                                    world_indices=[1000 * r + i])[0, -1])
                     for r in range(8)]
             mean_abs.append(np.mean(reps))
         slope = np.polyfit(np.log(sizes), np.log(mean_abs), 1)[0]
@@ -361,7 +361,7 @@ class TestFilterInvariants:
         )
         cfg = make_config(m0=0.02, m1=0.3, rho=0.4,
                           factor=uh.OUFactor(1.0, 0.05, 0.15),
-                          gamma=uh.ConstantGamma(0.08), x0=0.05,
+                          gamma=uh.AffineGamma(0.08, 0.0), x0=0.05,
                           n_paths=1, n_steps=200, n_particles=3000, seed=47)
         b = simulate_paths(cfg, "P_hat")
         r = ks_residual(cfg, b.S[:1], fsy)

@@ -54,7 +54,7 @@ class TestPaymentStream:
     def test_structure(self):
         cfg = cir_scenario(survival=uh.CallPayoff(1.0),
                            recovery=uh.LinearPayoff(0.2),
-                           gamma=uh.ConstantGamma(0.4), maturity=2.0,
+                           gamma=uh.AffineGamma(0.4, 0.0), maturity=2.0,
                            n_steps=50, n_paths=3000, seed=51)
         b = simulate_paths(cfg, "P")
         N = payment_stream(b)
@@ -72,7 +72,7 @@ class TestPaymentStream:
 
     def test_degenerate_contracts(self):
         cfg = cir_scenario(survival=uh.CallPayoff(1.0), recovery=uh.ZeroRecovery,
-                           gamma=uh.ConstantGamma(0.3), n_paths=500, seed=52)
+                           gamma=uh.AffineGamma(0.3, 0.0), n_paths=500, seed=52)
         term = payment_stream(simulate_paths(cfg, "P"))
         died = np.isfinite(simulate_paths(cfg, "P").tau)
         assert np.all(term[died, -1] == 0.0)
@@ -111,7 +111,7 @@ class TestThetaFull:
         # survival transform) along simulated paths
         cfg = make_config(m0=0.03, m1=0.5, sigma=0.2, rho=0.0,
                           factor=uh.CIRFactor(1.2, 0.06, 0.25),
-                          gamma=uh.LinearGamma(),
+                          gamma=uh.AffineGamma(0.0, 1.0),
                           recovery=uh.LinearPayoff(0.2), x0=0.06,
                           grid=uh.PdeGrid(500, 60, 6.0, -0.08, 0.6),
                           n_paths=50, seed=55)
@@ -143,7 +143,7 @@ class TestThetaPartial:
     def test_dirac_equals_full_information(self):
         cfg = make_config(m0=0.03, m1=0.5, sigma=0.2, rho=0.0,
                           factor=uh.FrozenFactor(),
-                          gamma=uh.ConstantGamma(0.05),
+                          gamma=uh.AffineGamma(0.05, 0.0),
                           recovery=uh.LinearPayoff(0.2), x0=0.04,
                           grid=uh.PdeGrid(400, 8, 5.0, -0.1, 0.1),
                           n_paths=50, n_particles=64, seed=57)
@@ -163,7 +163,7 @@ class TestThetaPartial:
     def test_closed_form_agreement(self):
         cfg = make_config(m0=0.03, m1=0.5, sigma=0.2, rho=0.0,
                           factor=uh.CIRFactor(1.2, 0.06, 0.25),
-                          gamma=uh.LinearGamma(),
+                          gamma=uh.AffineGamma(0.0, 1.0),
                           recovery=uh.LinearPayoff(0.2), x0=0.06,
                           grid=uh.PdeGrid(500, 60, 6.0, -0.08, 0.6),
                           n_paths=50, n_steps=100, n_particles=4000, seed=59)
@@ -219,7 +219,7 @@ class TestThetaPartial:
             num = (Y * gs).mean(axis=1)
             t = cloud.t
             num = num + c.rho / (c.sigma(t, s_k) * s_k) \
-                * (c.a(t, cloud.X) * Y * gx).mean(axis=1)
+                * (c.factor.a(t, cloud.X) * Y * gx).mean(axis=1)
             theta[:, k] = num / Y.mean(axis=1)
             cloud.step()
         theta *= 1.0 - h_exported[:, :-1]
@@ -430,9 +430,9 @@ class TestSurvivalDeposit:
         assert 2 < want.min() and want.max() < len(g_sol.x_grid)
 
     def test_one_particle(self, smoke_g):
-        cfg = load_config(SMOKE).with_updates(n_paths=25)
+        cfg = load_config(SMOKE).with_updates(n_paths=25, n_particles=1)
         b = simulate_paths(cfg, "P")
-        cloud = ParticleCloud(cfg, b.S, b.path_indices, n_particles=1)
+        cloud = ParticleCloud(cfg, b.S, b.path_indices)
         for k in range(cfg.n_steps):
             if k % 20 == 0:
                 dv, dth, _ = _deposit_against_gather(cloud, smoke_g, k)
@@ -480,7 +480,7 @@ class TestSurvivalDeposit:
     def test_floor_breach_in_the_hedge_names_step_and_path(self):
         # deterministic survival exp(-40 t) crosses the floor 1e-6 between
         # t = 0.34 and t = 0.36, in every world at once: the first row is named
-        cfg = cir_scenario(gamma=uh.ConstantGamma(40.0), n_steps=50, n_particles=16,
+        cfg = cir_scenario(gamma=uh.AffineGamma(40.0, 0.0), n_steps=50, n_particles=16,
                            seed=74).with_updates(survival_floor=1e-6)
         b = simulate_paths(cfg, "P", path_indices=np.arange(40, 46))
         with pytest.raises(uh.SurvivalFloorError) as info:
@@ -529,7 +529,7 @@ class TestValueAndCost:
         alive = b.alive_mask()
         for k in range(n):
             t, s, x = b.t_grid[k], b.S[:, k], b.X[:, k]
-            th = theta_full(c, t, s, c.a(t, x), g_sol.value_ds(k, s=s, x=x),
+            th = theta_full(c, t, s, c.factor.a(t, x), g_sol.value_ds(k, s=s, x=x),
                             g_sol.value_dx(k, s=s, x=x))
             assert np.array_equal(series.theta_full[:, k], th * alive[:, k])
             v = g_sol.value(k, s=s, x=x) * (1.0 - b.H[:, k])
@@ -537,7 +537,7 @@ class TestValueAndCost:
         assert not series.V_full[:, -1].any()
 
     def test_value_zero_after_death_and_cost_jump(self):
-        cfg = cir_scenario(gamma=uh.ConstantGamma(0.6), maturity=2.0,
+        cfg = cir_scenario(gamma=uh.AffineGamma(0.6, 0.0), maturity=2.0,
                            n_steps=50, n_paths=400, n_particles=100, seed=63,
                            grid=uh.PdeGrid(300, 50, 8.0, -0.08, 0.5))
         b = simulate_paths(cfg, "P")
@@ -632,7 +632,7 @@ class TestBacktest:
 
     def test_degenerate_factor_columns_identical(self, tmp_path):
         cfg = make_config(m0=0.03, m1=0.5, sigma=0.2, rho=0.0,
-                          factor=uh.FrozenFactor(), gamma=uh.ConstantGamma(0.05),
+                          factor=uh.FrozenFactor(), gamma=uh.AffineGamma(0.05, 0.0),
                           recovery=uh.LinearPayoff(0.2), x0=0.04,
                           grid=uh.PdeGrid(400, 8, 5.0, -0.1, 0.1),
                           n_steps=60, n_paths=300, n_particles=32, seed=67)
@@ -645,7 +645,7 @@ class TestBacktest:
     def test_degenerate_contracts_hedge_cleanly(self):
         # pure term insurance (zero recovery) and pure endowment-at-death
         # (zero survival benefit) both run the full pipeline and price right
-        base = dict(gamma=uh.ConstantGamma(0.3), maturity=2.0, n_steps=100,
+        base = dict(gamma=uh.AffineGamma(0.3, 0.0), maturity=2.0, n_steps=100,
                     n_paths=2000, n_particles=100,
                     grid=uh.PdeGrid(300, 50, 8.0, -0.08, 0.5))
         term = cir_scenario(survival=uh.CallPayoff(1.0),

@@ -24,7 +24,7 @@ class TestValidation:
     def test_cir_feller_violation(self):
         # 2 * 1 * 0.02 = 0.04 < 0.5^2 = 0.25
         cfg = make_config(factor=uh.CIRFactor(kappa=1.0, xbar=0.02, a_vol=0.5),
-                          gamma=uh.LinearGamma(),
+                          gamma=uh.AffineGamma(0.0, 1.0),
                           grid=uh.PdeGrid(200, 40, 5.0, -0.1, 0.6))
         rep = uh.validate(cfg)
         assert not rep.ok
@@ -36,6 +36,12 @@ class TestValidation:
         assert any("n_paths must be >= 1" in v for v in rep.violations)
         assert any("n_steps must be >= 2" in v for v in rep.violations)
 
+    @pytest.mark.parametrize("gamma0, gamma1", [(-0.01, 0.0), (0.0, -1.0), (-0.01, -1.0)])
+    def test_negative_gamma_coefficient_is_one_violation(self, gamma0, gamma1):
+        rep = uh.validate(make_config(gamma=uh.AffineGamma(gamma0, gamma1)))
+        assert [v for v in rep.violations if "gamma" in v] == [
+            "gamma0 and gamma1 must be nonnegative"]
+
     def test_mu_bound_checked_on_grid(self):
         cfg = make_config(m0=5.0, sigma=0.2, c_bound=1.0)
         rep = uh.validate(cfg)
@@ -46,17 +52,32 @@ class TestEvaluateCoefficients:
     """Point evaluation of the ``CoefficientSet`` methods."""
 
     def test_constant_gamma(self):
-        c = make_config(gamma=uh.ConstantGamma(0.05)).coefficients
+        c = make_config(gamma=uh.AffineGamma(0.05, 0.0)).coefficients
         for t, x in [(0.0, 0.0), (0.5, -3.0), (1.0, 7.0)]:
-            assert float(c.gamma_fn(t, x)) == 0.05
+            assert float(c.gamma(t, x)) == 0.05
 
     def test_linear_gamma_clamps_negative_factor(self):
-        c = make_config(gamma=uh.LinearGamma()).coefficients
-        assert float(c.gamma_fn(0.0, -1.0)) == 0.0
+        c = make_config(gamma=uh.AffineGamma(0.0, 1.0)).coefficients
+        assert float(c.gamma(0.0, -1.0)) == 0.0
+
+    def test_constant_and_linear_forms_are_bit_identical_to_their_formulas(self):
+        # the folded intensity returns the bits of full_like(x, gamma0) with
+        # gamma1 = 0 and of maximum(x, 0) with (gamma0, gamma1) = (0, 1)
+        rng = np.random.default_rng(20)
+        edges = [0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 2.225e-308, -2.225e-308,
+                 1e-310, -1e-310, np.finfo(float).max, -np.finfo(float).max]
+        x = np.concatenate([rng.standard_normal(100_000) * 10.0 ** rng.integers(-320, 300, 100_000),
+                            edges])
+        bits = lambda a: np.asarray(a).view(np.uint64)
+        for gamma0 in (0.0, 0.05, 5e-324, 1e300):
+            assert np.array_equal(bits(uh.AffineGamma(gamma0, 0.0)(0.0, x)),
+                                  bits(np.full_like(x, gamma0)))
+        assert np.array_equal(bits(uh.AffineGamma(0.0, 1.0)(0.0, x)),
+                              bits(np.maximum(x, 0.0)))
 
     def test_ou_drift_zero_at_mean(self):
         c = make_config(factor=uh.OUFactor(kappa=2.0, xbar=0.1, a_vol=0.2)).coefficients
-        assert float(c.b(0.0, 0.1)) == 0.0
+        assert float(c.factor.b(0.0, 0.1)) == 0.0
 
     def test_bound_breach_raises(self):
         c = make_config(m0=0.0, m1=1.0, sigma=0.2, c_bound=1.0).coefficients
@@ -78,7 +99,8 @@ class TestEvaluateCoefficients:
         t, s, x = np.meshgrid(np.linspace(0, 1, 4), np.linspace(0.1, g.s_max, 5),
                               np.linspace(g.x_min, g.x_max, 5), indexing="ij")
         c.market_price_of_risk(t, s, x)
-        for value in (c.mu(t, s, x), c.sigma(t, s), c.b(t, x), c.a(t, x), c.gamma_fn(t, x)):
+        for value in (c.mu(t, s, x), c.sigma(t, s), c.factor.b(t, x), c.factor.a(t, x),
+                      c.gamma(t, x)):
             assert np.all(np.isfinite(value))
 
 
@@ -99,9 +121,9 @@ def factor_families(draw):
 def gamma_families(draw):
     kind = draw(st.sampled_from(["constant", "linear", "affine"]))
     if kind == "constant":
-        return uh.ConstantGamma(draw(st.floats(0.0, 1.0)))
+        return uh.AffineGamma(draw(st.floats(0.0, 1.0)), 0.0)
     if kind == "linear":
-        return uh.LinearGamma()
+        return uh.AffineGamma(0.0, 1.0)
     return uh.AffineGamma(draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 2.0)))
 
 
@@ -119,8 +141,8 @@ class TestFamilyProperties:
         c = make_config(m0=0.01, m1=0.1, factor=factor, gamma=gamma, c_bound=1e6).coefficients
 
         def point():
-            return (float(c.mu(t, s, x)), float(c.sigma(t, s)), float(c.b(t, x)),
-                    float(c.a(t, x)), float(c.gamma_fn(t, x)),
+            return (float(c.mu(t, s, x)), float(c.sigma(t, s)), float(c.factor.b(t, x)),
+                    float(c.factor.a(t, x)), float(c.gamma(t, x)),
                     float(c.market_price_of_risk(t, s, x)))
 
         assert point() == point()
@@ -131,8 +153,8 @@ class TestFamilyProperties:
         # difference quotient stays bounded as the probe step shrinks
         cfg = make_config(m0=0.01, m1=0.1, factor=factor, gamma=gamma, c_bound=1e6)
         c = cfg.coefficients
-        for fn in (lambda z: float(c.b(0.5, z)), lambda z: float(c.a(0.5, z)),
-                   lambda z: float(c.gamma_fn(0.5, z))):
+        for fn in (lambda z: float(c.factor.b(0.5, z)), lambda z: float(c.factor.a(0.5, z)),
+                   lambda z: float(c.gamma(0.5, z))):
             coarse = abs(fn(x + 1e-3) - fn(x))
             fine = abs(fn(x + 1e-6) - fn(x))
             assert fine <= coarse + 1e-9
@@ -144,7 +166,7 @@ class TestFamilyProperties:
         x = np.linspace(-0.2, 0.4, 7)
         s = np.linspace(0.5, 2.0, 7)
         assert c.mu(0.1, s, x).shape == (7,)
-        assert c.gamma_fn(0.1, x).min() >= 0.01
+        assert c.gamma(0.1, x).min() >= 0.01
 
 
 class TestContract:

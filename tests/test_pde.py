@@ -78,7 +78,7 @@ class TestSolveG:
         assert np.max(np.abs(deltas - d_oracle) / d_oracle) <= 0.01
 
     def test_constant_hazard_constant_payoff(self):
-        cfg = make_config(gamma=uh.ConstantGamma(0.1),
+        cfg = make_config(gamma=uh.AffineGamma(0.1, 0.0),
                           factor=uh.OUFactor(1.0, 0.05, 0.1),
                           survival=uh.ConstantPayoff(1.0),
                           grid=uh.PdeGrid(100, 40, 4.0, -0.5, 0.6), n_steps=200)
@@ -313,7 +313,7 @@ class TestSliceDerivatives:
 
 class TestPhi:
     def test_constant_hazard(self):
-        cfg = make_config(gamma=uh.ConstantGamma(0.1),
+        cfg = make_config(gamma=uh.AffineGamma(0.1, 0.0),
                           factor=uh.OUFactor(1.0, 0.05, 0.1),
                           grid=uh.PdeGrid(100, 100, 4.0, -0.5, 0.6), n_steps=200)
         phi = solve_phi(cfg)
@@ -326,11 +326,11 @@ class TestPhi:
 
     def test_cir_riccati_oracle(self):
         factor = uh.CIRFactor(kappa=1.2, xbar=0.06, a_vol=0.25)
-        cfg = make_config(factor=factor, gamma=uh.LinearGamma(), x0=0.06,
+        cfg = make_config(factor=factor, gamma=uh.AffineGamma(0.0, 1.0), x0=0.06,
                           grid=uh.PdeGrid(100, 200, 4.0, -0.05, 0.6), n_steps=200)
         phi = solve_phi(cfg)
         x_band = np.linspace(0.01, 0.45, 45)
-        oracle = np.array([affine_survival(factor, uh.LinearGamma(), float(x), 1.0)
+        oracle = np.array([affine_survival(factor, uh.AffineGamma(0.0, 1.0), float(x), 1.0)
                            for x in x_band])
         err = np.abs(phi.value(0, x=x_band) - oracle)
         assert (err / oracle).max() <= 0.01
@@ -409,7 +409,7 @@ def g_against_phi(factor):
 
 def g_against_gtilde():
     """Frozen factor, rho = 0, constant hazard, call payoff: g = exp(-gamma (T - t)) g~."""
-    cfg = make_config(gamma=uh.ConstantGamma(0.1), grid=REDUCTION_GRID)
+    cfg = make_config(gamma=uh.AffineGamma(0.1, 0.0), grid=REDUCTION_GRID)
     g = solve_g(cfg)
     survival = np.exp(-0.1 * (1.0 - g.t_grid))[:, None]
     return g.values, (survival * solve_gtilde(cfg).values)[:, :, None]

@@ -64,13 +64,13 @@ class TestSurvivalMachinery:
         assert np.all(np.diff(b.Y, axis=1) <= 1e-15)
 
     def test_zero_hazard_never_kills(self):
-        cfg = make_config(gamma=uh.ConstantGamma(0.0), n_paths=500)
+        cfg = make_config(gamma=uh.AffineGamma(0.0, 0.0), n_paths=500)
         b = simulate_paths(cfg, "P")
         assert np.all(np.isinf(b.tau))
         assert np.all(b.H == 0.0)
 
     def test_constant_hazard_survival_fraction(self):
-        cfg = make_config(gamma=uh.ConstantGamma(0.05), maturity=10.0,
+        cfg = make_config(gamma=uh.AffineGamma(0.05, 0.0), maturity=10.0,
                           n_steps=200, n_paths=100_000, seed=9)
         b = simulate_paths(cfg, "P")
         surv = np.isinf(b.tau).mean()
@@ -95,7 +95,7 @@ class TestSurvivalMachinery:
         assert gen.calls == 2
 
     def test_death_indicator_consistency(self):
-        cfg = make_config(gamma=uh.ConstantGamma(0.3), maturity=2.0,
+        cfg = make_config(gamma=uh.AffineGamma(0.3, 0.0), maturity=2.0,
                           n_steps=40, n_paths=2000, seed=3)
         b = simulate_paths(cfg, "P")
         dead = np.isfinite(b.tau)
@@ -109,7 +109,7 @@ class TestSurvivalMachinery:
         assert np.all(b.H[:, 0] == 0.0)
 
     def test_jump_martingale_mean_zero(self):
-        cfg = make_config(gamma=uh.ConstantGamma(0.05), maturity=10.0,
+        cfg = make_config(gamma=uh.AffineGamma(0.05, 0.0), maturity=10.0,
                           n_steps=200, n_paths=100_000, seed=9)
         b = simulate_paths(cfg, "P")
         # M = H - Gamma_(. ^ tau), read at T ^ tau
@@ -154,7 +154,7 @@ class TestLeanBundle:
 
 class TestStoppedView:
     def test_paths_frozen_after_death(self):
-        cfg = make_config(gamma=uh.ConstantGamma(0.5), maturity=3.0,
+        cfg = make_config(gamma=uh.AffineGamma(0.5, 0.0), maturity=3.0,
                           n_steps=30, n_paths=400, seed=2)
         b = simulate_paths(cfg, "P")
         S, X, W = b.stopped(b.S), b.stopped(b.X), b.stopped(b.W)
