@@ -375,18 +375,16 @@ def criterion_optimality(seed: int) -> CriterionResult:
         pde_grid=_grid(n_s=300, n_x=50, s_max=6.0, x_min=-0.08, x_max=0.5), seed=seed)
     rep = backtest(cfg, workers=min(2, os.cpu_count() or 1))
     s = rep.summary
+    verdicts = s.verdicts()
     checks = []
-    z = np.abs(s.cost_z)
-    checks.append((bool(np.all(z < 3.0)),
-                   "cost-increment means: max |z| = %.2f over %d checkpoints"
-                   % (float(z.max()), z.size)))
-    zp = np.abs(s.cov_price_z)
-    checks.append((bool(np.all(zp < 3.0)),
-                   f"cov(dC, dS^tau): max |z| = {float(zp.max()):.2f}"))
-    zm = np.abs(s.cov_mart_z)
-    checks.append((bool(np.all(zm < 3.0)),
-                   f"cov(dC, dM): max |z| = {float(zm.max()):.2f}"))
-    checks.append((abs(s.price_z) < 3.0,
+    z, passed = verdicts["cost_mean_zero"]
+    checks.append((passed, "cost-increment means: max |z| = %.2f over %d checkpoints"
+                   % (float(np.abs(z).max()), z.size)))
+    for name, label in (("orthogonal_to_price", "cov(dC, dS^tau)"),
+                        ("orthogonal_to_martingale", "cov(dC, dM)")):
+        z, passed = verdicts[name]
+        checks.append((passed, f"{label}: max |z| = {float(np.abs(z).max()):.2f}"))
+    checks.append((verdicts["price_identity"][1],
                    f"price identity: P-side {s.price_lhs:.5f} +- {s.price_lhs_se:.5f},"
                    f" Phat-side {s.price_rhs:.5f} +- {s.price_rhs_se:.5f},"
                    f" z = {s.price_z:+.2f} (PDE value {s.zeta0_pde:.5f})"))

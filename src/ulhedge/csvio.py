@@ -213,12 +213,8 @@ def export_hedge_report(report: HedgeReport, out_dir) -> list[str]:
                      "zeta0_pde", "cost_var_partial", "cost_var_full",
                      "terminal_gap_max", "v_terminal_max", "price_z"):
             fh.write(f"{name},{float(getattr(summary, name))!r}\n")
-        for name, z in (("cost_mean_zero", summary.cost_z),
-                        ("orthogonal_to_price", summary.cov_price_z),
-                        ("orthogonal_to_martingale", summary.cov_mart_z),
-                        ("price_identity", np.array([summary.price_z]))):
-            verdict = "pass" if np.all(np.abs(z) < 3.0) else "fail"
-            fh.write(f"test_{name},{verdict}\n")
+        for name, (_, passed) in summary.verdicts().items():
+            fh.write(f"test_{name},{'pass' if passed else 'fail'}\n")
         fh.write(f"n_paths,{summary.n_paths}\n")
         fh.write(f"n_particles,{summary.n_particles}\n")
     written.append(path)

@@ -3,7 +3,9 @@
 Because the observed price is driftless under the martingale measure and its
 volatility never vanishes, the price filtration coincides with that of the
 martingale-measure Brownian motion, whose increments can be read off the
-price path.  The conditional law of the hidden factor (and of the survival
+price path: ``simulate.observed_increments`` inverts the simulator's own log
+step, so the increment a particle step reads is the one that moved the
+world.  The conditional law of the hidden factor (and of the survival
 process it drives) given the price history is therefore sampled *exactly*:
 particles are propagated with the observed price-Brownian increments plus
 fresh independent orthogonal noise, with no importance weights and no
@@ -48,6 +50,7 @@ from . import rng
 from .errors import CoefficientBoundError, NumericalError, SurvivalFloorError
 from .models import ScenarioConfig
 from .pde import locate
+from .simulate import observed_increments
 
 # bytes of orthogonal noise drawn per block (at least one step's worth)
 NOISE_BLOCK_BYTES = 2 * 1024 * 1024
@@ -140,13 +143,7 @@ class ParticleCloud:
         self.n_particles = config.n_particles
         self.t_grid = config.t_grid()
         self.dt = config.dt
-
-        c = config.coefficients
-        t_left = self.t_grid[:-1][None, :]
-        sig = c.sigma(t_left, s_paths[:, :-1])
-        if np.any(sig <= 0):
-            raise NumericalError("sigma vanishes on the observed path")
-        self.dW_obs = np.diff(s_paths, axis=1) / (s_paths[:, :-1] * sig)
+        self.dW_obs = observed_increments(config, s_paths)
 
         if world_indices is None:
             world_indices = np.arange(self.n_worlds)
@@ -166,7 +163,7 @@ class ParticleCloud:
         # two work arrays of the state's shape, reused within each call
         self._scratch = np.empty((2,) + shape)
         self.k = 0
-        self._evaluate(c.gamma(self.t, self.X))
+        self._evaluate(config.coefficients.gamma(self.t, self.X))
 
     def _evaluate(self, gam: np.ndarray) -> None:
         """Cache Y and the coefficients at the current (t_k, S_k, X)."""
@@ -220,10 +217,8 @@ class ParticleCloud:
         noise *= np.sqrt(dt) * np.sqrt(1.0 - rho**2)
         noise += rho * dw
         noise *= a
-        x_new = c.factor.b(t, self.X)
-        work = np.multiply(a, rho, out=self._scratch[1])
-        work *= kernel
-        x_new -= work
+        work = self._scratch[1]
+        x_new = c.martingale_factor_drift(t, self.X, a, kernel, work)
         x_new *= dt
         x_new += self.X
         x_new += noise
@@ -407,7 +402,7 @@ class ParticleCloud:
         t, s, x, y = self.t, self.s_now, self.X, self.Y
         sig = c.sigma(t, s)
         a = self.a
-        drift_x = c.factor.b(t, x) - c.rho * a * self.mu / sig
+        drift_x = c.martingale_factor_drift(t, x, a, self.mu / sig)
         return (func.f_t(t, s, x, y)
                 + drift_x * func.f_x(t, s, x, y)
                 - y * self.gam * func.f_y(t, s, x, y)

@@ -329,6 +329,16 @@ class BacktestSummary:
         return (self.price_lhs - self.price_rhs) / \
             np.hypot(self.price_lhs_se, self.price_rhs_se)
 
+    def verdicts(self) -> dict[str, tuple[np.ndarray, bool]]:
+        """(z per checkpoint, passed) of each verdict, by name, in
+        ``hedge_summary.csv`` order; the price identity has one z.  The one
+        place the rule is written: a verdict passes when every |z| < 3."""
+        return {name: (z, bool(np.all(np.abs(z) < 3.0)))
+                for name, z in (("cost_mean_zero", self.cost_z),
+                                ("orthogonal_to_price", self.cov_price_z),
+                                ("orthogonal_to_martingale", self.cov_mart_z),
+                                ("price_identity", np.array([self.price_z])))}
+
 
 @dataclass
 class HedgeReport:

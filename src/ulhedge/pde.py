@@ -444,7 +444,8 @@ def _coeff_arrays_2d(config: ScenarioConfig, SS, XX):
     c = config.coefficients
     sig = c.sigma(0.0, SS)
     aa = c.factor.a(0.0, XX)
-    drift = c.factor.b(0.0, XX) - c.rho * aa * c.market_price_of_risk(0.0, SS, XX, check=False)
+    drift = c.martingale_factor_drift(0.0, XX, aa,
+                                      c.market_price_of_risk(0.0, SS, XX, check=False))
     gam = c.gamma(0.0, XX)
     return sig, aa, drift, gam
 

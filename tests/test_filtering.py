@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from ulhedge.filtering import (
     run_filter,
 )
 from ulhedge.oracles import affine_hazard_rate, ou_mean
-from ulhedge.simulate import simulate_paths
+from ulhedge.simulate import advance_market, simulate_paths
 
 from conftest import assert_within_se, make_config
 
@@ -43,13 +44,14 @@ class TestInitCloud:
         assert float(cloud.pi_functional(f)[0]) == 0.07
 
     def test_observed_increment_inversion(self):
-        # one step dS = s0 sigma sqrt(dt) z  =>  dW_obs = sqrt(dt) z
+        # the simulator's martingale-measure steps driven by dW = sqrt(dt) z
+        # are read back as dW_obs = sqrt(dt) z
         cfg = make_config(sigma=0.2, n_steps=2, maturity=2.0 / 100)
         z = 0.83
-        dt = cfg.dt
-        s = np.array([[1.0, 1.0 + 0.2 * np.sqrt(dt) * z, 1.0 + 0.2 * np.sqrt(dt) * z]])
+        dW = np.full((1, 2), np.sqrt(cfg.dt) * z)
+        s, _ = advance_market(cfg, dW, np.zeros((1, 2)), "P_hat")
         cloud = ParticleCloud(cfg, s)
-        assert abs(cloud.dW_obs[0, 0] - np.sqrt(dt) * z) <= 1e-14
+        assert np.abs(cloud.dW_obs - dW).max() <= 1e-14
 
     def test_sigma_zero_rejected(self):
         cfg = make_config(n_steps=2, maturity=0.02)
@@ -61,6 +63,29 @@ class TestInitCloud:
 
 
 class TestStepCloud:
+    def test_step_allocates_only_the_new_state(self):
+        # a step allocates the new X and the new hazard rate (the coefficients
+        # at t_{k+1} replace the old ones); the drift correction and the
+        # density kernel are formed in the cloud's work arrays, so the peak
+        # above the step's start stays under three state-sized arrays
+        cfg = make_config(m0=0.02, m1=0.8, sigma=0.25, rho=0.4,
+                          factor=uh.CIRFactor(1.0, 0.05, 0.2),
+                          gamma=uh.AffineGamma(0.02, 1.0),
+                          n_steps=4, n_paths=50, n_particles=1000)
+        b = simulate_paths(cfg, "P")
+        tracemalloc.start()
+        try:
+            cloud = ParticleCloud(cfg, b.S)
+            cloud.step()                    # draws the horizon's one noise block
+            for _ in range(cfg.n_steps - 1):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                cloud.step()
+                peak = tracemalloc.get_traced_memory()[1]
+                assert peak - start < 3 * cloud.X.nbytes
+        finally:
+            tracemalloc.stop()
+
     def test_degenerate_factor_dirac_filter(self):
         cfg = make_config(factor=uh.FrozenFactor(), gamma=uh.AffineGamma(0.0, 1.0),
                           x0=0.06, n_particles=30, n_paths=1)

@@ -151,6 +151,16 @@ class TestThetaPartial:
         series = hedge_paths(cfg, b, solve_g(cfg))
         assert np.abs(series.theta_star - series.theta_full).max() <= 1e-12
 
+    def test_perfect_correlation_equals_full_information(self):
+        # at rho = 1 the price path fixes the factor: every particle follows
+        # the world's own X, so theta* = theta_F and V = V_full
+        cfg = load_config(SMOKE)
+        cfg = cfg.with_updates(coefficients=dataclasses.replace(cfg.coefficients, rho=1.0),
+                               n_paths=200, n_particles=4)
+        series = hedge_paths(cfg, simulate_paths(cfg, "P"), solve_g(cfg))
+        assert np.abs(series.theta_star - series.theta_full).max() <= 1e-12
+        assert np.abs(series.V - series.V_full).max() <= 1e-12
+
     def test_affine_contract_constant_slope(self):
         cfg = cir_scenario(survival=uh.LinearPayoff(0.5),
                            recovery=uh.LinearPayoff(0.5),

@@ -11,6 +11,7 @@ from ulhedge.simulate import (
     advance_market,
     draw_brownian_increments,
     draw_worlds,
+    observed_increments,
     sample_death_time,
     simulate_paths,
 )
@@ -52,6 +53,25 @@ class TestPricePaths:
         ses = b.S.std(axis=0, ddof=1) / np.sqrt(cfg.n_paths)
         z = np.abs(means[1:] - 1.0) / ses[1:]
         assert z.max() <= 3.0, f"max z = {z.max():.2f}"
+
+
+class TestObservedIncrements:
+    @pytest.mark.parametrize("measure", ["P", "P_hat"])
+    def test_inverts_the_price_step(self, measure):
+        # the smoke scenario's coefficients: CIR factor in mu, rho = 0.4
+        cfg = make_config(m0=0.02, m1=0.8, sigma=0.25, rho=0.4,
+                          factor=uh.CIRFactor(1.0, 0.05, 0.2), n_paths=2000, seed=22)
+        dW, dB = draw_brownian_increments(cfg.seed, np.arange(cfg.n_paths),
+                                          cfg.n_steps, cfg.dt)
+        S, X = advance_market(cfg, dW, dB, measure)
+        expected = dW
+        if measure == "P":
+            # under P the step drifts at mu: the martingale-measure increment
+            # dW + (mu/sigma) dt is what moved the price
+            t = cfg.t_grid()[:-1][None, :]
+            mpr = cfg.coefficients.market_price_of_risk(t, S[:, :-1], X[:, :-1])
+            expected = dW + mpr * cfg.dt
+        assert np.abs(observed_increments(cfg, S) - expected).max() <= 1e-14
 
 
 class TestSurvivalMachinery:
