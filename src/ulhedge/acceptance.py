@@ -18,7 +18,7 @@ import numpy as np
 from . import oracles
 from .filtering import functional_coord_x, ks_residual, run_filter
 from .hedging import backtest, closed_form_theta, hedge_paths
-from .measure import density_path, girsanov_shift
+from .measure import density_path
 from .models import (
     AffineGamma,
     CallPayoff,
@@ -33,7 +33,7 @@ from .models import (
     ScenarioConfig,
 )
 from .pde import feynman_kac_check, solve_g, solve_gtilde, solve_phi
-from .simulate import simulate_paths
+from .simulate import observed_increments, simulate_paths
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
 
@@ -95,8 +95,8 @@ def criterion_measure_change(seed: int) -> CriterionResult:
         diff = lhs.mean() - rhs.mean()
         checks.append((abs(diff) <= 3 * se,
                        f"E_P[L f_{label}] - Ehat[f_{label}] = {diff:+.5f} +- {se:.5f}"))
-    # Girsanov-shift moments under the reweighted measure
-    W_hat = girsanov_shift(bundle)[:, -1]
+    # moments of the martingale-measure Brownian, read off the P prices, under L
+    W_hat = observed_increments(cfg, bundle.S).sum(axis=1)
     for label, stat, target in (("E[L What_T]", L_T * W_hat, 0.0),
                                 ("E[L What_T^2]", L_T * W_hat**2, cfg.maturity)):
         se = stat.std(ddof=1) / np.sqrt(n)

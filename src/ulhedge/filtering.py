@@ -9,7 +9,9 @@ world.  The conditional law of the hidden factor (and of the survival
 process it drives) given the price history is therefore sampled *exactly*:
 particles are propagated with the observed price-Brownian increments plus
 fresh independent orthogonal noise, with no importance weights and no
-resampling, so the martingale-measure averages never degenerate.  Estimates
+resampling, so the martingale-measure averages never degenerate.  A particle
+step calls the simulator's ``factor_step`` and ``hazard_increments`` and the
+density's ``measure.log_density_increments``.  Estimates
 given survival under either measure are one survival-weighted ratio,
 ``ParticleCloud.survival_ratio``, that differs only in the particle weights:
 Y under the martingale measure, Y times the inverse density exp(-log L) under
@@ -48,9 +50,10 @@ import numpy as np
 
 from . import rng
 from .errors import CoefficientBoundError, NumericalError, SurvivalFloorError
+from .measure import log_density_increments
 from .models import ScenarioConfig
 from .pde import locate
-from .simulate import observed_increments
+from .simulate import factor_step, hazard_increments, observed_increments
 
 # bytes of orthogonal noise drawn per block (at least one step's worth)
 NOISE_BLOCK_BYTES = 2 * 1024 * 1024
@@ -186,12 +189,10 @@ class ParticleCloud:
 
     # -- evolution -------------------------------------------------------------
     def step(self) -> None:
-        """Advance every world one grid interval (Euler factor, exact density).
-
-        Updates run in place, in the operation order of the formulas; the
-        two scalar factors of the orthogonal noise, sqrt(dt) and
-        sqrt(1 - rho^2), are applied as one product.
-        """
+        """Advance every world one grid interval by the simulator's
+        martingale-measure transition, dB = sqrt(dt) z formed in the noise
+        block: a particle given a world's own increments retraces that
+        world's X, Gamma and density bit for bit."""
         if self.k >= self.config.n_steps:
             raise IndexError("cloud already at the terminal time")
         c = self.config.coefficients
@@ -207,31 +208,15 @@ class ParticleCloud:
                 f"|mu/sigma| exceeded c_bound = {c.c_bound:.6g} at {self._where(row)}:"
                 f" {int(over[row].sum())} particle(s)"
             )
-        a = self.a
-        rho = c.rho
         dw = self.dW_obs[:, k][:, None]
-
-        # x_new = X + (b - a rho kernel) dt + a (rho dw + sqrt(1 - rho^2) dB),
-        # with dB = sqrt(dt) z
-        noise = self._next_noise()
-        noise *= np.sqrt(dt) * np.sqrt(1.0 - rho**2)
-        noise += rho * dw
-        noise *= a
-        work = self._scratch[1]
-        x_new = c.martingale_factor_drift(t, self.X, a, kernel, work)
-        x_new *= dt
-        x_new += self.X
-        x_new += noise
+        dB = self._next_noise()
+        dB *= np.sqrt(dt)
+        drift = c.martingale_factor_drift(t, self.X, self.a, kernel, self._scratch[1])
+        x_new = factor_step(c.rho, self.X, drift, self.a, dw, dB, dt, work=dB)
         gam_new = c.gamma(self.t_grid[k + 1], x_new)
-        # trapezoidal hazard (in the buffer of the rate at t_k, which is not
-        # read again) and the density kernel: 0.5 x dt == x (0.5 dt) exactly
-        hazard = np.add(self.gam, gam_new, out=self.gam)
-        hazard *= 0.5 * dt
-        self.Gamma_p += hazard
-        self.log_L -= np.multiply(kernel, dw, out=work)
-        kernel *= kernel
-        kernel *= 0.5 * dt
-        self.log_L += kernel
+        # the rate at t_k is not read again, so its buffer takes the increment
+        self.Gamma_p += hazard_increments(self.gam, gam_new, dt, out=self.gam)
+        self.log_L += log_density_increments(kernel, dw, dt, work=self._scratch[1])
         self.X = x_new
         self.k = k + 1
         # one reduction is finite unless an element is not finite or the sum

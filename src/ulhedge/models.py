@@ -17,7 +17,7 @@ arithmetic of its formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -323,6 +323,17 @@ def _sample_lattice(config: ScenarioConfig):
     return np.meshgrid(t, s, x, indexing="ij")
 
 
+def _non_finite(obj, prefix: str = ""):
+    """Dotted names of the non-finite floats in a dataclass and those nested
+    in it (a NaN passes every comparison check of ``validate``)."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _non_finite(value, f"{prefix}{f.name}.")
+        elif isinstance(value, float) and not np.isfinite(value):
+            yield prefix + f.name
+
+
 def validate(config: ScenarioConfig) -> ValidationReport:
     """Check a scenario against its structural constraints.
 
@@ -333,6 +344,9 @@ def validate(config: ScenarioConfig) -> ValidationReport:
     c = config.coefficients
     g = config.pde_grid
 
+    bad = ", ".join(_non_finite(config))
+    if bad:
+        rep.violations.append(f"every numeric parameter must be finite: {bad}")
     if config.n_steps < 2:
         rep.violations.append("n_steps must be >= 2")
     if config.n_paths < 1:

@@ -66,7 +66,7 @@ from scipy.sparse.linalg import splu
 from . import rng
 from .errors import DomainExcursionError, NumericalError
 from .models import CallPayoff, PutPayoff, ScenarioConfig
-from .simulate import advance_market
+from .simulate import advance_market, cumulative_hazard
 
 __all__ = ["PdeSolution", "solve_g", "solve_gtilde", "solve_phi",
            "feynman_kac_check", "ProbeResult", "interp_rows", "locate", "stretched_s_grid"]
@@ -689,9 +689,7 @@ def feynman_kac_check(config: ScenarioConfig, solution: PdeSolution, probes,
                                   s_init=s0, x_init=x0, t_start=t0)
             t_rem = t0 + config.dt * np.arange(n_rem + 1)
             gam = c.gamma(t_rem[None, :], X)
-            disc = np.ones_like(S)
-            np.cumprod(np.exp(-0.5 * (gam[:, 1:] + gam[:, :-1]) * config.dt),
-                       axis=1, out=disc[:, 1:])
+            disc = np.exp(-cumulative_hazard(config, t_rem, X))
             payoff = disc[:, -1] * contract.G(S[:, -1])
             integrand = disc * contract.U(t_rem[None, :], S) * gam
             payoff = payoff + np.trapezoid(integrand, dx=config.dt, axis=1)

@@ -7,10 +7,12 @@ this).  A world draws from each of its PATHS and DEATH streams once, so the
 draw loops re-key one Philox per world (``rng.keyed_streams``) rather than
 build a generator per world, and ``draw_worlds`` hands one batch's draws to
 the P and the P_hat run of the same worlds.  The price is advanced in log
-space (positivity is structural); the cumulative hazard uses the trapezoidal
-rule; the death time is the first grid time at which the cumulative hazard
-crosses an independent unit-exponential draw.  A bundle stores only what is
-drawn and integrated: Y = exp(-Gamma) and H = 1{t >= tau} are formed when read.
+space (positivity is structural) and the factor by ``factor_step``; the
+cumulative hazard sums the trapezoids of ``hazard_increments``; the death time
+is the first grid time at which the cumulative hazard crosses an independent
+unit-exponential draw.  The particle filter steps by the same two functions.
+A bundle stores only what is drawn and integrated: Y = exp(-Gamma) and
+H = 1{t >= tau} are formed when read.
 """
 
 from __future__ import annotations
@@ -125,6 +127,19 @@ def draw_worlds(config: ScenarioConfig, path_indices):
     return dW, dB, draw_death_exponentials(config.seed, path_indices)
 
 
+def factor_step(rho: float, x, drift: np.ndarray, a, dW, dB, dt: float, work=None):
+    """The Euler factor step x + drift dt + a (rho dW + sqrt(1 - rho^2) dB),
+    formed in ``drift``'s array, its noise term in ``work`` if given (which
+    may be ``dB``): one operation order for the simulator and the filter."""
+    noise = np.multiply(dB, np.sqrt(1.0 - rho**2), out=work)
+    noise += rho * dW
+    noise *= a
+    drift *= dt
+    drift += x
+    drift += noise
+    return drift
+
+
 def advance_market(config: ScenarioConfig, dW: np.ndarray, dB: np.ndarray,
                    measure: str, s_init=None, x_init=None, t_start: float = 0.0):
     """Advance (S, X) from explicit Brownian increments.
@@ -145,8 +160,6 @@ def advance_market(config: ScenarioConfig, dW: np.ndarray, dB: np.ndarray,
     X = np.empty((n_paths, n_steps + 1))
     S[:, 0] = config.s0 if s_init is None else s_init
     X[:, 0] = config.x0 if x_init is None else x_init
-    rho = c.rho
-    orth = np.sqrt(1.0 - rho**2)
     for k in range(n_steps):
         t = t_start + k * dt
         s_k, x_k = S[:, k], X[:, k]
@@ -155,12 +168,12 @@ def advance_market(config: ScenarioConfig, dW: np.ndarray, dB: np.ndarray,
         a_k = c.factor.a(t, x_k)
         if measure == "P":
             log_drift = (mpr * sig - 0.5 * sig**2) * dt
-            x_drift = c.factor.b(t, x_k) * dt
+            x_drift = c.factor.b(t, x_k)
         else:
             log_drift = -0.5 * sig**2 * dt
-            x_drift = c.martingale_factor_drift(t, x_k, a_k, mpr) * dt
+            x_drift = c.martingale_factor_drift(t, x_k, a_k, mpr)
         S[:, k + 1] = s_k * np.exp(log_drift + sig * dW[:, k])
-        X[:, k + 1] = x_k + x_drift + a_k * (rho * dW[:, k] + orth * dB[:, k])
+        X[:, k + 1] = factor_step(c.rho, x_k, x_drift, a_k, dW[:, k], dB[:, k], dt)
     if not (np.all(np.isfinite(S)) and np.all(np.isfinite(X))):
         bad = np.where(~(np.isfinite(S).all(axis=1) & np.isfinite(X).all(axis=1)))[0]
         raise NumericalError(f"non-finite state on path row(s) {bad[:5].tolist()}")
@@ -190,18 +203,21 @@ def observed_increments(config: ScenarioConfig, S: np.ndarray) -> np.ndarray:
     return dW
 
 
-def cumulative_hazard(config: ScenarioConfig, t_grid: np.ndarray, X: np.ndarray):
-    """Trapezoidal integral of gamma(t, X_t) along each path.
+def hazard_increments(rate, rate_next, dt: float, out=None):
+    """Trapezoidal hazard increments 0.5 (gamma_k + gamma_{k+1}) dt, in ``out``
+    if given (it may be ``rate`` itself)."""
+    out = np.add(rate, rate_next, out=out)
+    out *= 0.5 * dt
+    return out
 
-    The increments 0.5 (g_k + g_{k+1}) dt are formed in one temporary and
-    cumulated into the array that held the rates, which becomes Gamma.
+
+def cumulative_hazard(config: ScenarioConfig, t_grid: np.ndarray, X: np.ndarray):
+    """Trapezoidal integral of gamma(t, X_t) along each path (``t_grid``
+    spaced by ``config.dt``): the ``hazard_increments``, formed in one
+    temporary, cumulated into the array that held the rates, which becomes Gamma.
     """
-    c = config.coefficients
-    Gamma = c.gamma(t_grid[None, :], X)
-    dt = float(t_grid[1] - t_grid[0])
-    increments = Gamma[:, 1:] + Gamma[:, :-1]
-    increments *= 0.5
-    increments *= dt
+    Gamma = config.coefficients.gamma(t_grid[None, :], X)
+    increments = hazard_increments(Gamma[:, :-1], Gamma[:, 1:], config.dt)
     Gamma[:, 0] = 0.0
     np.cumsum(increments, axis=1, out=Gamma[:, 1:])
     return Gamma

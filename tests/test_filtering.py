@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ulhedge as uh
-from ulhedge import filtering
+from ulhedge import filtering, rng
 from ulhedge.errors import SurvivalFloorError
 from ulhedge.filtering import (
     ParticleCloud,
@@ -14,8 +14,9 @@ from ulhedge.filtering import (
     ks_residual,
     run_filter,
 )
+from ulhedge.measure import log_density_increments
 from ulhedge.oracles import affine_hazard_rate, ou_mean
-from ulhedge.simulate import advance_market, simulate_paths
+from ulhedge.simulate import advance_market, draw_worlds, simulate_paths
 
 from conftest import assert_within_se, make_config
 
@@ -65,9 +66,11 @@ class TestInitCloud:
 class TestStepCloud:
     def test_step_allocates_only_the_new_state(self):
         # a step allocates the new X and the new hazard rate (the coefficients
-        # at t_{k+1} replace the old ones); the drift correction and the
-        # density kernel are formed in the cloud's work arrays, so the peak
-        # above the step's start stays under three state-sized arrays
+        # at t_{k+1} replace the old ones); the drift correction, the density
+        # kernel and its log increment are formed in the cloud's work arrays,
+        # the noise term in the noise block and the hazard increment in the
+        # old rate, so the peak above the step's start stays under three
+        # state-sized arrays
         cfg = make_config(m0=0.02, m1=0.8, sigma=0.25, rho=0.4,
                           factor=uh.CIRFactor(1.0, 0.05, 0.2),
                           gamma=uh.AffineGamma(0.02, 1.0),
@@ -154,6 +157,31 @@ class TestStepCloud:
         for end in ends[:-1]:
             for got, want in zip(end, ends[-1]):
                 assert np.array_equal(got, want)
+
+    def test_one_particle_replays_the_simulated_world(self, monkeypatch):
+        # given a world's drawn dW_hat as its observed increments and the
+        # world's own orthogonal normals as its noise, a one-particle cloud
+        # takes the simulator's martingale-measure step: X, Gamma and log L
+        # agree with the bundle and the summed density increments bit for bit
+        cfg = make_config(m0=0.02, m1=0.8, sigma=0.25, rho=0.4,
+                          factor=uh.CIRFactor(1.0, 0.05, 0.2),
+                          gamma=uh.AffineGamma(0.02, 1.0),
+                          n_steps=50, n_paths=3, n_particles=1, seed=23)
+        b = simulate_paths(cfg, "P_hat")
+        dW, _, _ = draw_worlds(cfg, b.path_indices)
+        z = np.array([g.standard_normal(2 * cfg.n_steps)[cfg.n_steps:]
+                      for g in rng.keyed_streams(cfg.seed, rng.PATHS, b.path_indices)])
+        kernel = cfg.coefficients.market_price_of_risk(b.t_grid[:-1][None, :],
+                                                       b.S[:, :-1], b.X[:, :-1])
+        log_L = np.cumsum(log_density_increments(kernel, dW, cfg.dt), axis=1)
+        cloud = ParticleCloud(cfg, b.S, b.path_indices)
+        cloud.dW_obs = dW
+        monkeypatch.setattr(cloud, "_next_noise", lambda: z[:, cloud.k][:, None].copy())
+        for k in range(cfg.n_steps):
+            cloud.step()
+            assert np.array_equal(cloud.X[:, 0], b.X[:, k + 1])
+            assert np.array_equal(cloud.Gamma_p[:, 0], b.Gamma[:, k + 1])
+            assert np.array_equal(cloud.log_L[:, 0], log_L[:, k])
 
     def test_non_finite_state_names_step_and_path(self):
         # a NaN in world 3's observed price at index 1 makes its first observed

@@ -1,8 +1,8 @@
 import numpy as np
 
 import ulhedge as uh
-from ulhedge.measure import density_path, girsanov_shift
-from ulhedge.simulate import simulate_paths
+from ulhedge.measure import density_path
+from ulhedge.simulate import observed_increments, simulate_paths
 
 from conftest import assert_within_se, make_config
 
@@ -62,18 +62,13 @@ class TestDensityPath:
 
 
 class TestGirsanov:
-    def test_zero_drift_no_shift(self):
-        cfg = make_config(m0=0.0, n_paths=20)
-        b = simulate_paths(cfg, "P")
-        assert np.array_equal(girsanov_shift(b), b.W)
-
     def test_reweighted_moments(self):
         cfg = make_config(m0=0.05, m1=0.4, sigma=0.2, rho=0.5,
                           factor=uh.OUFactor(1.0, 0.06, 0.15), x0=0.06,
                           n_paths=100_000, n_steps=64, seed=15)
         b = simulate_paths(cfg, "P")
         L_T = density_path(b).L[:, -1]
-        W_hat = girsanov_shift(b)[:, -1]
+        W_hat = observed_increments(cfg, b.S).sum(axis=1)
         first = L_T * W_hat
         assert_within_se(first.mean(), 0.0, first.std(ddof=1) / np.sqrt(cfg.n_paths),
                          label="E[L What]")

@@ -42,6 +42,19 @@ class TestValidation:
         assert [v for v in rep.violations if "gamma" in v] == [
             "gamma0 and gamma1 must be nonnegative"]
 
+    @pytest.mark.parametrize("field, cfg", [
+        ("coefficients.c_bound", make_config(c_bound=np.nan)),
+        ("survival_floor", make_config().with_updates(survival_floor=np.nan)),
+        ("coefficients.gamma.gamma0", make_config(gamma=uh.AffineGamma(np.nan, 0.0))),
+        ("coefficients.sigma0", make_config(sigma=np.nan)),
+        ("coefficients.sigma0", make_config(sigma=np.inf)),
+        ("coefficients.gamma.gamma1", make_config(gamma=uh.AffineGamma(0.0, np.inf))),
+    ])
+    def test_non_finite_parameter_fails(self, field, cfg):
+        # each of these passed the checks written as comparisons
+        rep = uh.validate(cfg)
+        assert f"every numeric parameter must be finite: {field}" in rep.violations
+
     def test_mu_bound_checked_on_grid(self):
         cfg = make_config(m0=5.0, sigma=0.2, c_bound=1.0)
         rep = uh.validate(cfg)
