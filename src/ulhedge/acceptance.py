@@ -32,7 +32,8 @@ from .models import (
     PdeGrid,
     ScenarioConfig,
 )
-from .pde import feynman_kac_check, solve_g, solve_gtilde, solve_phi
+from .pde import (_strike_of, feynman_kac_check, solve_g, solve_gtilde, solve_phi,
+                  stretched_s_grid)
 from .simulate import observed_increments, simulate_paths
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
@@ -401,10 +402,7 @@ def criterion_optimality(seed: int) -> CriterionResult:
 
 def _strike_cell_bound(rep) -> float:
     """Worst chord error of the terminal payoff over one strike cell."""
-    from .pde import stretched_s_grid
-    contract = rep.config.contract
-    payoff = contract.survival_payoff
-    strike = getattr(payoff, "strike", None)
+    strike = _strike_of(rep.config.contract.survival_payoff)
     if strike is None:
         return 1e-10
     grid = rep.config.pde_grid

@@ -166,15 +166,15 @@ class ParticleCloud:
         # two work arrays of the state's shape, reused within each call
         self._scratch = np.empty((2,) + shape)
         self.k = 0
-        self._evaluate(config.coefficients.gamma(self.t, self.X))
+        self._evaluate(config.coefficients.gamma(self.X))
 
     def _evaluate(self, gam: np.ndarray) -> None:
-        """Cache Y and the coefficients at the current (t_k, S_k, X)."""
+        """Cache Y and the coefficients at the current particle states X."""
         c = self.config.coefficients
         np.negative(self.Gamma_p, out=self.Y)
         np.exp(self.Y, out=self.Y)
-        self.mu = c.mu(self.t, self.s_now, self.X)
-        self.a = c.factor.a(self.t, self.X)
+        self.mu = c.mu(self.X)
+        self.a = c.factor.a(self.X)
         self.gam = gam
 
     # -- state views ---------------------------------------------------------
@@ -197,9 +197,8 @@ class ParticleCloud:
             raise IndexError("cloud already at the terminal time")
         c = self.config.coefficients
         k = self.k
-        t = self.t_grid[k]
         dt = self.dt
-        kernel = np.divide(self.mu, c.sigma(t, self.s_now), out=self._scratch[0])
+        kernel = np.divide(self.mu, c.sigma0, out=self._scratch[0])
         # |kernel| > c_bound without forming |kernel| (a NaN trips neither test)
         if kernel.max() > c.c_bound or kernel.min() < -c.c_bound:
             over = np.abs(kernel) > c.c_bound
@@ -211,9 +210,9 @@ class ParticleCloud:
         dw = self.dW_obs[:, k][:, None]
         dB = self._next_noise()
         dB *= np.sqrt(dt)
-        drift = c.martingale_factor_drift(t, self.X, self.a, kernel, self._scratch[1])
+        drift = c.martingale_factor_drift(self.X, self.a, kernel, self._scratch[1])
         x_new = factor_step(c.rho, self.X, drift, self.a, dw, dB, dt, work=dB)
-        gam_new = c.gamma(self.t_grid[k + 1], x_new)
+        gam_new = c.gamma(x_new)
         # the rate at t_k is not read again, so its buffer takes the increment
         self.Gamma_p += hazard_increments(self.gam, gam_new, dt, out=self.gam)
         self.log_L += log_density_increments(kernel, dw, dt, work=self._scratch[1])
@@ -385,15 +384,15 @@ class ParticleCloud:
         """Per-particle generator of (S, X, Y) under the martingale measure."""
         c = self.config.coefficients
         t, s, x, y = self.t, self.s_now, self.X, self.Y
-        sig = c.sigma(t, s)
+        sig = c.sigma0
         a = self.a
-        drift_x = c.martingale_factor_drift(t, x, a, self.mu / sig)
+        drift_x = c.martingale_factor_drift(x, a, self.mu / sig)
         return (func.f_t(t, s, x, y)
                 + drift_x * func.f_x(t, s, x, y)
                 - y * self.gam * func.f_y(t, s, x, y)
                 + 0.5 * a**2 * func.f_xx(t, s, x, y)
                 + c.rho * a * sig * s * func.f_sx(t, s, x, y)
-                + 0.5 * sig**2 * s**2 * func.f_ss(t, s, x, y))
+                + 0.5 * (sig * sig) * s**2 * func.f_ss(t, s, x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +462,9 @@ def ks_residual(config: ScenarioConfig, s_path, func: SmoothFunctional,
     gain_sum = np.zeros(cloud.n_worlds)
     for k in range(n):
         t, s, x, y = cloud.t, cloud.s_now, cloud.X, cloud.Y
-        sig = c.sigma(t, s)
         pi_gen = cloud.pi(cloud.generator_apply(func))
         gain = c.rho * cloud.pi(cloud.a * func.f_x(t, s, x, y)) \
-            + cloud.pi(sig * s * func.f_s(t, s, x, y))
+            + cloud.pi(c.sigma0 * s * func.f_s(t, s, x, y))
         cloud.step()
         drift_sum += pi_gen * cloud.dt
         gain_sum += gain * cloud.dW_obs[:, k]

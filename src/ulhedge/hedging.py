@@ -79,7 +79,7 @@ def payment_stream(bundle: PathBundle) -> np.ndarray:
     death_benefit = np.zeros(bundle.n_paths)
     if np.any(died):
         s_at_death = bundle.S[np.arange(bundle.n_paths), kstar]
-        death_benefit[died] = contract.U(bundle.tau[died], s_at_death[died])
+        death_benefit[died] = contract.U(s_at_death[died])
 
     N = death_benefit[:, None] * bundle.H
     survival_benefit = np.where(~died, contract.G(bundle.S[:, -1]), 0.0)
@@ -98,24 +98,24 @@ def _name_world(exc: DomainExcursionError, bundle: PathBundle, k: int):
         f"step k={k}, path {int(bundle.path_indices[row])}: {exc}", exc.index)
 
 
-def theta_full(c, t: float, s, a, g_s: np.ndarray, g_x: np.ndarray) -> np.ndarray:
+def theta_full(c, s, a, g_s: np.ndarray, g_x: np.ndarray) -> np.ndarray:
     """Full-information strategy dg/ds + (rho a / (sigma s)) dg/dx, formed in
     place in ``g_s`` and returned.
 
-    ``c`` holds the coefficients; ``s`` is each world's price at t, shaped to
-    broadcast against ``g_s`` ((n_worlds, 1)), and ``a`` is a(t, x) at the
-    factor states where ``g_s`` and ``g_x`` were gathered.  The hedge applies
-    it to the gather at each world's own (S, X), where it is theta_F, and,
-    with a = 1, to the survival ratios of g_s and a g_x at the particles,
-    where it is theta*.
+    ``c`` holds the coefficients (sigma is the constant ``c.sigma0``); ``s``
+    is each world's price, shaped to broadcast against ``g_s``
+    ((n_worlds, 1)), and ``a`` is a(x) at the factor states where ``g_s``
+    and ``g_x`` were gathered.  The hedge applies it to the gather at each
+    world's own (S, X), where it is theta_F, and, with a = 1, to the
+    survival ratios of g_s and a g_x at the particles, where it is theta*.
     """
-    correction = c.rho / (c.sigma(t, s) * s) * a
+    correction = c.rho / (c.sigma0 * s) * a
     correction *= g_x
     g_s += correction
     return g_s
 
 
-def _projected(c, t: float, s: np.ndarray, rows: np.ndarray, deposit: Deposit):
+def _projected(c, s: np.ndarray, rows: np.ndarray, deposit: Deposit):
     """The partial-information value and position of each world: its rows of
     g, dg/ds and dg/dx over its window (``slice_at_s``) dotted with the
     cloud's survival deposit over the same window
@@ -130,7 +130,7 @@ def _projected(c, t: float, s: np.ndarray, rows: np.ndarray, deposit: Deposit):
     np.multiply(d_y, rows[:2], out=products[:2])
     np.multiply(d_ya, rows[2], out=products[2])
     value, g_s, a_g_x = node_sums(products) / total
-    return value, theta_full(c, t, s, 1.0, g_s, a_g_x)
+    return value, theta_full(c, s, 1.0, g_s, a_g_x)
 
 
 @dataclass
@@ -199,7 +199,7 @@ def hedge_paths(config: ScenarioConfig, bundle: PathBundle,
     pfs_mu = np.empty((n_paths, n))
 
     for k in range(n + 1):
-        t, s_k, x_own = cloud.t, cloud.s_now, bundle.X[:, k:k + 1]
+        s_k, x_own = cloud.s_now, bundle.X[:, k:k + 1]
         try:
             deposit = cloud.survival_deposit(x_grid, x_own)
             rows = g_sol.slice_at_s(("value", "d_s", "d_x"), k, s_k[:, 0],
@@ -207,10 +207,10 @@ def hedge_paths(config: ScenarioConfig, bundle: PathBundle,
             own = interp_rows(rows, x_grid, x_own, deposit.lo)
         except DomainExcursionError as exc:
             raise _name_world(exc, bundle, k) from exc
-        ratio[:, k], theta_k = _projected(c, t, s_k[:, 0], rows, deposit)
+        ratio[:, k], theta_k = _projected(c, s_k[:, 0], rows, deposit)
         V_full[:, k] = own[0, :, 0]
         if k < n:
-            th_full[:, k] = theta_full(c, t, s_k, c.factor.a(t, x_own), own[1], own[2])[:, 0]
+            th_full[:, k] = theta_full(c, s_k, c.factor.a(x_own), own[1], own[2])[:, 0]
             theta_star[:, k] = theta_k
             pfs_mu[:, k] = cloud.projected_drift()
             cloud.step()

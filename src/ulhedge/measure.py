@@ -47,7 +47,7 @@ def density_path(bundle: PathBundle) -> DensityPath:
     prices (``simulate.observed_increments``); E_P[L_t] = 1 on a P bundle.
     """
     c, S = bundle.config, bundle.S
-    kernel = c.coefficients.market_price_of_risk(bundle.t_grid[:-1], S[:, :-1], bundle.X[:, :-1])
+    kernel = c.coefficients.market_price_of_risk(bundle.X[:, :-1])
     dlog = log_density_increments(kernel, observed_increments(c, S), c.dt)
     log_L = np.zeros_like(bundle.S)
     np.cumsum(dlog, axis=1, out=log_L[:, 1:])

@@ -2,17 +2,20 @@
 
 The market is a riskless account pinned at 1 plus one risky asset
 
-    dS = S (mu(t, S, X) dt + sigma(t, S) dW),
-    dX = b(t, X) dt + a(t, X) (rho dW + sqrt(1 - rho^2) dB),
+    dS = S (mu(X) dt + sigma dW),
+    dX = b(X) dt + a(X) (rho dW + sqrt(1 - rho^2) dB),
 
-with a policyholder whose death intensity is gamma(t, X).  The concrete
-families below keep sigma constant and the drift affine in the factor,
+with a policyholder whose death intensity is gamma(X).  The paper lets every
+coefficient depend on t (and mu, sigma on S); the families here are
+time-homogeneous, so each coefficient takes only the state it reads: sigma is
+the constant ``sigma0``, the drift is affine in the factor,
 ``mu = m0 + m1 x``; the factor is frozen (no dynamics), Ornstein-Uhlenbeck or
 square-root mean reverting; the intensity is the one affine family
 ``gamma = gamma0 + gamma1 max(x, 0)``, which the affine-transform oracles
-solve in closed form.  All coefficient callables accept and broadcast
-numpy arrays, and each returns a fresh array, formed in place with the
-arithmetic of its formula.
+solve in closed form; payoffs read the price alone.  The value PDEs rely on
+this: one operator serves every time step.  All coefficient callables accept
+and broadcast numpy arrays, and each returns a fresh array, formed in place
+with the arithmetic of its formula.
 """
 
 from __future__ import annotations
@@ -59,10 +62,10 @@ class FrozenFactor:
     """Degenerate factor: b = a = 0, so X_t = x0 for all t."""
 
 
-    def b(self, t, x):
+    def b(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def a(self, t, x):
+    def a(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
 
@@ -75,12 +78,12 @@ class OUFactor:
     a_vol: float
 
 
-    def b(self, t, x):
+    def b(self, x):
         drift = self.xbar - np.asarray(x, dtype=float)
         drift *= self.kappa
         return drift
 
-    def a(self, t, x):
+    def a(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.a_vol)
 
 
@@ -93,12 +96,12 @@ class CIRFactor:
     a_vol: float
 
 
-    def b(self, t, x):
+    def b(self, x):
         drift = self.xbar - np.asarray(x, dtype=float)
         drift *= self.kappa
         return drift
 
-    def a(self, t, x):
+    def a(self, x):
         vol = _clamped(x)
         np.sqrt(vol, out=vol)
         vol *= self.a_vol
@@ -117,7 +120,7 @@ FactorFamily = FrozenFactor | OUFactor | CIRFactor
 
 @dataclass(frozen=True)
 class AffineGamma:
-    """gamma(t, x) = gamma0 + gamma1 max(x, 0).
+    """gamma(x) = gamma0 + gamma1 max(x, 0).
 
     The factor is clamped at zero so the intensity stays nonnegative even
     when an OU factor path dips negative.  gamma1 = 0 is a constant
@@ -127,7 +130,7 @@ class AffineGamma:
     gamma0: float
     gamma1: float
 
-    def __call__(self, t, x):
+    def __call__(self, x):
         rate = _clamped(x)
         rate *= self.gamma1
         rate += self.gamma0
@@ -143,7 +146,7 @@ class ConstantPayoff:
     level: float
 
 
-    def __call__(self, t, s):
+    def __call__(self, s):
         return np.full_like(np.asarray(s, dtype=float), self.level)
 
 
@@ -152,7 +155,7 @@ class LinearPayoff:
     slope: float
 
 
-    def __call__(self, t, s):
+    def __call__(self, s):
         return self.slope * np.asarray(s, dtype=float)
 
 
@@ -161,7 +164,7 @@ class CallPayoff:
     strike: float
 
 
-    def __call__(self, t, s):
+    def __call__(self, s):
         return np.maximum(np.asarray(s, dtype=float) - self.strike, 0.0)
 
 
@@ -170,7 +173,7 @@ class PutPayoff:
     strike: float
 
 
-    def __call__(self, t, s):
+    def __call__(self, s):
         return np.maximum(self.strike - np.asarray(s, dtype=float), 0.0)
 
 
@@ -181,7 +184,7 @@ Payoff = ConstantPayoff | LinearPayoff | CallPayoff | PutPayoff
 
 @dataclass(frozen=True)
 class Contract:
-    """Endowment insurance: pays G(T, S_T) on survival, U(t, S_t) at death.
+    """Endowment insurance: pays G(S_T) on survival, U(S_tau) at death.
 
     Zero recovery with nonzero G is a term insurance; zero G with nonzero U a
     pure endowment; both nonzero the combined endowment insurance.
@@ -196,10 +199,10 @@ class Contract:
             raise ConfigError("contract maturity must be positive")
 
     def G(self, s):
-        return self.survival_payoff(self.maturity, s)
+        return self.survival_payoff(s)
 
-    def U(self, t, s):
-        return self.death_recovery(t, s)
+    def U(self, s):
+        return self.death_recovery(s)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +220,8 @@ class PdeGrid:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """The coefficient quintuple (mu, sigma, b, a, gamma) plus rho.
+    """The coefficient quintuple (mu, sigma, b, a, gamma) plus rho: mu(x),
+    sigma = ``sigma0``, b(x) and a(x) from ``factor`` and gamma(x).
 
     ``c_bound`` is the market-price-of-risk cap; evaluation raising on a
     breach keeps the square-integrability assumption behind the density
@@ -232,30 +236,26 @@ class CoefficientSet:
     rho: float
     c_bound: float
 
-    def mu(self, t, s, x):
-        """m0 + m1 x, broadcast against s (on which it does not depend)."""
+    def mu(self, x):
+        """m0 + m1 x."""
         drift = self.m1 * np.asarray(x, dtype=float)
         drift += self.m0
-        shape = np.broadcast_shapes(np.shape(drift), np.shape(s))
-        return drift if np.shape(drift) == shape else np.broadcast_to(drift, shape).copy()
+        return drift
 
-    def sigma(self, t, s):
-        return np.full_like(np.asarray(s, dtype=float), self.sigma0)
-
-    def martingale_factor_drift(self, t, x, a, kernel, work=None):
-        """The martingale-measure factor drift b(t, x) - (a rho) kernel, for
-        a = a(t, x) and the market price of risk ``kernel`` of x's shape,
+    def martingale_factor_drift(self, x, a, kernel, work=None):
+        """The martingale-measure factor drift b(x) - (a rho) kernel, for
+        a = a(x) and the market price of risk ``kernel`` of x's shape,
         in b's fresh array; the correction is formed in ``work`` if given."""
         correction = np.multiply(a, self.rho, out=work)
         correction *= kernel
-        drift = self.factor.b(t, x)
+        drift = self.factor.b(x)
         drift -= correction
         return drift
 
-    def market_price_of_risk(self, t, s, x, check: bool = True):
-        """mu/sigma, raising when the configured bound is breached."""
-        ratio = self.mu(t, s, x) / self.sigma(t, s)
-        if check and np.any(np.abs(ratio) > self.c_bound):
+    def market_price_of_risk(self, x):
+        """mu(x)/sigma0, raising when the configured bound is breached."""
+        ratio = self.mu(x) / self.sigma0
+        if np.any(np.abs(ratio) > self.c_bound):
             worst = float(np.max(np.abs(ratio)))
             raise CoefficientBoundError(
                 f"|mu/sigma| = {worst:.6g} exceeds c_bound = {self.c_bound:.6g}"
@@ -312,15 +312,6 @@ class ValidationReport:
         if self.ok:
             return "configuration: pass"
         return "configuration: FAIL\n" + "\n".join(f"  - {v}" for v in self.violations)
-
-
-def _sample_lattice(config: ScenarioConfig):
-    n = 9
-    g = config.pde_grid
-    t = np.linspace(0.0, config.maturity, n)
-    s = np.linspace(g.s_max / n, g.s_max, n)
-    x = np.linspace(g.x_min, g.x_max, n)
-    return np.meshgrid(t, s, x, indexing="ij")
 
 
 def _non_finite(obj, prefix: str = ""):
@@ -384,8 +375,8 @@ def validate(config: ScenarioConfig) -> ValidationReport:
         rep.violations.append("gamma0 and gamma1 must be nonnegative")
 
     if c.sigma0 > 0:
-        t, s, x = _sample_lattice(config)
-        ratio = np.abs(c.mu(t, s, x) / c.sigma(t, s))
+        # mu is affine in x, so |mu/sigma| peaks at an edge of the x grid
+        ratio = np.abs(c.mu(np.array([g.x_min, g.x_max])) / c.sigma0)
         if np.any(ratio > c.c_bound):
             rep.violations.append(
                 f"|mu/sigma| reaches {float(ratio.max()):.6g} on the configured"

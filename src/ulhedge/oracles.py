@@ -104,7 +104,7 @@ def affine_survival(factor: FactorFamily, gamma: AffineGamma, x0: float, t):
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if isinstance(factor, FrozenFactor):
-        out = np.exp(-float(gamma(0.0, x0)) * t)
+        out = np.exp(-float(gamma(x0)) * t)
     else:
         a, b, _ = _riccati_state(factor, gamma, t)
         out = np.exp(a + b * x0)
@@ -119,7 +119,7 @@ def affine_hazard_rate(factor: FactorFamily, gamma: AffineGamma, x0: float, t):
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if isinstance(factor, FrozenFactor):
-        out = np.full_like(t, float(gamma(0.0, x0)))
+        out = np.full_like(t, float(gamma(x0)))
     else:
         a, b, rhs = _riccati_state(factor, gamma, t)
         da, db = rhs(b)

@@ -99,7 +99,7 @@ def stretched_s_grid(n_s: int, s_max: float, strike: float | None) -> np.ndarray
     return s
 
 
-def _cell_average(payoff, t: float, grid: np.ndarray) -> np.ndarray:
+def _cell_average(payoff, grid: np.ndarray) -> np.ndarray:
     """Finite-volume projection of a payoff onto the grid cells.
 
     Exact for the piecewise-linear payoff families; equals the pointwise
@@ -107,7 +107,7 @@ def _cell_average(payoff, t: float, grid: np.ndarray) -> np.ndarray:
     """
     strike = _strike_of(payoff)
     if strike is None:
-        return payoff(t, grid)
+        return payoff(grid)
     mid = 0.5 * (grid[:-1] + grid[1:])
     lo = np.concatenate([[grid[0]], mid])
     hi = np.concatenate([mid, [grid[-1]]])
@@ -440,19 +440,12 @@ def _operator(*stencils) -> sp.csc_matrix:
     return A
 
 
-def _coeff_arrays_2d(config: ScenarioConfig, SS, XX):
-    c = config.coefficients
-    sig = c.sigma(0.0, SS)
-    aa = c.factor.a(0.0, XX)
-    drift = c.martingale_factor_drift(0.0, XX, aa,
-                                      c.market_price_of_risk(0.0, SS, XX, check=False))
-    gam = c.gamma(0.0, XX)
-    return sig, aa, drift, gam
+def _assemble_2d(s_grid, x_grid, sig: float, aa, drift) -> sp.csc_matrix:
+    """Spatial operator (diffusions + upwinded x-drift), no reaction, no mixed.
 
-
-def _assemble_2d(s_grid, x_grid, sig, aa, drift) -> sp.csc_matrix:
-    """Spatial operator (diffusions + upwinded x-drift), no reaction, no mixed."""
-    half_s = 0.5 * sig**2 * s_grid[:, None] ** 2
+    ``sig`` is the constant price volatility; ``aa`` and ``drift`` are the
+    factor's volatility and martingale-measure drift over the whole grid."""
+    half_s = np.broadcast_to(0.5 * (sig * sig) * s_grid[:, None] ** 2, aa.shape)
     return _operator(_axis_stencil(s_grid, half_s, 0.0, axis=0),
                      _axis_stencil(x_grid, 0.5 * aa**2, drift, axis=1))
 
@@ -545,7 +538,7 @@ def _extrema(values, step: int) -> tuple[float, float]:
 def solve_g(config: ScenarioConfig, surface: bool = True) -> PdeSolution:
     """Solve the 2D value problem for the endowment contract.
 
-    Returns g with g(T, s, x) = G(T, s); the interior equation balances the
+    Returns g with g(T, s, x) = G(s); the interior equation balances the
     (s, x) generator under the martingale measure against killing at the
     mortality rate plus the death-benefit source U gamma.  With
     ``surface=False`` the march keeps two time slices and the solution holds
@@ -554,30 +547,31 @@ def solve_g(config: ScenarioConfig, surface: bool = True) -> PdeSolution:
     """
     grid = config.pde_grid
     contract = config.contract
+    c = config.coefficients
     T = contract.maturity
     n_t = config.n_steps
     s_grid = stretched_s_grid(grid.n_s, grid.s_max,
                               _strike_of(contract.survival_payoff))
     x_grid = np.linspace(grid.x_min, grid.x_max, grid.n_x + 1)
     SS, XX = np.meshgrid(s_grid, x_grid, indexing="ij")
-    rho = config.coefficients.rho
 
     values = np.empty((n_t + 1 if surface else 2, grid.n_s + 1, grid.n_x + 1))
     values[n_t % len(values)] = contract.G(s_grid)[:, None]
-    seed = np.broadcast_to(_cell_average(contract.survival_payoff, T, s_grid)[:, None],
+    seed = np.broadcast_to(_cell_average(contract.survival_payoff, s_grid)[:, None],
                            SS.shape)
-    # no coefficient, mortality or payoff family depends on t: one operator,
+    # the coefficient, mortality and payoff families take no t: one operator,
     # one factorization and one killing factor serve every step
-    sig, aa, drift, gam = _coeff_arrays_2d(config, SS, XX)
-    mixed = None if rho == 0.0 else _mixed_term(sig, aa, SS, rho, s_grid, x_grid)
-    nnz, lo, hi = _march(values, n_t, _assemble_2d(s_grid, x_grid, sig, aa, drift), seed,
-                         T / n_t, gam, contract.U(0.0, SS), mixed)
+    aa = c.factor.a(XX)
+    drift = c.martingale_factor_drift(XX, aa, c.market_price_of_risk(XX))
+    mixed = None if c.rho == 0.0 else _mixed_term(c.sigma0, aa, SS, c.rho, s_grid, x_grid)
+    nnz, lo, hi = _march(values, n_t, _assemble_2d(s_grid, x_grid, c.sigma0, aa, drift),
+                         seed, T / n_t, c.gamma(XX), contract.U(SS), mixed)
 
     t_grid = np.linspace(0.0, T, n_t + 1)
     if not surface:
         values, t_grid = values[:1], t_grid[:1]
     # overshoot beyond [0, max(sup G, sup U)]; meaningful for bounded payoffs
-    bound = max(float(np.max(contract.G(s_grid))), float(np.max(contract.U(0.0, s_grid))))
+    bound = max(float(np.max(contract.G(s_grid))), float(np.max(contract.U(s_grid))))
     gap = max(0.0, -lo) + max(0.0, hi - bound)
     return PdeSolution(kind="sx", t_grid=t_grid, values=values, s_grid=s_grid,
                        x_grid=x_grid, max_principle_gap=gap, factor_nnz=nnz)
@@ -587,7 +581,7 @@ def _solve_1d(config: ScenarioConfig, grid, terminal_payoff, terminal_seed,
               diff_coef, drift, gamma, source, surface: bool):
     """Shared backward march for the 1D problems: the 2D problem's stencil
     and march on one axis.  The coefficients are arrays over the grid or
-    scalars: no family depends on t.  Returns the values (every slice, or with
+    scalars: no family takes t.  Returns the values (every slice, or with
     ``surface=False`` the t = 0 slice alone from a two-slice ring) and the
     factor's fill."""
     n_t = config.n_steps
@@ -606,12 +600,11 @@ def solve_gtilde(config: ScenarioConfig, surface: bool = True) -> PdeSolution:
     c = config.coefficients
     payoff = config.contract.survival_payoff
     s_grid = stretched_s_grid(grid.n_s, grid.s_max, _strike_of(payoff))
-    T = config.contract.maturity
     values, nnz = _solve_1d(
         config, s_grid,
-        terminal_payoff=payoff(T, s_grid),
-        terminal_seed=_cell_average(payoff, T, s_grid),
-        diff_coef=0.5 * c.sigma(0.0, s_grid) ** 2 * s_grid**2,
+        terminal_payoff=payoff(s_grid),
+        terminal_seed=_cell_average(payoff, s_grid),
+        diff_coef=0.5 * (c.sigma0 * c.sigma0) * s_grid**2,
         drift=0.0,
         gamma=0.0,
         source=0.0,
@@ -638,9 +631,9 @@ def solve_phi(config: ScenarioConfig, surface: bool = True) -> PdeSolution:
         config, x_grid,
         terminal_payoff=ones,
         terminal_seed=ones,
-        diff_coef=0.5 * c.factor.a(0.0, x_grid) ** 2,
-        drift=c.factor.b(0.0, x_grid),
-        gamma=c.gamma(0.0, x_grid),
+        diff_coef=0.5 * c.factor.a(x_grid) ** 2,
+        drift=c.factor.b(x_grid),
+        gamma=c.gamma(x_grid),
         source=0.0,
         surface=surface,
     )
@@ -685,13 +678,11 @@ def feynman_kac_check(config: ScenarioConfig, solution: PdeSolution, probes,
             root_dt = np.sqrt(config.dt)
             dW = root_dt * gen.standard_normal((n_mc, n_rem))
             dB = root_dt * gen.standard_normal((n_mc, n_rem))
-            S, X = advance_market(config, dW, dB, "P_hat",
-                                  s_init=s0, x_init=x0, t_start=t0)
-            t_rem = t0 + config.dt * np.arange(n_rem + 1)
-            gam = c.gamma(t_rem[None, :], X)
-            disc = np.exp(-cumulative_hazard(config, t_rem, X))
+            S, X = advance_market(config, dW, dB, "P_hat", s_init=s0, x_init=x0)
+            gam = c.gamma(X)
+            disc = np.exp(-cumulative_hazard(gam.copy(), config.dt))
             payoff = disc[:, -1] * contract.G(S[:, -1])
-            integrand = disc * contract.U(t_rem[None, :], S) * gam
+            integrand = disc * contract.U(S) * gam
             payoff = payoff + np.trapezoid(integrand, dx=config.dt, axis=1)
             mc = float(payoff.mean())
             se = float(payoff.std(ddof=1) / np.sqrt(n_mc))

@@ -141,7 +141,7 @@ def factor_step(rho: float, x, drift: np.ndarray, a, dW, dB, dt: float, work=Non
 
 
 def advance_market(config: ScenarioConfig, dW: np.ndarray, dB: np.ndarray,
-                   measure: str, s_init=None, x_init=None, t_start: float = 0.0):
+                   measure: str, s_init=None, x_init=None):
     """Advance (S, X) from explicit Brownian increments.
 
     Under ``P`` the price drifts at mu; under ``P_hat`` the price is driftless
@@ -160,18 +160,18 @@ def advance_market(config: ScenarioConfig, dW: np.ndarray, dB: np.ndarray,
     X = np.empty((n_paths, n_steps + 1))
     S[:, 0] = config.s0 if s_init is None else s_init
     X[:, 0] = config.x0 if x_init is None else x_init
+    sig = c.sigma0
+    half_var = 0.5 * (sig * sig)
     for k in range(n_steps):
-        t = t_start + k * dt
         s_k, x_k = S[:, k], X[:, k]
-        sig = c.sigma(t, s_k)
-        mpr = c.market_price_of_risk(t, s_k, x_k)
-        a_k = c.factor.a(t, x_k)
+        mpr = c.market_price_of_risk(x_k)
+        a_k = c.factor.a(x_k)
         if measure == "P":
-            log_drift = (mpr * sig - 0.5 * sig**2) * dt
-            x_drift = c.factor.b(t, x_k)
+            log_drift = (mpr * sig - half_var) * dt
+            x_drift = c.factor.b(x_k)
         else:
-            log_drift = -0.5 * sig**2 * dt
-            x_drift = c.martingale_factor_drift(t, x_k, a_k, mpr)
+            log_drift = -half_var * dt
+            x_drift = c.martingale_factor_drift(x_k, a_k, mpr)
         S[:, k + 1] = s_k * np.exp(log_drift + sig * dW[:, k])
         X[:, k + 1] = factor_step(c.rho, x_k, x_drift, a_k, dW[:, k], dB[:, k], dt)
     if not (np.all(np.isfinite(S)) and np.all(np.isfinite(X))):
@@ -184,18 +184,12 @@ def observed_increments(config: ScenarioConfig, S: np.ndarray) -> np.ndarray:
     """The martingale-measure Brownian increments that moved the price paths
     ``S`` (n_paths, n_steps+1): ``advance_market``'s log step inverted,
     (log(S_{k+1}/S_k) + sigma^2 dt / 2) / sigma.  On a physical-measure
-    path this reads dW + (mu/sigma) dt.  Raises ``NumericalError`` where
-    sigma vanishes on the path."""
-    c = config.coefficients
-    sig = c.sigma(config.t_grid()[:-1][None, :], S[:, :-1])
-    if np.any(sig <= 0):
+    path this reads dW + (mu/sigma) dt.  Raises ``NumericalError`` unless
+    sigma is positive.  The result is the one array allocated."""
+    sig = config.coefficients.sigma0
+    if not sig > 0:
         raise NumericalError("sigma vanishes on the observed path")
-    # the result is allocated after its temporaries: formed first, it left a
-    # pool worker of a 2500-world, 16-particle smoke hedge ~1 MB more
-    # resident at its peak
-    half_var = np.square(sig)
-    half_var *= 0.5
-    half_var *= config.dt
+    half_var = 0.5 * (sig * sig) * config.dt
     dW = np.divide(S[:, 1:], S[:, :-1])
     np.log(dW, out=dW)
     dW += half_var
@@ -211,13 +205,14 @@ def hazard_increments(rate, rate_next, dt: float, out=None):
     return out
 
 
-def cumulative_hazard(config: ScenarioConfig, t_grid: np.ndarray, X: np.ndarray):
-    """Trapezoidal integral of gamma(t, X_t) along each path (``t_grid``
-    spaced by ``config.dt``): the ``hazard_increments``, formed in one
-    temporary, cumulated into the array that held the rates, which becomes Gamma.
+def cumulative_hazard(rates: np.ndarray, dt: float) -> np.ndarray:
+    """Trapezoidal integral along each path of the death rates ``rates``
+    (n_paths, n_steps+1) on a grid of step ``dt``: the ``hazard_increments``,
+    formed in one temporary, cumulated into ``rates``' own array, which
+    becomes Gamma and is returned.
     """
-    Gamma = config.coefficients.gamma(t_grid[None, :], X)
-    increments = hazard_increments(Gamma[:, :-1], Gamma[:, 1:], config.dt)
+    Gamma = rates
+    increments = hazard_increments(Gamma[:, :-1], Gamma[:, 1:], dt)
     Gamma[:, 0] = 0.0
     np.cumsum(increments, axis=1, out=Gamma[:, 1:])
     return Gamma
@@ -258,7 +253,7 @@ def simulate_paths(config: ScenarioConfig, measure: str = "P",
     np.cumsum(dW, axis=1, out=W[:, 1:])
     np.cumsum(dB, axis=1, out=B[:, 1:])
     del dW, dB, draws
-    Gamma = cumulative_hazard(config, t_grid, X)
+    Gamma = cumulative_hazard(config.coefficients.gamma(X), config.dt)
     tau = sample_death_time(t_grid, Gamma, edraw)
     return PathBundle(config=config, measure=measure, t_grid=t_grid, W=W, B=B, S=S, X=X,
                       Gamma=Gamma, tau=tau,

@@ -171,8 +171,7 @@ class TestStepCloud:
         dW, _, _ = draw_worlds(cfg, b.path_indices)
         z = np.array([g.standard_normal(2 * cfg.n_steps)[cfg.n_steps:]
                       for g in rng.keyed_streams(cfg.seed, rng.PATHS, b.path_indices)])
-        kernel = cfg.coefficients.market_price_of_risk(b.t_grid[:-1][None, :],
-                                                       b.S[:, :-1], b.X[:, :-1])
+        kernel = cfg.coefficients.market_price_of_risk(b.X[:, :-1])
         log_L = np.cumsum(log_density_increments(kernel, dW, cfg.dt), axis=1)
         cloud = ParticleCloud(cfg, b.S, b.path_indices)
         cloud.dW_obs = dW

@@ -227,9 +227,8 @@ class TestThetaPartial:
                                                   len(g_sol.x_grid)),
                                  g_sol.x_grid, cloud.X, 0)
             num = (Y * gs).mean(axis=1)
-            t = cloud.t
-            num = num + c.rho / (c.sigma(t, s_k) * s_k) \
-                * (c.factor.a(t, cloud.X) * Y * gx).mean(axis=1)
+            num = num + c.rho / (c.sigma0 * s_k) \
+                * (c.factor.a(cloud.X) * Y * gx).mean(axis=1)
             theta[:, k] = num / Y.mean(axis=1)
             cloud.step()
         theta *= 1.0 - h_exported[:, :-1]
@@ -312,7 +311,7 @@ def _deposit_against_gather(cloud, g_sol, k, own_x=None):
     own_x = cloud.X[:, :1] if own_x is None else own_x
     whole = g_sol.slice_at_s(names, k, s[:, 0], 0, len(grid))
     fields = interp_rows(whole, grid, cloud.X, 0)
-    theta_full(c, cloud.t, s, cloud.a, fields[1], fields[2])
+    theta_full(c, s, cloud.a, fields[1], fields[2])
     value_ref, theta_ref = cloud.survival_ratio(fields[:2])
     deposit = cloud.survival_deposit(grid, own_x)
     width = deposit.d_y.shape[1]
@@ -321,7 +320,7 @@ def _deposit_against_gather(cloud, g_sol, k, own_x=None):
     assert np.array_equal(rows, np.take_along_axis(whole, columns[None], axis=2))
     assert np.array_equal(interp_rows(rows, grid, own_x, deposit.lo),
                           interp_rows(whole, grid, own_x, 0))
-    value, theta = _projected(c, cloud.t, s[:, 0], rows, deposit)
+    value, theta = _projected(c, s[:, 0], rows, deposit)
     return np.abs(value - value_ref).max(), np.abs(theta - theta_ref).max(), deposit
 
 
@@ -409,7 +408,7 @@ class TestSurvivalDeposit:
             deposit = cloud.survival_deposit(grid, own_x)
             rows = smoke_g.slice_at_s(("value", "d_s", "d_x"), k, cloud.s_now[:, 0],
                                       deposit.lo, deposit.d_y.shape[1])
-            results.append((deposit, _projected(c, cloud.t, cloud.s_now[:, 0], rows, deposit)))
+            results.append((deposit, _projected(c, cloud.s_now[:, 0], rows, deposit)))
         (narrow, want), (wide, got) = results
         assert narrow.d_y.shape[1] < 15 and wide.d_y.shape[1] == len(grid)
         assert not wide.lo.any() and narrow.lo[0] > 0
@@ -480,8 +479,8 @@ class TestSurvivalDeposit:
                 rows = g_sol.slice_at_s(("value", "d_s", "d_x"), k, s[:, 0], deposit.lo,
                                         deposit.d_y.shape[1])
                 one = interp_rows(rows, grid, cloud.X[:, :1], deposit.lo)
-                theta_ref = theta_full(c, cloud.t, s, cloud.a[:, :1], one[1], one[2])[:, 0]
-                value, theta = _projected(c, cloud.t, s[:, 0], rows, deposit)
+                theta_ref = theta_full(c, s, cloud.a[:, :1], one[1], one[2])[:, 0]
+                value, theta = _projected(c, s[:, 0], rows, deposit)
                 assert np.abs(value - one[0, :, 0]).max() <= 1e-15, k
                 assert np.abs(theta - theta_ref).max() <= 1e-15, k
                 assert not deposit.d_ya.any()
@@ -538,8 +537,8 @@ class TestValueAndCost:
         c, n = cfg.coefficients, cfg.n_steps
         alive = b.alive_mask()
         for k in range(n):
-            t, s, x = b.t_grid[k], b.S[:, k], b.X[:, k]
-            th = theta_full(c, t, s, c.factor.a(t, x), g_sol.value_ds(k, s=s, x=x),
+            s, x = b.S[:, k], b.X[:, k]
+            th = theta_full(c, s, c.factor.a(x), g_sol.value_ds(k, s=s, x=x),
                             g_sol.value_dx(k, s=s, x=x))
             assert np.array_equal(series.theta_full[:, k], th * alive[:, k])
             v = g_sol.value(k, s=s, x=x) * (1.0 - b.H[:, k])

@@ -60,18 +60,31 @@ class TestValidation:
         rep = uh.validate(cfg)
         assert any("c_bound" in v for v in rep.violations)
 
+    @pytest.mark.parametrize("m0, m1, edge, other", [
+        (0.0, 1.8, "x_max", "x_min"),     # |mu/sigma| 5.4 at x_max, 4.5 at x_min
+        (-0.6, 1.0, "x_min", "x_max"),    # |mu/sigma| 5.5 at x_min, 0 at x_max
+    ])
+    def test_mu_bound_breached_at_one_grid_edge(self, m0, m1, edge, other):
+        # mu is affine in x: the two edges of the x grid are where |mu/sigma| peaks
+        cfg = make_config(m0=m0, m1=m1, sigma=0.2, c_bound=5.0)
+        c, g = cfg.coefficients, cfg.pde_grid
+        worst = abs(float(c.mu(getattr(g, edge)))) / c.sigma0
+        assert worst > c.c_bound >= abs(float(c.mu(getattr(g, other)))) / c.sigma0
+        assert (f"|mu/sigma| reaches {worst:.6g} on the configured grid,"
+                f" above c_bound = 5") in uh.validate(cfg).violations
+
 
 class TestEvaluateCoefficients:
     """Point evaluation of the ``CoefficientSet`` methods."""
 
     def test_constant_gamma(self):
         c = make_config(gamma=uh.AffineGamma(0.05, 0.0)).coefficients
-        for t, x in [(0.0, 0.0), (0.5, -3.0), (1.0, 7.0)]:
-            assert float(c.gamma(t, x)) == 0.05
+        for x in (0.0, -3.0, 7.0):
+            assert float(c.gamma(x)) == 0.05
 
     def test_linear_gamma_clamps_negative_factor(self):
         c = make_config(gamma=uh.AffineGamma(0.0, 1.0)).coefficients
-        assert float(c.gamma(0.0, -1.0)) == 0.0
+        assert float(c.gamma(-1.0)) == 0.0
 
     def test_constant_and_linear_forms_are_bit_identical_to_their_formulas(self):
         # the folded intensity returns the bits of full_like(x, gamma0) with
@@ -83,19 +96,19 @@ class TestEvaluateCoefficients:
                             edges])
         bits = lambda a: np.asarray(a).view(np.uint64)
         for gamma0 in (0.0, 0.05, 5e-324, 1e300):
-            assert np.array_equal(bits(uh.AffineGamma(gamma0, 0.0)(0.0, x)),
+            assert np.array_equal(bits(uh.AffineGamma(gamma0, 0.0)(x)),
                                   bits(np.full_like(x, gamma0)))
-        assert np.array_equal(bits(uh.AffineGamma(0.0, 1.0)(0.0, x)),
+        assert np.array_equal(bits(uh.AffineGamma(0.0, 1.0)(x)),
                               bits(np.maximum(x, 0.0)))
 
     def test_ou_drift_zero_at_mean(self):
         c = make_config(factor=uh.OUFactor(kappa=2.0, xbar=0.1, a_vol=0.2)).coefficients
-        assert float(c.factor.b(0.0, 0.1)) == 0.0
+        assert float(c.factor.b(0.1)) == 0.0
 
     def test_bound_breach_raises(self):
         c = make_config(m0=0.0, m1=1.0, sigma=0.2, c_bound=1.0).coefficients
         with pytest.raises(CoefficientBoundError):
-            c.market_price_of_risk(0.0, 1.0, 10.0)
+            c.market_price_of_risk(10.0)
 
     def test_nonpositive_price_rejected(self):
         # a price enters the model only through s0; the PDE grids start at s = 0
@@ -109,11 +122,9 @@ class TestEvaluateCoefficients:
                           gamma=uh.AffineGamma(0.01, 0.5))
         assert uh.validate(cfg).ok
         g, c = cfg.pde_grid, cfg.coefficients
-        t, s, x = np.meshgrid(np.linspace(0, 1, 4), np.linspace(0.1, g.s_max, 5),
-                              np.linspace(g.x_min, g.x_max, 5), indexing="ij")
-        c.market_price_of_risk(t, s, x)
-        for value in (c.mu(t, s, x), c.sigma(t, s), c.factor.b(t, x), c.factor.a(t, x),
-                      c.gamma(t, x)):
+        x = np.linspace(g.x_min, g.x_max, 5)
+        c.market_price_of_risk(x)
+        for value in (c.mu(x), c.factor.b(x), c.factor.a(x), c.gamma(x)):
             assert np.all(np.isfinite(value))
 
 
@@ -142,21 +153,18 @@ def gamma_families(draw):
 
 class TestFamilyProperties:
     @given(gamma=gamma_families(),
-           t=st.floats(0.0, 1.0),
            x=st.floats(-10.0, 10.0))
-    def test_gamma_nonnegative_everywhere(self, gamma, t, x):
-        assert float(gamma(t, x)) >= 0.0
+    def test_gamma_nonnegative_everywhere(self, gamma, x):
+        assert float(gamma(x)) >= 0.0
 
-    @given(factor=factor_families(), gamma=gamma_families(),
-           t=st.floats(0.0, 1.0), s=st.floats(0.01, 10.0), x=st.floats(-5.0, 5.0))
+    @given(factor=factor_families(), gamma=gamma_families(), x=st.floats(-5.0, 5.0))
     @settings(max_examples=60)
-    def test_evaluation_deterministic(self, factor, gamma, t, s, x):
+    def test_evaluation_deterministic(self, factor, gamma, x):
         c = make_config(m0=0.01, m1=0.1, factor=factor, gamma=gamma, c_bound=1e6).coefficients
 
         def point():
-            return (float(c.mu(t, s, x)), float(c.sigma(t, s)), float(c.factor.b(t, x)),
-                    float(c.factor.a(t, x)), float(c.gamma(t, x)),
-                    float(c.market_price_of_risk(t, s, x)))
+            return (float(c.mu(x)), float(c.factor.b(x)), float(c.factor.a(x)),
+                    float(c.gamma(x)), float(c.market_price_of_risk(x)))
 
         assert point() == point()
 
@@ -166,8 +174,8 @@ class TestFamilyProperties:
         # difference quotient stays bounded as the probe step shrinks
         cfg = make_config(m0=0.01, m1=0.1, factor=factor, gamma=gamma, c_bound=1e6)
         c = cfg.coefficients
-        for fn in (lambda z: float(c.factor.b(0.5, z)), lambda z: float(c.factor.a(0.5, z)),
-                   lambda z: float(c.gamma(0.5, z))):
+        for fn in (lambda z: float(c.factor.b(z)), lambda z: float(c.factor.a(z)),
+                   lambda z: float(c.gamma(z))):
             coarse = abs(fn(x + 1e-3) - fn(x))
             fine = abs(fn(x + 1e-6) - fn(x))
             assert fine <= coarse + 1e-9
@@ -177,18 +185,17 @@ class TestFamilyProperties:
                           gamma=uh.AffineGamma(0.01, 1.0))
         c = cfg.coefficients
         x = np.linspace(-0.2, 0.4, 7)
-        s = np.linspace(0.5, 2.0, 7)
-        assert c.mu(0.1, s, x).shape == (7,)
-        assert c.gamma(0.1, x).min() >= 0.01
+        assert c.mu(x).shape == (7,)
+        assert c.gamma(x).min() >= 0.01
 
 
 class TestContract:
     def test_payoff_kinds(self):
         s = np.array([0.5, 1.0, 2.0])
-        assert np.allclose(uh.CallPayoff(1.0)(1.0, s), [0.0, 0.0, 1.0])
-        assert np.allclose(uh.PutPayoff(1.0)(1.0, s), [0.5, 0.0, 0.0])
-        assert np.allclose(uh.LinearPayoff(0.3)(1.0, s), 0.3 * s)
-        assert np.allclose(uh.ConstantPayoff(2.0)(1.0, s), 2.0)
+        assert np.allclose(uh.CallPayoff(1.0)(s), [0.0, 0.0, 1.0])
+        assert np.allclose(uh.PutPayoff(1.0)(s), [0.5, 0.0, 0.0])
+        assert np.allclose(uh.LinearPayoff(0.3)(s), 0.3 * s)
+        assert np.allclose(uh.ConstantPayoff(2.0)(s), 2.0)
 
     def test_maturity_positive(self):
         with pytest.raises(uh.ConfigError):
@@ -196,6 +203,6 @@ class TestContract:
 
     def test_contract_taxonomy(self):
         term = uh.Contract(1.0, uh.CallPayoff(1.0), uh.ZeroRecovery)
-        assert float(term.U(0.5, np.array([1.0]))[0]) == 0.0
+        assert float(term.U(np.array([1.0]))[0]) == 0.0
         endow = uh.Contract(1.0, uh.ConstantPayoff(0.0), uh.LinearPayoff(0.2))
         assert float(endow.G(np.array([3.0]))[0]) == 0.0

@@ -10,7 +10,7 @@ from ulhedge.config_io import load_config
 from ulhedge.errors import DomainExcursionError
 from ulhedge.oracles import affine_survival, black_scholes_call, black_scholes_delta
 from ulhedge.hedging import hedge_paths
-from ulhedge.pde import (PdeSolution, _assemble_2d, _coeff_arrays_2d, _mixed_term,
+from ulhedge.pde import (PdeSolution, _assemble_2d, _mixed_term,
                          feynman_kac_check, interp_rows, solve_g, solve_gtilde, solve_phi,
                          stretched_s_grid)
 from ulhedge.simulate import simulate_paths
@@ -432,8 +432,10 @@ def test_assembly_has_no_row_wrap_and_annihilates_constants():
     s_grid = stretched_s_grid(g.n_s, g.s_max, 1.0)
     x_grid = np.linspace(g.x_min, g.x_max, g.n_x + 1)
     SS, XX = np.meshgrid(s_grid, x_grid, indexing="ij")
-    sig, aa, drift, _ = _coeff_arrays_2d(cfg, SS, XX)
-    A = _assemble_2d(s_grid, x_grid, sig, aa, drift).tocoo()
+    c = cfg.coefficients
+    aa = c.factor.a(XX)
+    drift = c.martingale_factor_drift(XX, aa, c.market_price_of_risk(XX))
+    A = _assemble_2d(s_grid, x_grid, c.sigma0, aa, drift).tocoo()
     (ri, rj), (ci, cj) = np.divmod(A.row, g.n_x + 1), np.divmod(A.col, g.n_x + 1)
     # the stride-1 diagonals run across row ends: (i, n_x) and (i+1, 0) must not couple
     assert not np.any((rj == g.n_x) & (ci == ri + 1) & (cj == 0))

@@ -68,8 +68,7 @@ class TestObservedIncrements:
         if measure == "P":
             # under P the step drifts at mu: the martingale-measure increment
             # dW + (mu/sigma) dt is what moved the price
-            t = cfg.t_grid()[:-1][None, :]
-            mpr = cfg.coefficients.market_price_of_risk(t, S[:, :-1], X[:, :-1])
+            mpr = cfg.coefficients.market_price_of_risk(X[:, :-1])
             expected = dW + mpr * cfg.dt
         assert np.abs(observed_increments(cfg, S) - expected).max() <= 1e-14
 
