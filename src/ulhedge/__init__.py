@@ -16,15 +16,13 @@ from .errors import (
     SurvivalFloorError,
 )
 from .models import (
+    AffineFactor,
     AffineGamma,
     CallPayoff,
-    CIRFactor,
     CoefficientSet,
     ConstantPayoff,
     Contract,
-    FrozenFactor,
     LinearPayoff,
-    OUFactor,
     PdeGrid,
     PutPayoff,
     ScenarioConfig,

@@ -20,15 +20,13 @@ from .filtering import functional_coord_x, ks_residual, run_filter
 from .hedging import backtest, closed_form_theta, hedge_paths
 from .measure import density_path
 from .models import (
+    AffineFactor,
     AffineGamma,
     CallPayoff,
-    CIRFactor,
     CoefficientSet,
     ConstantPayoff,
     Contract,
-    FrozenFactor,
     LinearPayoff,
-    OUFactor,
     PdeGrid,
     ScenarioConfig,
 )
@@ -72,7 +70,7 @@ def criterion_measure_change(seed: int) -> CriterionResult:
     cfg = ScenarioConfig(
         coefficients=CoefficientSet(
             m0=0.04, m1=0.6, sigma0=0.2,
-            factor=OUFactor(kappa=1.0, xbar=0.05, a_vol=0.15),
+            factor=AffineFactor(kappa=1.0, xbar=0.05, a_vol=0.15),
             gamma=AffineGamma(0.0, 0.0), rho=0.5, c_bound=5.0),
         contract=Contract(1.0, CallPayoff(1.0)),
         s0=1.0, x0=0.05, n_steps=64, n_paths=100_000, n_particles=1,
@@ -117,7 +115,7 @@ def criterion_mortality(seed: int) -> CriterionResult:
     gamma0, T = 0.08, 5.0
     cfg = ScenarioConfig(
         coefficients=CoefficientSet(m0=0.0, m1=0.0, sigma0=0.2,
-                                    factor=FrozenFactor(),
+                                    factor=AffineFactor(),
                                     gamma=AffineGamma(gamma0, 0.0), rho=0.0, c_bound=5.0),
         contract=Contract(T, ConstantPayoff(1.0)),
         s0=1.0, x0=0.0, n_steps=100, n_paths=100_000, n_particles=1,
@@ -130,7 +128,7 @@ def criterion_mortality(seed: int) -> CriterionResult:
     checks.append((abs(surv - target) <= 3 * se,
                    f"constant hazard: P(tau>T) = {surv:.5f} vs {target:.5f} +- {se:.5f}"))
 
-    factor = CIRFactor(kappa=1.2, xbar=0.06, a_vol=0.25)
+    factor = AffineFactor(kappa=1.2, xbar=0.06, a_vol=0.25, square_root=True)
     gamma = AffineGamma(0.0, 1.0)
     cfg2 = ScenarioConfig(
         coefficients=CoefficientSet(m0=0.0, m1=0.0, sigma0=0.2, factor=factor,
@@ -158,7 +156,7 @@ def criterion_pde(seed: int) -> CriterionResult:
 
     # survival-benefit price vs lognormal closed form
     cfg = ScenarioConfig(
-        coefficients=CoefficientSet(m0=0.0, m1=0.0, sigma0=0.2, factor=FrozenFactor(),
+        coefficients=CoefficientSet(m0=0.0, m1=0.0, sigma0=0.2, factor=AffineFactor(),
                                     gamma=AffineGamma(0.0, 0.0), rho=0.0, c_bound=5.0),
         contract=Contract(1.0, CallPayoff(1.0)),
         s0=1.0, x0=0.0, n_steps=200, n_paths=1, n_particles=1,
@@ -172,7 +170,7 @@ def criterion_pde(seed: int) -> CriterionResult:
     # exact affine contract
     cfg_aff = ScenarioConfig(
         coefficients=CoefficientSet(m0=0.02, m1=1.0, sigma0=0.2,
-                                    factor=CIRFactor(1.0, 0.05, 0.2),
+                                    factor=AffineFactor(1.0, 0.05, 0.2, square_root=True),
                                     gamma=AffineGamma(0.01, 1.0), rho=0.3, c_bound=5.0),
         contract=Contract(1.0, LinearPayoff(0.5), LinearPayoff(0.5)),
         s0=1.0, x0=0.05, n_steps=100, n_paths=1, n_particles=1,
@@ -182,7 +180,7 @@ def criterion_pde(seed: int) -> CriterionResult:
     checks.append((err_aff <= 1e-8, f"affine contract: max |g - 0.5 s| = {err_aff:.2e}"))
 
     # survival transform vs Riccati
-    factor = CIRFactor(kappa=1.2, xbar=0.06, a_vol=0.25)
+    factor = AffineFactor(kappa=1.2, xbar=0.06, a_vol=0.25, square_root=True)
     cfg_phi = ScenarioConfig(
         coefficients=CoefficientSet(m0=0.0, m1=0.0, sigma0=0.2, factor=factor,
                                     gamma=AffineGamma(0.0, 1.0), rho=0.0, c_bound=5.0),
@@ -219,7 +217,7 @@ def criterion_pde(seed: int) -> CriterionResult:
 def criterion_filter(seed: int) -> CriterionResult:
     t0 = time.perf_counter()
     checks = []
-    factor = OUFactor(kappa=1.0, xbar=0.08, a_vol=0.15)
+    factor = AffineFactor(kappa=1.0, xbar=0.08, a_vol=0.15)
 
     # the constant and Dirac hazard identities
     cfg = ScenarioConfig(
@@ -234,7 +232,7 @@ def criterion_filter(seed: int) -> CriterionResult:
     checks.append((err_hz <= 1e-12, f"constant hazard identity: max dev {err_hz:.1e}"))
 
     cfg_dirac = cfg.with_updates(
-        coefficients=CoefficientSet(m0=0.03, m1=0.4, sigma0=0.2, factor=FrozenFactor(),
+        coefficients=CoefficientSet(m0=0.03, m1=0.4, sigma0=0.2, factor=AffineFactor(),
                                     gamma=AffineGamma(0.0, 1.0), rho=0.0, c_bound=5.0),
         x0=0.07, n_particles=100)
     b_d = simulate_paths(cfg_dirac, "P")
@@ -274,7 +272,7 @@ def criterion_filter(seed: int) -> CriterionResult:
 
     # observable hazard rate vs the Riccati oracle (hidden CIR hazard);
     # deterministic here (mu = 0, rho = 0), so averaged over 8 worlds
-    factor_c = CIRFactor(kappa=1.2, xbar=0.06, a_vol=0.25)
+    factor_c = AffineFactor(kappa=1.2, xbar=0.06, a_vol=0.25, square_root=True)
     cfg_ric = cfg.with_updates(
         coefficients=CoefficientSet(m0=0.0, m1=0.0, sigma0=0.2, factor=factor_c,
                                     gamma=AffineGamma(0.0, 1.0), rho=0.0, c_bound=5.0),
@@ -315,7 +313,7 @@ def criterion_filter(seed: int) -> CriterionResult:
 def criterion_strategy(seed: int) -> CriterionResult:
     t0 = time.perf_counter()
     checks = []
-    factor = CIRFactor(kappa=1.2, xbar=0.06, a_vol=0.25)
+    factor = AffineFactor(kappa=1.2, xbar=0.06, a_vol=0.25, square_root=True)
 
     # uncorrelated closed form vs the generic filter pipeline along 50 paths
     cfg = ScenarioConfig(
@@ -335,7 +333,7 @@ def criterion_strategy(seed: int) -> CriterionResult:
 
     # no hidden state: theta* equals the full-information strategy exactly
     cfg_d = cfg.with_updates(
-        coefficients=CoefficientSet(m0=0.03, m1=0.5, sigma0=0.2, factor=FrozenFactor(),
+        coefficients=CoefficientSet(m0=0.03, m1=0.5, sigma0=0.2, factor=AffineFactor(),
                                     gamma=AffineGamma(0.05, 0.0), rho=0.0, c_bound=5.0),
         x0=0.04, n_particles=64,
         pde_grid=_grid(n_s=400, n_x=8, s_max=5.0, x_min=-0.1, x_max=0.1))
@@ -367,7 +365,7 @@ def criterion_strategy(seed: int) -> CriterionResult:
 
 def criterion_optimality(seed: int) -> CriterionResult:
     t0 = time.perf_counter()
-    factor = CIRFactor(kappa=1.0, xbar=0.05, a_vol=0.2)
+    factor = AffineFactor(kappa=1.0, xbar=0.05, a_vol=0.2, square_root=True)
     cfg = ScenarioConfig(
         coefficients=CoefficientSet(m0=0.02, m1=0.8, sigma0=0.25, factor=factor,
                                     gamma=AffineGamma(0.02, 1.0), rho=0.4, c_bound=5.0),
@@ -422,7 +420,7 @@ def criterion_determinism(seed: int) -> CriterionResult:
     import tempfile
 
     t0 = time.perf_counter()
-    factor = OUFactor(kappa=1.0, xbar=0.05, a_vol=0.15)
+    factor = AffineFactor(kappa=1.0, xbar=0.05, a_vol=0.15)
     cfg = ScenarioConfig(
         coefficients=CoefficientSet(m0=0.03, m1=0.5, sigma0=0.2, factor=factor,
                                     gamma=AffineGamma(0.05, 0.0), rho=0.4, c_bound=5.0),

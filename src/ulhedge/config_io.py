@@ -12,15 +12,13 @@ import hashlib
 
 from .errors import ConfigError
 from .models import (
+    AffineFactor,
     AffineGamma,
     CallPayoff,
-    CIRFactor,
     CoefficientSet,
     ConstantPayoff,
     Contract,
-    FrozenFactor,
     LinearPayoff,
-    OUFactor,
     PdeGrid,
     PutPayoff,
     ScenarioConfig,
@@ -63,20 +61,18 @@ def _payoff(kind: str, sec, prefix: str = ""):
 
 
 def _factor(sec):
+    """The factor: ``frozen`` reads no key, ``ou`` and ``cir`` (the square
+    root) read kappa, xbar and a."""
     family = sec.get("family", "frozen").strip().lower()
     if family == "frozen":
-        return FrozenFactor()
+        return AffineFactor()
+    if family not in ("ou", "cir"):
+        raise ConfigError(f"unknown factor family '{family}'")
     try:
-        kappa = float(sec["kappa"])
-        xbar = float(sec["xbar"])
-        a = float(sec["a"])
+        return AffineFactor(float(sec["kappa"]), float(sec["xbar"]), float(sec["a"]),
+                            square_root=family == "cir")
     except KeyError as exc:
         raise ConfigError(f"factor family '{family}' needs key {exc}") from exc
-    if family == "ou":
-        return OUFactor(kappa, xbar, a)
-    if family == "cir":
-        return CIRFactor(kappa, xbar, a)
-    raise ConfigError(f"unknown factor family '{family}'")
 
 
 def _gamma(sec):

@@ -49,7 +49,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import rng
-from .errors import CoefficientBoundError, NumericalError, SurvivalFloorError
+from .errors import CoefficientBoundError, ConfigError, NumericalError, SurvivalFloorError
 from .measure import log_density_increments
 from .models import ScenarioConfig
 from .pde import locate
@@ -418,8 +418,12 @@ def run_filter(config: ScenarioConfig, s_path, functionals=(),
     """Run the cloud over the horizon collecting the standard projections.
 
     Always records pi(id_y), the projected drift and the observable hazard
-    rate; extra ``SmoothFunctional``s are recorded under their names.
+    rate; extra ``SmoothFunctional``s are recorded under their names.  Fewer
+    than two particles are refused: the standard errors are taken across them.
     """
+    if config.n_particles < 2:
+        raise ConfigError("the filter needs n_particles >= 2: its standard errors"
+                          " are taken across at least two particles")
     cloud = ParticleCloud(config, s_path, world_indices)
     n = config.n_steps
     shape = (cloud.n_worlds, n + 1)

@@ -9,8 +9,10 @@ with a policyholder whose death intensity is gamma(X).  The paper lets every
 coefficient depend on t (and mu, sigma on S); the families here are
 time-homogeneous, so each coefficient takes only the state it reads: sigma is
 the constant ``sigma0``, the drift is affine in the factor,
-``mu = m0 + m1 x``; the factor is frozen (no dynamics), Ornstein-Uhlenbeck or
-square-root mean reverting; the intensity is the one affine family
+``mu = m0 + m1 x``; the factor is the one affine mean-reverting family
+``b = kappa (xbar - x)`` with ``a`` constant (Ornstein-Uhlenbeck) or
+``a_vol sqrt(max(x, 0))`` (square root), frozen at kappa = a = 0; the
+intensity is the one affine family
 ``gamma = gamma0 + gamma1 max(x, 0)``, which the affine-transform oracles
 solve in closed form; payoffs read the price alone.  The value PDEs rely on
 this: one operator serves every time step.  All coefficient callables accept
@@ -27,10 +29,7 @@ import numpy as np
 from .errors import CoefficientBoundError, ConfigError
 
 __all__ = [
-    "FactorFamily",
-    "FrozenFactor",
-    "OUFactor",
-    "CIRFactor",
+    "AffineFactor",
     "AffineGamma",
     "Payoff",
     "ConstantPayoff",
@@ -48,7 +47,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# factor dynamics families
+# factor dynamics
 # ---------------------------------------------------------------------------
 
 def _clamped(x) -> np.ndarray:
@@ -58,25 +57,19 @@ def _clamped(x) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FrozenFactor:
-    """Degenerate factor: b = a = 0, so X_t = x0 for all t."""
+class AffineFactor:
+    """Mean-reverting factor: b = kappa (xbar - x), with a = a_vol, or
+    a = a_vol sqrt(max(x, 0)) when ``square_root`` is set.
 
+    The Ornstein-Uhlenbeck factor of Vasicek (1977) and the square-root
+    factor of Cox, Ingersoll & Ross (1985); (kappa, a_vol) = (0, 0), the
+    default, is the frozen factor X_t = x0.
+    """
 
-    def b(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def a(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-
-@dataclass(frozen=True)
-class OUFactor:
-    """Mean-reverting Gaussian factor: b = kappa (xbar - x), a constant."""
-
-    kappa: float
-    xbar: float
-    a_vol: float
-
+    kappa: float = 0.0
+    xbar: float = 0.0
+    a_vol: float = 0.0
+    square_root: bool = False
 
     def b(self, x):
         drift = self.xbar - np.asarray(x, dtype=float)
@@ -84,34 +77,12 @@ class OUFactor:
         return drift
 
     def a(self, x):
-        return np.full_like(np.asarray(x, dtype=float), self.a_vol)
-
-
-@dataclass(frozen=True)
-class CIRFactor:
-    """Square-root factor: b = kappa (xbar - x), a = a_vol sqrt(max(x, 0))."""
-
-    kappa: float
-    xbar: float
-    a_vol: float
-
-
-    def b(self, x):
-        drift = self.xbar - np.asarray(x, dtype=float)
-        drift *= self.kappa
-        return drift
-
-    def a(self, x):
+        if not self.square_root:
+            return np.full_like(np.asarray(x, dtype=float), self.a_vol)
         vol = _clamped(x)
         np.sqrt(vol, out=vol)
         vol *= self.a_vol
         return vol
-
-    def feller_ok(self) -> bool:
-        return 2.0 * self.kappa * self.xbar >= self.a_vol**2
-
-
-FactorFamily = FrozenFactor | OUFactor | CIRFactor
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +202,7 @@ class CoefficientSet:
     m0: float
     m1: float
     sigma0: float
-    factor: FactorFamily
+    factor: AffineFactor
     gamma: AffineGamma
     rho: float
     c_bound: float
@@ -344,6 +315,8 @@ def validate(config: ScenarioConfig) -> ValidationReport:
         rep.violations.append("n_paths must be >= 1")
     if config.n_particles < 1:
         rep.violations.append("n_particles must be >= 1")
+    if config.survival_floor <= 0 or config.survival_floor >= 1:
+        rep.violations.append("survival_floor must lie in (0, 1)")
     if config.s0 <= 0:
         rep.violations.append("s0 must be positive")
     if not g.s_max > config.s0:
@@ -360,13 +333,13 @@ def validate(config: ScenarioConfig) -> ValidationReport:
     if c.c_bound <= 0:
         rep.violations.append("c_bound must be positive")
 
-    if isinstance(c.factor, (OUFactor, CIRFactor)):
-        if c.factor.kappa <= 0:
+    f = c.factor
+    if (f.kappa, f.a_vol) != (0.0, 0.0):      # (0, 0) is the frozen factor
+        if f.kappa <= 0:
             rep.violations.append("factor kappa must be positive")
-        if c.factor.a_vol <= 0:
+        if f.a_vol <= 0:
             rep.violations.append("factor volatility must be positive")
-    if isinstance(c.factor, CIRFactor) and not c.factor.feller_ok():
-        f = c.factor
+    if f.square_root and 2.0 * f.kappa * f.xbar < f.a_vol**2:
         rep.violations.append(
             f"CIR Feller condition violated: 2*kappa*xbar = {2*f.kappa*f.xbar:.6g}"
             f" < a^2 = {f.a_vol**2:.6g}"

@@ -2,8 +2,9 @@
 
 These are the cross-checks the verification suite tests against: lognormal
 closed forms for the driftless price, the closed-form affine transform for
-the intensity gamma0 + gamma1 x of a mean-reverting factor, and the
-Ornstein-Uhlenbeck mean.  None of them share
+the intensity gamma0 + gamma1 x of an ``AffineFactor`` (Vasicek for a
+constant volatility, Cox-Ingersoll-Ross for the square root, exp(-gamma(x0) t)
+for the frozen factor), and the Ornstein-Uhlenbeck mean.  None of them share
 code with the finite-difference solvers, the particle filter or the path
 simulator.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtr
 
-from .models import AffineGamma, CIRFactor, FactorFamily, FrozenFactor, OUFactor
+from .models import AffineFactor, AffineGamma
 
 __all__ = [
     "black_scholes_call",
@@ -52,33 +53,20 @@ def ou_mean(x0: float, kappa: float, xbar: float, t):
     return xbar + (x0 - xbar) * np.exp(-kappa * t)
 
 
-def _affine_parameters(factor: FactorFamily, gamma: AffineGamma):
-    """Map the factor family and the intensity onto
-    dX = kappa(xbar - x)dt + sqrt(va + vb x)dB, gamma(x) = c0 + c1 x, with
-    (c0, c1) = (gamma0, gamma1).  Valid as long as paths stay where the
-    max(x, 0) clamps are inactive (x >= 0)."""
-    if isinstance(factor, FrozenFactor):
-        kappa, xbar, va, vb = 0.0, 0.0, 0.0, 0.0
-    elif isinstance(factor, OUFactor):
-        kappa, xbar, va, vb = factor.kappa, factor.xbar, factor.a_vol**2, 0.0
-    elif isinstance(factor, CIRFactor):
-        kappa, xbar, va, vb = factor.kappa, factor.xbar, 0.0, factor.a_vol**2
-    else:
-        raise TypeError(f"unsupported factor family {factor!r}")
-    return kappa, xbar, va, vb, gamma.gamma0, gamma.gamma1
-
-
 def _riccati_state(factor, gamma, t):
     """Closed-form solution (A, B) of the affine transform's Riccati system
 
         B' = -kappa B + vb B^2 / 2 - c1,   A' = kappa xbar B + va B^2 / 2 - c0,
 
     A(0) = B(0) = 0, so that E[exp(-int_0^t gamma(X_u) du)] = exp(A + B x0);
-    also returns the map B -> (A', B').  Exactly one of va, vb is
-    nonzero: the CIR case is the bond-price formula of Cox, Ingersoll & Ross
-    (Econometrica 53, 1985) for the intensity c1 X, the OU case that of
-    Vasicek (J. Financial Economics 5, 1977)."""
-    kappa, xbar, va, vb, c0, c1 = _affine_parameters(factor, gamma)
+    also returns the map B -> (A', B').  For dX = kappa(xbar - X)dt +
+    sqrt(va + vb X)dB and (c0, c1) = (gamma0, gamma1), valid while x >= 0
+    keeps the max(x, 0) clamps inactive: a_vol^2 is vb for the square root,
+    the bond-price formula of Cox, Ingersoll & Ross (Econometrica 53, 1985)
+    for the intensity c1 X, else va, that of Vasicek (J. Financial Economics
+    5, 1977)."""
+    kappa, xbar, c0, c1 = factor.kappa, factor.xbar, gamma.gamma0, gamma.gamma1
+    va, vb = (0.0, factor.a_vol**2) if factor.square_root else (factor.a_vol**2, 0.0)
 
     def rhs(b):      # the system is autonomous and A enters neither derivative
         return kappa * xbar * b + 0.5 * va * b * b - c0, -kappa * b + 0.5 * vb * b * b - c1
@@ -97,13 +85,13 @@ def _riccati_state(factor, gamma, t):
     return a - c0 * t, b, rhs
 
 
-def affine_survival(factor: FactorFamily, gamma: AffineGamma, x0: float, t):
+def affine_survival(factor: AffineFactor, gamma: AffineGamma, x0: float, t):
     """E[exp(-int_0^t gamma(X_u) du)] for the affine intensity.
 
-    Degenerate (frozen) factors reduce to exp(-gamma(x0) t) exactly.
+    The frozen factor (kappa = 0) reduces to exp(-gamma(x0) t) exactly.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if isinstance(factor, FrozenFactor):
+    if factor.kappa == 0:
         out = np.exp(-float(gamma(x0)) * t)
     else:
         a, b, _ = _riccati_state(factor, gamma, t)
@@ -111,14 +99,14 @@ def affine_survival(factor: FactorFamily, gamma: AffineGamma, x0: float, t):
     return out if out.shape != (1,) else float(out[0])
 
 
-def affine_hazard_rate(factor: FactorFamily, gamma: AffineGamma, x0: float, t):
+def affine_hazard_rate(factor: AffineFactor, gamma: AffineGamma, x0: float, t):
     """-d/dt log E[exp(-int_0^t gamma(X_u) du)], the population hazard rate.
 
     Equals E[gamma(X_t) Y_t] / E[Y_t]; evaluated from the Riccati right-hand
     side at the closed-form state rather than by differencing.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if isinstance(factor, FrozenFactor):
+    if factor.kappa == 0:
         out = np.full_like(t, float(gamma(x0)))
     else:
         a, b, rhs = _riccati_state(factor, gamma, t)

@@ -11,7 +11,7 @@ def make_config(
     grid=None, seed=1234,
 ):
     """One-stop scenario builder with plain defaults for the unit tests."""
-    factor = factor if factor is not None else uh.FrozenFactor()
+    factor = factor if factor is not None else uh.AffineFactor()
     gamma = gamma if gamma is not None else uh.AffineGamma(0.0, 0.0)
     survival = survival if survival is not None else uh.CallPayoff(1.0)
     recovery = recovery if recovery is not None else uh.ZeroRecovery

@@ -79,7 +79,7 @@ class TestConfigIO:
         cfg = load_config(config_file)
         assert cfg.seed == 77
         assert uh.validate(cfg).ok
-        assert isinstance(cfg.coefficients.factor, uh.CIRFactor)
+        assert cfg.coefficients.factor.square_root
 
     def test_unknown_key_rejected(self):
         with pytest.raises(uh.ConfigError):
@@ -98,6 +98,19 @@ class TestConfigIO:
         # gamma1 is read by affine only, gamma0 by constant and affine
         text = SMALL_CONFIG.replace("family = affine", f"family = {family}")
         assert parse_config(text).coefficients.gamma == uh.AffineGamma(*params)
+
+    @pytest.mark.parametrize("family, factor", [
+        ("frozen", uh.AffineFactor()),
+        ("ou", uh.AffineFactor(1.0, 0.05, 0.2)),
+        ("cir", uh.AffineFactor(1.0, 0.05, 0.2, square_root=True))])
+    def test_factor_families_parse_to_one_affine_factor(self, family, factor):
+        # frozen reads none of kappa, xbar and a
+        text = SMALL_CONFIG.replace("family = cir", f"family = {family}")
+        assert parse_config(text).coefficients.factor == factor
+
+    def test_unknown_factor_family_rejected(self):
+        with pytest.raises(uh.ConfigError, match="unknown factor family 'heston'"):
+            parse_config(SMALL_CONFIG.replace("family = cir", "family = heston"))
 
     def test_unknown_gamma_family_rejected(self):
         with pytest.raises(uh.ConfigError, match="unknown gamma family 'quadratic'"):
@@ -213,6 +226,15 @@ class TestCli:
         assert not (tmp_path / "hedge_summary.csv").exists()
         assert main(["simulate", config_file, "--paths", "1",
                      "--out-dir", str(tmp_path), "--quiet"]) == 0
+
+    def test_filter_one_particle_is_config_error(self, config_file, tmp_path, capsys):
+        # the filter's standard errors are taken across at least two particles
+        out = tmp_path / "out"
+        code = main(["filter", config_file, "--paths", "2", "--particles", "1",
+                     "--out-dir", str(out), "--quiet"])
+        assert code == 2
+        assert "n_particles >= 2" in capsys.readouterr().err
+        assert not list(out.iterdir())
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_hedge_nonpositive_workers_is_config_error(self, config_file, tmp_path, capsys,

@@ -57,7 +57,7 @@ class TestInitCloud:
     def test_sigma_zero_rejected(self):
         cfg = make_config(n_steps=2, maturity=0.02)
         bad = cfg.with_updates(coefficients=uh.CoefficientSet(
-            m0=0.0, m1=0.0, sigma0=0.0, factor=uh.FrozenFactor(),
+            m0=0.0, m1=0.0, sigma0=0.0, factor=uh.AffineFactor(),
             gamma=uh.AffineGamma(0.0, 0.0), rho=0.0, c_bound=5.0))
         with pytest.raises(uh.NumericalError):
             ParticleCloud(bad, np.array([[1.0, 1.0, 1.0]]))
@@ -72,7 +72,7 @@ class TestStepCloud:
         # old rate, so the peak above the step's start stays under three
         # state-sized arrays
         cfg = make_config(m0=0.02, m1=0.8, sigma=0.25, rho=0.4,
-                          factor=uh.CIRFactor(1.0, 0.05, 0.2),
+                          factor=uh.AffineFactor(1.0, 0.05, 0.2, square_root=True),
                           gamma=uh.AffineGamma(0.02, 1.0),
                           n_steps=4, n_paths=50, n_particles=1000)
         b = simulate_paths(cfg, "P")
@@ -90,7 +90,7 @@ class TestStepCloud:
             tracemalloc.stop()
 
     def test_degenerate_factor_dirac_filter(self):
-        cfg = make_config(factor=uh.FrozenFactor(), gamma=uh.AffineGamma(0.0, 1.0),
+        cfg = make_config(factor=uh.AffineFactor(), gamma=uh.AffineGamma(0.0, 1.0),
                           x0=0.06, n_particles=30, n_paths=1)
         b = simulate_paths(cfg, "P")
         cloud = ParticleCloud(cfg, b.S[:1])
@@ -103,7 +103,7 @@ class TestStepCloud:
         assert abs(float(cloud.pi_functional(f)[0]) - 0.06) <= 1e-14
 
     def test_zero_hazard_keeps_survival_one(self):
-        cfg = make_config(factor=uh.OUFactor(1.0, 0.05, 0.2), n_paths=1,
+        cfg = make_config(factor=uh.AffineFactor(1.0, 0.05, 0.2), n_paths=1,
                           n_particles=40)
         b = simulate_paths(cfg, "P")
         cloud = ParticleCloud(cfg, b.S[:1])
@@ -114,7 +114,7 @@ class TestStepCloud:
     def test_rho_zero_filter_ignores_observed_path(self):
         # for f(x, y) the conditional law does not depend on the price path
         cfg = make_config(m0=0.03, m1=0.4, rho=0.0,
-                          factor=uh.OUFactor(1.0, 0.08, 0.15),
+                          factor=uh.AffineFactor(1.0, 0.08, 0.15),
                           gamma=uh.AffineGamma(0.05, 0.0),
                           x0=0.08, n_paths=2, n_particles=20_000, seed=41)
         b = simulate_paths(cfg, "P")
@@ -127,7 +127,7 @@ class TestStepCloud:
     def test_particles_share_observed_increments(self):
         # a constant and rho > 0: the cross-particle mean increment tracks
         # the common observed shock almost perfectly
-        cfg = make_config(m1=0.3, rho=0.7, factor=uh.OUFactor(1.0, 0.05, 0.2),
+        cfg = make_config(m1=0.3, rho=0.7, factor=uh.AffineFactor(1.0, 0.05, 0.2),
                           n_paths=1, n_particles=400, seed=4)
         b = simulate_paths(cfg, "P")
         cloud = ParticleCloud(cfg, b.S[:1])
@@ -142,7 +142,7 @@ class TestStepCloud:
     def test_noise_block_length_leaves_state_identical(self, monkeypatch):
         # a stream's normals are sequential: blocks of one step, of three (with
         # a shorter last block) and of the whole horizon give the same cloud
-        cfg = make_config(m1=0.4, rho=0.6, factor=uh.OUFactor(1.0, 0.05, 0.2),
+        cfg = make_config(m1=0.4, rho=0.6, factor=uh.AffineFactor(1.0, 0.05, 0.2),
                           gamma=uh.AffineGamma(0.02, 0.8), n_steps=10,
                           n_paths=4, n_particles=7, seed=19)
         b = simulate_paths(cfg, "P")
@@ -164,7 +164,7 @@ class TestStepCloud:
         # takes the simulator's martingale-measure step: X, Gamma and log L
         # agree with the bundle and the summed density increments bit for bit
         cfg = make_config(m0=0.02, m1=0.8, sigma=0.25, rho=0.4,
-                          factor=uh.CIRFactor(1.0, 0.05, 0.2),
+                          factor=uh.AffineFactor(1.0, 0.05, 0.2, square_root=True),
                           gamma=uh.AffineGamma(0.02, 1.0),
                           n_steps=50, n_paths=3, n_particles=1, seed=23)
         b = simulate_paths(cfg, "P_hat")
@@ -185,7 +185,7 @@ class TestStepCloud:
     def test_non_finite_state_names_step_and_path(self):
         # a NaN in world 3's observed price at index 1 makes its first observed
         # increment NaN, and with rho > 0 every particle of that world follows
-        cfg = make_config(rho=0.5, factor=uh.OUFactor(1.0, 0.05, 0.1), n_steps=10,
+        cfg = make_config(rho=0.5, factor=uh.AffineFactor(1.0, 0.05, 0.1), n_steps=10,
                           n_paths=2, n_particles=20)
         s_paths = np.ones((2, cfg.n_steps + 1))
         s_paths[1, 1] = np.nan
@@ -198,7 +198,7 @@ class TestStepCloud:
 
     def test_overflowing_sum_of_finite_state_does_not_raise(self):
         # particles near the largest float: their sum overflows, each stays finite
-        cfg = make_config(factor=uh.OUFactor(0.1, 0.05, 0.1), n_steps=10,
+        cfg = make_config(factor=uh.AffineFactor(0.1, 0.05, 0.1), n_steps=10,
                           n_paths=2, n_particles=20)
         cloud = ParticleCloud(cfg, np.ones((2, cfg.n_steps + 1)))
         cloud.X[:] = 1e308
@@ -211,7 +211,7 @@ class TestStepCloud:
 class TestProjectMu:
     def test_constant_drift_projection_exact(self):
         cfg = make_config(m0=0.04, gamma=uh.AffineGamma(0.1, 0.0),
-                          factor=uh.OUFactor(1.0, 0.05, 0.2), n_paths=1,
+                          factor=uh.AffineFactor(1.0, 0.05, 0.2), n_paths=1,
                           n_particles=100)
         b = simulate_paths(cfg, "P")
         cloud = ParticleCloud(cfg, b.S[:1])
@@ -221,7 +221,7 @@ class TestProjectMu:
         assert abs(float(est[0]) - 0.04) <= 1e-14
 
     def test_dirac_projection_is_pointwise_drift(self):
-        cfg = make_config(m0=0.01, m1=0.6, factor=uh.FrozenFactor(), x0=0.09,
+        cfg = make_config(m0=0.01, m1=0.6, factor=uh.AffineFactor(), x0=0.09,
                           gamma=uh.AffineGamma(0.02, 0.0), n_paths=1, n_particles=64)
         b = simulate_paths(cfg, "P")
         cloud = ParticleCloud(cfg, b.S[:1])
@@ -235,7 +235,7 @@ class TestProjectMu:
         # tracks m1 E[X_t] from the mean-reversion closed form
         kappa, xbar, x0 = 1.5, 0.1, 0.3
         cfg = make_config(m0=0.0, m1=0.5, rho=0.0,
-                          factor=uh.OUFactor(kappa, xbar, 0.15),
+                          factor=uh.AffineFactor(kappa, xbar, 0.15),
                           x0=x0, n_paths=150, n_steps=400, n_particles=1500,
                           c_bound=10.0, seed=42)
         b = simulate_paths(cfg, "P")
@@ -261,7 +261,7 @@ class TestProjectMu:
     def test_c_bound_breach_names_step_and_path(self):
         # |mu/sigma| = |x| / 0.2 passes c_bound = 1 once a particle leaves |x| <= 0.2
         cfg = make_config(m1=1.0, sigma=0.2, c_bound=1.0, x0=0.05,
-                          factor=uh.OUFactor(1.0, 0.05, 0.5), n_steps=50,
+                          factor=uh.AffineFactor(1.0, 0.05, 0.5), n_steps=50,
                           n_paths=2, n_particles=20)
         cloud = ParticleCloud(cfg, np.ones((2, cfg.n_steps + 1)), world_indices=[7, 3])
         with pytest.raises(uh.CoefficientBoundError) as info:
@@ -276,7 +276,7 @@ class TestProjectMu:
 
 class TestSurvivalRatio:
     def test_physical_projection_matches_kallianpur_striebel(self):
-        kw = dict(rho=0.5, factor=uh.OUFactor(1.0, 0.08, 0.15),
+        kw = dict(rho=0.5, factor=uh.AffineFactor(1.0, 0.08, 0.15),
                   gamma=uh.AffineGamma(0.02, 0.5), x0=0.08, n_paths=3,
                   n_particles=60, seed=48)
         cfg = make_config(m0=0.03, m1=0.4, **kw)
@@ -310,7 +310,7 @@ class TestSurvivalRatio:
 class TestHazardRatePartial:
     def test_constant_hazard_exact(self):
         cfg = make_config(gamma=uh.AffineGamma(0.07, 0.0),
-                          factor=uh.OUFactor(1.0, 0.05, 0.2),
+                          factor=uh.AffineFactor(1.0, 0.05, 0.2),
                           n_paths=1, n_particles=128)
         b = simulate_paths(cfg, "P")
         cloud = ParticleCloud(cfg, b.S[:1])
@@ -320,7 +320,7 @@ class TestHazardRatePartial:
         assert abs(float(est[0]) - 0.07) <= 1e-14
 
     def test_dirac_hazard_tracks_deterministic_factor(self):
-        cfg = make_config(factor=uh.FrozenFactor(), gamma=uh.AffineGamma(0.0, 1.0),
+        cfg = make_config(factor=uh.AffineFactor(), gamma=uh.AffineGamma(0.0, 1.0),
                           x0=0.06, n_paths=1, n_particles=32)
         b = simulate_paths(cfg, "P")
         cloud = ParticleCloud(cfg, b.S[:1])
@@ -331,7 +331,7 @@ class TestHazardRatePartial:
     def test_cir_riccati_oracle(self):
         # mu = 0 and rho = 0 make the observable hazard deterministic, so the
         # estimate may be averaged over independent worlds
-        factor = uh.CIRFactor(kappa=1.2, xbar=0.06, a_vol=0.25)
+        factor = uh.AffineFactor(kappa=1.2, xbar=0.06, a_vol=0.25, square_root=True)
         cfg = make_config(m0=0.0, rho=0.0, factor=factor, gamma=uh.AffineGamma(0.0, 1.0),
                           x0=0.06, n_paths=8, n_steps=100, n_particles=10_000,
                           seed=43)
@@ -344,7 +344,7 @@ class TestHazardRatePartial:
 
 class TestKsResidual:
     def test_constant_functional_zero_residual(self):
-        cfg = make_config(m0=0.02, rho=0.5, factor=uh.OUFactor(1.0, 0.05, 0.2),
+        cfg = make_config(m0=0.02, rho=0.5, factor=uh.AffineFactor(1.0, 0.05, 0.2),
                           gamma=uh.AffineGamma(0.05, 0.0), n_paths=1, n_particles=50)
         b = simulate_paths(cfg, "P")
         r = ks_residual(cfg, b.S[:1], functional_constant())
@@ -352,7 +352,7 @@ class TestKsResidual:
 
     def test_survival_functional_closed_ode(self):
         gamma0 = 0.06
-        cfg = make_config(m0=0.02, rho=0.3, factor=uh.OUFactor(1.0, 0.05, 0.2),
+        cfg = make_config(m0=0.02, rho=0.3, factor=uh.AffineFactor(1.0, 0.05, 0.2),
                           gamma=uh.AffineGamma(gamma0, 0.0), n_paths=1,
                           n_steps=100, n_particles=80)
         b = simulate_paths(cfg, "P")
@@ -361,7 +361,7 @@ class TestKsResidual:
         assert np.abs(r).max() <= gamma0**2 * cfg.dt
 
     def test_residual_shrinks_with_particles(self):
-        cfg = make_config(m0=0.0, rho=0.5, factor=uh.OUFactor(1.0, 0.08, 0.15),
+        cfg = make_config(m0=0.0, rho=0.5, factor=uh.AffineFactor(1.0, 0.08, 0.15),
                           x0=0.1, n_paths=1, n_steps=100, seed=44)
         b = simulate_paths(cfg, "P_hat")
         sizes = np.array([250, 1000, 4000])
@@ -379,7 +379,7 @@ class TestKsResidual:
 class TestFilterInvariants:
     def test_filter_positivity(self):
         cfg = make_config(m0=0.03, m1=0.5, rho=0.6,
-                          factor=uh.CIRFactor(1.0, 0.06, 0.25),
+                          factor=uh.AffineFactor(1.0, 0.06, 0.25, square_root=True),
                           gamma=uh.AffineGamma(0.02, 1.0), x0=0.06,
                           n_paths=3, n_particles=500,
                           grid=uh.PdeGrid(200, 40, 5.0, -0.1, 0.6), seed=45)
@@ -391,7 +391,7 @@ class TestFilterInvariants:
 
     def test_tower_consistency(self):
         cfg = make_config(m0=0.03, m1=0.4, rho=0.5,
-                          factor=uh.OUFactor(1.0, 0.08, 0.15),
+                          factor=uh.AffineFactor(1.0, 0.08, 0.15),
                           gamma=uh.AffineGamma(0.02, 0.5), x0=0.08,
                           n_paths=300, n_particles=400, seed=46)
         b = simulate_paths(cfg, "P_hat")
@@ -412,7 +412,7 @@ class TestFilterInvariants:
             f_y=lambda t, s, x, y: s + 0.0 * (x + y),
         )
         cfg = make_config(m0=0.02, m1=0.3, rho=0.4,
-                          factor=uh.OUFactor(1.0, 0.05, 0.15),
+                          factor=uh.AffineFactor(1.0, 0.05, 0.15),
                           gamma=uh.AffineGamma(0.08, 0.0), x0=0.05,
                           n_paths=1, n_steps=200, n_particles=3000, seed=47)
         b = simulate_paths(cfg, "P_hat")

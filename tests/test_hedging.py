@@ -39,7 +39,7 @@ def smoke_g():
 
 
 def cir_scenario(**kw):
-    kw.setdefault("factor", uh.CIRFactor(1.0, 0.05, 0.2))
+    kw.setdefault("factor", uh.AffineFactor(1.0, 0.05, 0.2, square_root=True))
     kw.setdefault("gamma", uh.AffineGamma(0.02, 1.0))
     kw.setdefault("m0", 0.02)
     kw.setdefault("m1", 0.8)
@@ -93,7 +93,7 @@ class TestThetaFull:
 
     def test_black_scholes_delta(self):
         cfg = make_config(m0=0.02, m1=0.3, sigma=0.2, rho=0.0,
-                          factor=uh.OUFactor(1.0, 0.05, 0.1), x0=0.05,
+                          factor=uh.AffineFactor(1.0, 0.05, 0.1), x0=0.05,
                           grid=uh.PdeGrid(1000, 40, 5.0, -0.5, 0.6),
                           n_steps=200, n_paths=30, seed=54)
         b = simulate_paths(cfg, "P")
@@ -110,7 +110,7 @@ class TestThetaFull:
         # 2D solve against the product form (survival-benefit price times the
         # survival transform) along simulated paths
         cfg = make_config(m0=0.03, m1=0.5, sigma=0.2, rho=0.0,
-                          factor=uh.CIRFactor(1.2, 0.06, 0.25),
+                          factor=uh.AffineFactor(1.2, 0.06, 0.25, square_root=True),
                           gamma=uh.AffineGamma(0.0, 1.0),
                           recovery=uh.LinearPayoff(0.2), x0=0.06,
                           grid=uh.PdeGrid(500, 60, 6.0, -0.08, 0.6),
@@ -142,7 +142,7 @@ class TestThetaFull:
 class TestThetaPartial:
     def test_dirac_equals_full_information(self):
         cfg = make_config(m0=0.03, m1=0.5, sigma=0.2, rho=0.0,
-                          factor=uh.FrozenFactor(),
+                          factor=uh.AffineFactor(),
                           gamma=uh.AffineGamma(0.05, 0.0),
                           recovery=uh.LinearPayoff(0.2), x0=0.04,
                           grid=uh.PdeGrid(400, 8, 5.0, -0.1, 0.1),
@@ -172,7 +172,7 @@ class TestThetaPartial:
 
     def test_closed_form_agreement(self):
         cfg = make_config(m0=0.03, m1=0.5, sigma=0.2, rho=0.0,
-                          factor=uh.CIRFactor(1.2, 0.06, 0.25),
+                          factor=uh.AffineFactor(1.2, 0.06, 0.25, square_root=True),
                           gamma=uh.AffineGamma(0.0, 1.0),
                           recovery=uh.LinearPayoff(0.2), x0=0.06,
                           grid=uh.PdeGrid(500, 60, 6.0, -0.08, 0.6),
@@ -470,7 +470,7 @@ class TestSurvivalDeposit:
         # V and theta* are the gather at that one state, which the deposit
         # reproduces (the 300-particle gather's mean of equal values carries
         # about ten ulps of rounding of its own here, the deposit none)
-        cfg, g_sol, cloud = self._smoke_cloud(30, rho=0.0, factor=uh.FrozenFactor())
+        cfg, g_sol, cloud = self._smoke_cloud(30, rho=0.0, factor=uh.AffineFactor())
         c, grid = cfg.coefficients, g_sol.x_grid
         for k in range(cfg.n_steps):
             if k % 25 == 0:
@@ -567,7 +567,7 @@ class TestValueAndCost:
         # no mortality, zero recovery, uncorrelated: book value and riskless
         # leg reproduce the replicating portfolio of the survival benefit
         cfg = make_config(m0=0.02, m1=0.3, sigma=0.2, rho=0.0,
-                          factor=uh.OUFactor(1.0, 0.05, 0.1), x0=0.05,
+                          factor=uh.AffineFactor(1.0, 0.05, 0.1), x0=0.05,
                           grid=uh.PdeGrid(1000, 20, 5.0, -0.3, 0.4),
                           n_steps=100, n_paths=30, n_particles=64, seed=64)
         b = simulate_paths(cfg, "P")
@@ -614,7 +614,7 @@ class TestBacktest:
         # mu = 0 makes both measures coincide: the stochastic integral has
         # zero mean and the price identity is the trivial one
         cfg = make_config(m0=0.0, sigma=0.2, rho=0.0,
-                          factor=uh.OUFactor(1.0, 0.05, 0.15),
+                          factor=uh.AffineFactor(1.0, 0.05, 0.15),
                           gamma=uh.AffineGamma(0.02, 0.5), x0=0.05,
                           recovery=uh.LinearPayoff(0.2),
                           grid=uh.PdeGrid(300, 60, 6.0, -0.85, 0.95),
@@ -641,7 +641,7 @@ class TestBacktest:
 
     def test_degenerate_factor_columns_identical(self, tmp_path):
         cfg = make_config(m0=0.03, m1=0.5, sigma=0.2, rho=0.0,
-                          factor=uh.FrozenFactor(), gamma=uh.AffineGamma(0.05, 0.0),
+                          factor=uh.AffineFactor(), gamma=uh.AffineGamma(0.05, 0.0),
                           recovery=uh.LinearPayoff(0.2), x0=0.04,
                           grid=uh.PdeGrid(400, 8, 5.0, -0.1, 0.1),
                           n_steps=60, n_paths=300, n_particles=32, seed=67)

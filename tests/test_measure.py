@@ -23,7 +23,7 @@ class TestDensityPath:
 
     def test_density_has_unit_mean(self):
         cfg = make_config(m0=0.05, m1=0.5, sigma=0.2, rho=0.3,
-                          factor=uh.OUFactor(1.0, 0.06, 0.2), x0=0.06,
+                          factor=uh.AffineFactor(1.0, 0.06, 0.2), x0=0.06,
                           n_paths=100_000, n_steps=64, seed=13)
         d = density_path(simulate_paths(cfg, "P"))
         L_T = d.L[:, -1]
@@ -34,7 +34,7 @@ class TestDensityPath:
         # along martingale-measure paths the density accumulates in its
         # Girsanov-shifted form; 1/L then has unit mean under that measure
         cfg = make_config(m0=0.05, m1=0.5, sigma=0.2, rho=0.3,
-                          factor=uh.OUFactor(1.0, 0.06, 0.2), x0=0.06,
+                          factor=uh.AffineFactor(1.0, 0.06, 0.2), x0=0.06,
                           n_paths=50_000, n_steps=64, seed=19)
         d = density_path(simulate_paths(cfg, "P_hat"))
         inv = 1.0 / d.L[:, -1]
@@ -45,7 +45,7 @@ class TestDensityPath:
         # increments L_t - L_s regressed on an F_s statistic: slope and
         # intercept both vanish at 3 SE
         cfg = make_config(m0=0.05, m1=0.5, sigma=0.2, rho=0.3,
-                          factor=uh.OUFactor(1.0, 0.06, 0.2), x0=0.06,
+                          factor=uh.AffineFactor(1.0, 0.06, 0.2), x0=0.06,
                           n_paths=50_000, n_steps=64, seed=14)
         b = simulate_paths(cfg, "P")
         d = density_path(b)
@@ -64,7 +64,7 @@ class TestDensityPath:
 class TestGirsanov:
     def test_reweighted_moments(self):
         cfg = make_config(m0=0.05, m1=0.4, sigma=0.2, rho=0.5,
-                          factor=uh.OUFactor(1.0, 0.06, 0.15), x0=0.06,
+                          factor=uh.AffineFactor(1.0, 0.06, 0.15), x0=0.06,
                           n_paths=100_000, n_steps=64, seed=15)
         b = simulate_paths(cfg, "P")
         L_T = density_path(b).L[:, -1]
@@ -81,7 +81,7 @@ class TestGirsanov:
         # E_P[L f(S_T)] equals the P_hat simulation of E[f(S_T)] for bounded
         # test functions, with common random numbers
         cfg = make_config(m0=0.05, m1=0.4, sigma=0.2, rho=0.5,
-                          factor=uh.OUFactor(1.0, 0.06, 0.15), x0=0.06,
+                          factor=uh.AffineFactor(1.0, 0.06, 0.15), x0=0.06,
                           n_paths=100_000, n_steps=64, seed=16)
         b = simulate_paths(cfg, "P")
         b_hat = simulate_paths(cfg, "P_hat")

@@ -22,13 +22,36 @@ class TestValidation:
         assert any("sigma must be strictly positive" in v for v in rep.violations)
 
     def test_cir_feller_violation(self):
-        # 2 * 1 * 0.02 = 0.04 < 0.5^2 = 0.25
-        cfg = make_config(factor=uh.CIRFactor(kappa=1.0, xbar=0.02, a_vol=0.5),
-                          gamma=uh.AffineGamma(0.0, 1.0),
-                          grid=uh.PdeGrid(200, 40, 5.0, -0.1, 0.6))
-        rep = uh.validate(cfg)
-        assert not rep.ok
-        assert any("Feller" in v for v in rep.violations)
+        # 2 * 1 * 0.02 = 0.04 < 0.5^2 = 0.25; only the square root is checked
+        for square_root in (True, False):
+            cfg = make_config(factor=uh.AffineFactor(1.0, 0.02, 0.5, square_root),
+                              gamma=uh.AffineGamma(0.0, 1.0),
+                              grid=uh.PdeGrid(200, 40, 5.0, -0.1, 0.6))
+            rep = uh.validate(cfg)
+            assert rep.ok is not square_root
+            assert any("Feller" in v for v in rep.violations) is square_root
+
+    @pytest.mark.parametrize("square_root", [False, True], ids=["ou", "cir"])
+    @pytest.mark.parametrize("kappa, a_vol, message", [
+        (0.0, 0.2, "factor kappa must be positive"),
+        (-1.0, 0.2, "factor kappa must be positive"),
+        (1.0, 0.0, "factor volatility must be positive"),
+        (1.0, -0.2, "factor volatility must be positive"),
+    ])
+    def test_factor_needs_positive_kappa_and_volatility(self, square_root, kappa, a_vol,
+                                                        message):
+        factor = uh.AffineFactor(kappa, 0.05, a_vol, square_root=square_root)
+        assert message in uh.validate(make_config(factor=factor)).violations
+
+    @pytest.mark.parametrize("square_root", [False, True], ids=["ou", "cir"])
+    def test_zero_kappa_and_volatility_is_the_frozen_factor(self, square_root):
+        rep = uh.validate(make_config(factor=uh.AffineFactor(0.0, 0.05, 0.0, square_root)))
+        assert rep.ok, rep.violations
+
+    @pytest.mark.parametrize("floor", [2.0, 1.0, 0.0, -1.0])
+    def test_survival_floor_outside_unit_interval_fails(self, floor):
+        rep = uh.validate(make_config().with_updates(survival_floor=floor))
+        assert rep.violations == ["survival_floor must lie in (0, 1)"]
 
     def test_count_violations(self):
         cfg = make_config().with_updates(n_paths=0, n_steps=1)
@@ -102,7 +125,7 @@ class TestEvaluateCoefficients:
                               bits(np.maximum(x, 0.0)))
 
     def test_ou_drift_zero_at_mean(self):
-        c = make_config(factor=uh.OUFactor(kappa=2.0, xbar=0.1, a_vol=0.2)).coefficients
+        c = make_config(factor=uh.AffineFactor(kappa=2.0, xbar=0.1, a_vol=0.2)).coefficients
         assert float(c.factor.b(0.1)) == 0.0
 
     def test_bound_breach_raises(self):
@@ -118,7 +141,7 @@ class TestEvaluateCoefficients:
 
     def test_validate_pass_implies_evaluation_succeeds(self):
         cfg = make_config(m0=0.05, m1=0.3,
-                          factor=uh.OUFactor(1.0, 0.05, 0.2),
+                          factor=uh.AffineFactor(1.0, 0.05, 0.2),
                           gamma=uh.AffineGamma(0.01, 0.5))
         assert uh.validate(cfg).ok
         g, c = cfg.pde_grid, cfg.coefficients
@@ -132,13 +155,13 @@ class TestEvaluateCoefficients:
 def factor_families(draw):
     kind = draw(st.sampled_from(["frozen", "ou", "cir"]))
     if kind == "frozen":
-        return uh.FrozenFactor()
+        return uh.AffineFactor()
     kappa = draw(st.floats(0.1, 5.0))
     xbar = draw(st.floats(0.01, 0.5))
     if kind == "ou":
-        return uh.OUFactor(kappa, xbar, draw(st.floats(0.01, 1.0)))
+        return uh.AffineFactor(kappa, xbar, draw(st.floats(0.01, 1.0)))
     a = draw(st.floats(0.01, np.sqrt(2 * kappa * xbar)))
-    return uh.CIRFactor(kappa, xbar, a)
+    return uh.AffineFactor(kappa, xbar, a, square_root=True)
 
 
 @st.composite
@@ -181,7 +204,7 @@ class TestFamilyProperties:
             assert fine <= coarse + 1e-9
 
     def test_vectorized_evaluation_broadcasts(self):
-        cfg = make_config(m1=0.5, factor=uh.CIRFactor(1.0, 0.05, 0.2),
+        cfg = make_config(m1=0.5, factor=uh.AffineFactor(1.0, 0.05, 0.2, square_root=True),
                           gamma=uh.AffineGamma(0.01, 1.0))
         c = cfg.coefficients
         x = np.linspace(-0.2, 0.4, 7)

@@ -57,7 +57,7 @@ class TestGtilde:
 class TestSolveG:
     def test_affine_contract_exact(self):
         cfg = make_config(m0=0.02, m1=1.0, sigma=0.2, rho=0.3,
-                          factor=uh.CIRFactor(1.0, 0.05, 0.2),
+                          factor=uh.AffineFactor(1.0, 0.05, 0.2, square_root=True),
                           gamma=uh.AffineGamma(0.01, 1.0),
                           survival=uh.LinearPayoff(0.5),
                           recovery=uh.LinearPayoff(0.5),
@@ -67,7 +67,7 @@ class TestSolveG:
 
     def test_black_scholes_reduction(self):
         cfg = bs_config(m0=0.02, m1=0.5, rho=0.5,
-                        factor=uh.OUFactor(1.0, 0.05, 0.1), x0=0.05)
+                        factor=uh.AffineFactor(1.0, 0.05, 0.1), x0=0.05)
         sol = solve_g(cfg)
         x_q = np.full_like(S_BAND, 0.05)
         vals = sol.value(0, s=S_BAND, x=x_q)
@@ -79,7 +79,7 @@ class TestSolveG:
 
     def test_constant_hazard_constant_payoff(self):
         cfg = make_config(gamma=uh.AffineGamma(0.1, 0.0),
-                          factor=uh.OUFactor(1.0, 0.05, 0.1),
+                          factor=uh.AffineFactor(1.0, 0.05, 0.1),
                           survival=uh.ConstantPayoff(1.0),
                           grid=uh.PdeGrid(100, 40, 4.0, -0.5, 0.6), n_steps=200)
         sol = solve_g(cfg)
@@ -88,7 +88,7 @@ class TestSolveG:
 
     def test_max_principle_bounded_payoffs(self):
         cfg = make_config(gamma=uh.AffineGamma(0.05, 1.0),
-                          factor=uh.CIRFactor(1.0, 0.06, 0.25),
+                          factor=uh.AffineFactor(1.0, 0.06, 0.25, square_root=True),
                           survival=uh.PutPayoff(1.0),
                           recovery=uh.ConstantPayoff(0.5),
                           grid=uh.PdeGrid(300, 50, 5.0, -0.08, 0.5), n_steps=200)
@@ -99,7 +99,7 @@ class TestSolveG:
 
     def test_grid_refinement_converges(self):
         base = dict(m0=0.02, m1=0.5, sigma=0.2, rho=0.4,
-                    factor=uh.CIRFactor(1.2, 0.06, 0.25),
+                    factor=uh.AffineFactor(1.2, 0.06, 0.25, square_root=True),
                     gamma=uh.AffineGamma(0.01, 1.0),
                     recovery=uh.LinearPayoff(0.1), x0=0.06)
         cfg1 = make_config(grid=uh.PdeGrid(200, 40, 5.0, -0.08, 0.5),
@@ -153,7 +153,7 @@ class TestSolveG:
     def test_derivative_accessor_matches_centered_difference(self):
         # independent reimplementation of the second-order centered stencil
         # (with the nonuniform-spacing weights) evaluated at the grid nodes
-        sol = solve_g(bs_config(m1=0.3, factor=uh.OUFactor(1.0, 0.05, 0.1), x0=0.05))
+        sol = solve_g(bs_config(m1=0.3, factor=uh.AffineFactor(1.0, 0.05, 0.1), x0=0.05))
         s, x = sol.s_grid, sol.x_grid
         v = sol.values[0]
         hm = (s[1:-1] - s[:-2])[:, None]
@@ -302,7 +302,8 @@ class TestSliceDerivatives:
 
     def test_hedge_leaves_only_the_value_surface(self):
         cfg = make_config(m0=0.02, m1=0.5, sigma=0.25, rho=0.4,
-                          factor=uh.CIRFactor(1.0, 0.05, 0.2), gamma=uh.AffineGamma(0.02, 1.0),
+                          factor=uh.AffineFactor(1.0, 0.05, 0.2, square_root=True),
+                          gamma=uh.AffineGamma(0.02, 1.0),
                           grid=uh.PdeGrid(60, 20, 5.0, -0.08, 0.5),
                           n_steps=10, n_paths=4, n_particles=8)
         sol = solve_g(cfg)
@@ -314,18 +315,18 @@ class TestSliceDerivatives:
 class TestPhi:
     def test_constant_hazard(self):
         cfg = make_config(gamma=uh.AffineGamma(0.1, 0.0),
-                          factor=uh.OUFactor(1.0, 0.05, 0.1),
+                          factor=uh.AffineFactor(1.0, 0.05, 0.1),
                           grid=uh.PdeGrid(100, 100, 4.0, -0.5, 0.6), n_steps=200)
         phi = solve_phi(cfg)
         exact = np.exp(-0.1 * (1.0 - phi.t_grid))[:, None]
         assert np.abs(phi.values - exact).max() <= 1e-6
 
     def test_zero_hazard_gives_one(self):
-        phi = solve_phi(make_config(factor=uh.OUFactor(1.0, 0.05, 0.1)))
+        phi = solve_phi(make_config(factor=uh.AffineFactor(1.0, 0.05, 0.1)))
         assert np.abs(phi.values - 1.0).max() <= 1e-12
 
     def test_cir_riccati_oracle(self):
-        factor = uh.CIRFactor(kappa=1.2, xbar=0.06, a_vol=0.25)
+        factor = uh.AffineFactor(kappa=1.2, xbar=0.06, a_vol=0.25, square_root=True)
         cfg = make_config(factor=factor, gamma=uh.AffineGamma(0.0, 1.0), x0=0.06,
                           grid=uh.PdeGrid(100, 200, 4.0, -0.05, 0.6), n_steps=200)
         phi = solve_phi(cfg)
@@ -416,8 +417,9 @@ def g_against_gtilde():
 
 
 @pytest.mark.parametrize("reduction", [
-    pytest.param(lambda: g_against_phi(uh.CIRFactor(1.2, 0.06, 0.25)), id="phi-cir"),
-    pytest.param(lambda: g_against_phi(uh.OUFactor(1.0, 0.05, 0.1)), id="phi-ou"),
+    pytest.param(lambda: g_against_phi(uh.AffineFactor(1.2, 0.06, 0.25, square_root=True)),
+                 id="phi-cir"),
+    pytest.param(lambda: g_against_phi(uh.AffineFactor(1.0, 0.05, 0.1)), id="phi-ou"),
     pytest.param(g_against_gtilde, id="gtilde-frozen"),
 ])
 def test_1d_and_2d_problems_share_one_operator(reduction):
@@ -427,7 +429,7 @@ def test_1d_and_2d_problems_share_one_operator(reduction):
 
 def test_assembly_has_no_row_wrap_and_annihilates_constants():
     # the P-hat drift b - rho a mu/sigma = 0.05 + 3.5 x points out of both x edges
-    cfg = make_config(m1=2.0, rho=-0.9, factor=uh.OUFactor(1.0, 0.05, 0.5), c_bound=10.0)
+    cfg = make_config(m1=2.0, rho=-0.9, factor=uh.AffineFactor(1.0, 0.05, 0.5), c_bound=10.0)
     g = cfg.pde_grid
     s_grid = stretched_s_grid(g.n_s, g.s_max, 1.0)
     x_grid = np.linspace(g.x_min, g.x_max, g.n_x + 1)
@@ -450,19 +452,19 @@ class TestFeynmanKac:
         cfg = bs_config()
         sol = solve_gtilde(cfg)
         # 1D probe via the 2D entry point requires the full solve
-        g2 = solve_g(bs_config(factor=uh.OUFactor(1.0, 0.05, 0.1), x0=0.05))
+        g2 = solve_g(bs_config(factor=uh.AffineFactor(1.0, 0.05, 0.1), x0=0.05))
         res = feynman_kac_check(cfg.with_updates(), g2, [(1.0, 1.5, 0.05)])
         assert res[0].z == 0.0 and res[0].mc_value == res[0].pde_value
 
     def test_zero_hazard_reduces_to_martingale_pricing(self):
-        cfg = bs_config(factor=uh.OUFactor(1.0, 0.05, 0.1), x0=0.05)
+        cfg = bs_config(factor=uh.AffineFactor(1.0, 0.05, 0.1), x0=0.05)
         sol = solve_g(cfg)
         res = feynman_kac_check(cfg, sol, [(0.0, 1.0, 0.05)], n_mc=40_000)
         assert abs(res[0].z) < 3.0
         assert abs(res[0].pde_value - BS_CALL_ATM) / BS_CALL_ATM <= 0.005
 
     def test_generic_scenario_probes(self):
-        factor = uh.CIRFactor(1.2, 0.06, 0.25)
+        factor = uh.AffineFactor(1.2, 0.06, 0.25, square_root=True)
         cfg = make_config(m0=0.02, m1=0.5, sigma=0.2, rho=0.4, factor=factor,
                           gamma=uh.AffineGamma(0.01, 1.0),
                           recovery=uh.LinearPayoff(0.1), x0=0.06,

@@ -32,9 +32,15 @@ class TestPricePaths:
                          label="driftless mean")
 
     def test_degenerate_factor_is_constant(self):
-        cfg = make_config(factor=uh.FrozenFactor(), x0=0.37, n_paths=50)
-        b = simulate_paths(cfg, "P")
-        assert np.all(b.X == 0.37)
+        # kappa = a = 0 under each spelling keeps X at x0 bit for bit, with a
+        # drift and a correlation that would move any other factor
+        for factor in (uh.AffineFactor(), uh.AffineFactor(0.0, 0.1, 0.0),
+                       uh.AffineFactor(0.0, 0.1, 0.0, square_root=True)):
+            cfg = make_config(m0=0.02, m1=0.4, rho=0.5, factor=factor, x0=0.37, n_paths=50)
+            for measure in ("P", "P_hat"):
+                X = simulate_paths(cfg, measure).X
+                assert np.all(X.view(np.uint64) == np.float64(0.37).view(np.uint64)), \
+                    (factor, measure)
 
     def test_gbm_mean_oracle(self):
         cfg = make_config(m0=0.05, sigma=0.2, n_paths=100_000, n_steps=50)
@@ -45,7 +51,7 @@ class TestPricePaths:
 
     def test_price_positive_and_martingale_under_phat(self):
         cfg = make_config(m0=0.08, m1=0.5, sigma=0.25, rho=0.6,
-                          factor=uh.OUFactor(1.0, 0.05, 0.2),
+                          factor=uh.AffineFactor(1.0, 0.05, 0.2),
                           n_paths=40_000, n_steps=60, seed=5)
         b = simulate_paths(cfg, "P_hat")
         assert np.all(b.S > 0)
@@ -60,7 +66,8 @@ class TestObservedIncrements:
     def test_inverts_the_price_step(self, measure):
         # the smoke scenario's coefficients: CIR factor in mu, rho = 0.4
         cfg = make_config(m0=0.02, m1=0.8, sigma=0.25, rho=0.4,
-                          factor=uh.CIRFactor(1.0, 0.05, 0.2), n_paths=2000, seed=22)
+                          factor=uh.AffineFactor(1.0, 0.05, 0.2, square_root=True),
+                          n_paths=2000, seed=22)
         dW, dB = draw_brownian_increments(cfg.seed, np.arange(cfg.n_paths),
                                           cfg.n_steps, cfg.dt)
         S, X = advance_market(cfg, dW, dB, measure)
@@ -75,7 +82,7 @@ class TestObservedIncrements:
 
 class TestSurvivalMachinery:
     def test_survival_equals_exp_cumhazard(self):
-        cfg = make_config(factor=uh.OUFactor(1.0, 0.1, 0.3),
+        cfg = make_config(factor=uh.AffineFactor(1.0, 0.1, 0.3),
                           gamma=uh.AffineGamma(0.02, 0.7), n_paths=200)
         b = simulate_paths(cfg, "P")
         assert np.abs(b.Y - np.exp(-b.Gamma)).max() <= 1e-12
@@ -145,7 +152,7 @@ class TestLeanBundle:
         assert [f.name for f in dataclasses.fields(PathBundle)] == [
             "config", "measure", "t_grid", "W", "B", "S", "X", "Gamma", "tau",
             "path_indices"]
-        cfg = make_config(factor=uh.OUFactor(1.0, 0.1, 0.3),
+        cfg = make_config(factor=uh.AffineFactor(1.0, 0.1, 0.3),
                           gamma=uh.AffineGamma(0.2, 0.7), n_paths=300, seed=4)
         b = simulate_paths(cfg, "P")
         assert np.isfinite(b.tau).any() and np.isinf(b.tau).any()
@@ -157,7 +164,7 @@ class TestLeanBundle:
         # W, B, S, X and Gamma; the peak is six, while W and B are cumulated
         # from the increments (which then go) and while the hazard's rates
         # and its one temporary of increments live next to S, X, W and B
-        cfg = make_config(factor=uh.OUFactor(1.0, 0.1, 0.3),
+        cfg = make_config(factor=uh.AffineFactor(1.0, 0.1, 0.3),
                           gamma=uh.AffineGamma(0.02, 0.7), n_paths=20_000, n_steps=100)
         unit = cfg.n_paths * (cfg.n_steps + 1) * 8
         tracemalloc.start()
@@ -187,7 +194,7 @@ class TestStoppedView:
 class TestDeterminismAndRefinement:
     def test_seed_determinism_bit_identical(self):
         cfg = make_config(m0=0.02, m1=0.4, rho=0.5,
-                          factor=uh.OUFactor(1.0, 0.05, 0.2),
+                          factor=uh.AffineFactor(1.0, 0.05, 0.2),
                           gamma=uh.AffineGamma(0.01, 0.5), n_paths=300)
         b1 = simulate_paths(cfg, "P")
         b2 = simulate_paths(cfg, "P")
@@ -196,14 +203,14 @@ class TestDeterminismAndRefinement:
         assert np.array_equal(b1.tau, b2.tau, equal_nan=True)
 
     def test_chunked_matches_full(self):
-        cfg = make_config(m1=0.4, factor=uh.OUFactor(1.0, 0.05, 0.2), n_paths=40)
+        cfg = make_config(m1=0.4, factor=uh.AffineFactor(1.0, 0.05, 0.2), n_paths=40)
         full = simulate_paths(cfg, "P")
         part = simulate_paths(cfg, "P", path_indices=np.arange(10, 20))
         assert np.array_equal(full.S[10:20], part.S)
 
     @pytest.mark.parametrize("measure", ["P", "P_hat"])
     def test_given_draws_equal_own_draws(self, measure):
-        cfg = make_config(m1=0.4, rho=0.5, factor=uh.OUFactor(1.0, 0.05, 0.2),
+        cfg = make_config(m1=0.4, rho=0.5, factor=uh.AffineFactor(1.0, 0.05, 0.2),
                           gamma=uh.AffineGamma(0.1, 0.5), n_paths=40, seed=17)
         idx = np.arange(5, 25)
         own = simulate_paths(cfg, measure, path_indices=idx)
@@ -215,7 +222,7 @@ class TestDeterminismAndRefinement:
     def test_strong_refinement_order(self):
         # common Brownian increments, coarsened by pairwise summation
         cfg_fine = make_config(m0=0.02, m1=0.5, sigma=0.2, rho=0.5,
-                               factor=uh.OUFactor(1.2, 0.05, 0.25),
+                               factor=uh.AffineFactor(1.2, 0.05, 0.25),
                                n_steps=512, n_paths=400, seed=11)
         dW, dB = draw_brownian_increments(cfg_fine.seed, np.arange(400), 512,
                                           cfg_fine.dt)
