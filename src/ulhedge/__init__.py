@@ -7,7 +7,7 @@ the hidden factor from the observed price path, and backtests the resulting
 full- and partial-information hedging strategies.
 """
 
-from .config_io import config_hash, load_config, parse_config
+from .config_io import config_hash, load_config, parse_config, scenario_record
 from .errors import (
     CoefficientBoundError,
     ConfigError,

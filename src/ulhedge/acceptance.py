@@ -9,6 +9,7 @@ and print one line per criterion.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 from dataclasses import dataclass, field
@@ -231,7 +232,7 @@ def criterion_filter(seed: int) -> CriterionResult:
     err_hz = float(np.abs(series.estimates["hazard"] - 0.05).max())
     checks.append((err_hz <= 1e-12, f"constant hazard identity: max dev {err_hz:.1e}"))
 
-    cfg_dirac = cfg.with_updates(
+    cfg_dirac = dataclasses.replace(cfg,
         coefficients=CoefficientSet(m0=0.03, m1=0.4, sigma0=0.2, factor=AffineFactor(),
                                     gamma=AffineGamma(0.0, 1.0), rho=0.0, c_bound=5.0),
         x0=0.07, n_particles=100)
@@ -241,7 +242,7 @@ def criterion_filter(seed: int) -> CriterionResult:
     checks.append((err_dirac <= 1e-12, f"Dirac hazard identity: max dev {err_dirac:.1e}"))
 
     # rho = 0: for f(x, y) the filter must not depend on the observed path
-    cfg0 = cfg.with_updates(
+    cfg0 = dataclasses.replace(cfg,
         coefficients=CoefficientSet(m0=0.03, m1=0.4, sigma0=0.2, factor=factor,
                                     gamma=AffineGamma(0.05, 0.0), rho=0.0, c_bound=5.0),
         n_paths=2, n_particles=10_000)
@@ -254,14 +255,14 @@ def criterion_filter(seed: int) -> CriterionResult:
                    f"rho=0 two-path agreement: diff {est[0]-est[1]:+.5f} +- {se:.5f}"))
 
     # tower consistency: mean over worlds of pi(Y_T) vs direct P_hat Monte Carlo
-    cfg_tow = cfg.with_updates(
+    cfg_tow = dataclasses.replace(cfg,
         coefficients=CoefficientSet(m0=0.03, m1=0.4, sigma0=0.2, factor=factor,
                                     gamma=AffineGamma(0.02, 0.5), rho=0.5, c_bound=5.0),
         n_paths=300, n_particles=400)
     b_tow = simulate_paths(cfg_tow, "P_hat")
     ser_tow = run_filter(cfg_tow, b_tow.S, world_indices=b_tow.path_indices)
     pi_y = ser_tow.estimates["pi_y"][:, -1]
-    cfg_mc = cfg_tow.with_updates(n_paths=100_000, seed=seed + 7)
+    cfg_mc = dataclasses.replace(cfg_tow, n_paths=100_000, seed=seed + 7)
     b_mc = simulate_paths(cfg_mc, "P_hat")
     direct = b_mc.Y[:, -1]
     se_t = np.hypot(pi_y.std(ddof=1) / np.sqrt(pi_y.size),
@@ -273,7 +274,7 @@ def criterion_filter(seed: int) -> CriterionResult:
     # observable hazard rate vs the Riccati oracle (hidden CIR hazard);
     # deterministic here (mu = 0, rho = 0), so averaged over 8 worlds
     factor_c = AffineFactor(kappa=1.2, xbar=0.06, a_vol=0.25, square_root=True)
-    cfg_ric = cfg.with_updates(
+    cfg_ric = dataclasses.replace(cfg,
         coefficients=CoefficientSet(m0=0.0, m1=0.0, sigma0=0.2, factor=factor_c,
                                     gamma=AffineGamma(0.0, 1.0), rho=0.0, c_bound=5.0),
         x0=0.06, n_paths=8, n_particles=10_000)
@@ -287,7 +288,7 @@ def criterion_filter(seed: int) -> CriterionResult:
                    f"hazard rate vs Riccati at T/2: {got:.5f} vs {want:.5f} (rel {rel:.4f})"))
 
     # Kushner-Stratonovich residual shrinks at the Monte Carlo rate
-    cfg_ks = cfg.with_updates(
+    cfg_ks = dataclasses.replace(cfg,
         coefficients=CoefficientSet(m0=0.0, m1=0.0, sigma0=0.2, factor=factor,
                                     gamma=AffineGamma(0.0, 0.0), rho=0.5, c_bound=5.0),
         x0=0.1)
@@ -295,7 +296,7 @@ def criterion_filter(seed: int) -> CriterionResult:
     sizes = np.array([250, 1000, 4000])
     mean_abs = []
     for i, n_part in enumerate(sizes):
-        cfg_n = cfg_ks.with_updates(n_particles=int(n_part))
+        cfg_n = dataclasses.replace(cfg_ks, n_particles=int(n_part))
         reps = [abs(ks_residual(cfg_n, b_ks.S[:1], functional_coord_x(),
                                 world_indices=[1000 * r + i])[0, -1])
                 for r in range(8)]
@@ -332,7 +333,7 @@ def criterion_strategy(seed: int) -> CriterionResult:
                    f"closed form vs generic theta*: max rel {float(rel.max()):.4f} (tol 2%)"))
 
     # no hidden state: theta* equals the full-information strategy exactly
-    cfg_d = cfg.with_updates(
+    cfg_d = dataclasses.replace(cfg,
         coefficients=CoefficientSet(m0=0.03, m1=0.5, sigma0=0.2, factor=AffineFactor(),
                                     gamma=AffineGamma(0.05, 0.0), rho=0.0, c_bound=5.0),
         x0=0.04, n_particles=64,
@@ -344,7 +345,7 @@ def criterion_strategy(seed: int) -> CriterionResult:
     checks.append((gap <= 1e-12, f"degenerate factor: max |theta* - theta_F| = {gap:.2e}"))
 
     # exact-affine contract hedges with the constant slope
-    cfg_aff = cfg.with_updates(
+    cfg_aff = dataclasses.replace(cfg,
         coefficients=CoefficientSet(m0=0.02, m1=0.8, sigma0=0.25, factor=factor,
                                     gamma=AffineGamma(0.02, 1.0), rho=0.4, c_bound=5.0),
         contract=Contract(1.0, LinearPayoff(0.5), LinearPayoff(0.5)),

@@ -9,6 +9,7 @@ problems, 3 numerical failures (the failing stage is named on stderr).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -65,7 +66,7 @@ def _load(args):
     if args.particles is not None:
         overrides["n_particles"] = args.particles
     if overrides:
-        config = config.with_updates(**overrides)
+        config = dataclasses.replace(config, **overrides)
     report = validate(config)
     if not report.ok:
         raise ConfigError(str(report))

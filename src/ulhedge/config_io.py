@@ -1,14 +1,21 @@
 """Scenario configuration files.
 
 The on-disk format is INI: one section per block, plain ``key = value``
-pairs.  Unknown sections or keys are rejected so typos fail loudly.  See
-README for the full schema and a worked example.
+pairs.  ``_SCHEMA`` names, for each section and each family or payoff
+spelling in it, the keys that spelling reads, with their defaults, and the
+builder it calls; ``parse_config`` refuses every other key by name, so typos
+and leftovers fail loudly.  ``scenario_record`` renders a parsed scenario as
+a nested dict of its dataclass fields, each payoff as its kind and its one
+parameter; ``config_hash`` is taken of that record, and the run manifest
+writes it as its ``config`` object.  See README for the schema.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
+import json
+from dataclasses import fields, is_dataclass
 
 from .errors import ConfigError
 from .models import (
@@ -22,69 +29,90 @@ from .models import (
     PdeGrid,
     PutPayoff,
     ScenarioConfig,
+    ZeroRecovery,
 )
 
-_SECTIONS = {
-    "run": {"seed", "n_steps", "n_paths", "n_particles", "s0", "x0",
-            "c_bound", "survival_floor", "label"},
-    "price": {"sigma", "m0", "m1", "rho"},
-    "factor": {"family", "kappa", "xbar", "a"},
-    "gamma": {"family", "gamma0", "gamma1"},
-    "contract": {"maturity", "survival_payoff", "strike", "level", "slope",
-                 "death_recovery", "recovery_strike", "recovery_level",
-                 "recovery_slope"},
-    "pde_grid": {"n_s", "n_x", "s_max", "x_min", "x_max"},
+# Each spelling: ({key it reads: default, or the key's type when it is
+# required}, builder called with those keys by name).
+_FACTOR_KEYS = {"kappa": float, "xbar": float, "a": float}
+_FACTORS = {
+    "frozen": ({}, AffineFactor),
+    "ou": (_FACTOR_KEYS, lambda kappa, xbar, a: AffineFactor(kappa, xbar, a)),
+    "cir": (_FACTOR_KEYS,
+            lambda kappa, xbar, a: AffineFactor(kappa, xbar, a, square_root=True)),
 }
-
-_REQUIRED_SECTIONS = ("run", "price", "factor", "gamma", "contract", "pde_grid")
-
-
-# payoff kind -> (family, the one key it reads)
+_GAMMAS = {
+    "constant": ({"gamma0": 0.0}, lambda gamma0: AffineGamma(gamma0, 0.0)),
+    "linear": ({}, lambda: AffineGamma(0.0, 1.0)),
+    "affine": ({"gamma0": 0.0, "gamma1": 0.0}, AffineGamma),
+}
 _PAYOFFS = {
-    "constant": (ConstantPayoff, "level"),
-    "linear": (LinearPayoff, "slope"),
-    "call": (CallPayoff, "strike"),
-    "put": (PutPayoff, "strike"),
+    "zero": ({}, lambda: ZeroRecovery),
+    "constant": ({"level": float}, ConstantPayoff),
+    "linear": ({"slope": float}, LinearPayoff),
+    "call": ({"strike": float}, CallPayoff),
+    "put": ({"strike": float}, PutPayoff),
 }
 
 
-def _payoff(kind: str, sec, prefix: str = ""):
-    if kind == "zero":
-        return ConstantPayoff(0.0)
-    if kind not in _PAYOFFS:
-        raise ConfigError(f"unknown payoff kind '{kind}'")
-    family, key = _PAYOFFS[kind]
-    value = sec.get(prefix + key)
-    if value is None:
-        raise ConfigError(f"{kind} payoff needs '{prefix}{key}'")
-    return family(float(value))
+def _plain(keys, builder=dict):
+    """A section's keys that no spelling picks."""
+    return None, "", "", {None: (keys, builder)}
 
 
-def _factor(sec):
-    """The factor: ``frozen`` reads no key, ``ou`` and ``cir`` (the square
-    root) read kappa, xbar and a."""
-    family = sec.get("family", "frozen").strip().lower()
-    if family == "frozen":
-        return AffineFactor()
-    if family not in ("ou", "cir"):
-        raise ConfigError(f"unknown factor family '{family}'")
-    try:
-        return AffineFactor(float(sec["kappa"]), float(sec["xbar"]), float(sec["a"]),
-                            square_root=family == "cir")
-    except KeyError as exc:
-        raise ConfigError(f"factor family '{family}' needs key {exc}") from exc
+# section -> {key that picks a spelling, or None: (default spelling, what the
+# spellings are called in messages, prefix of the keys they read, spellings)}
+_SCHEMA = {
+    "run": {None: _plain({"seed": 0, "n_steps": int, "n_paths": int, "n_particles": int,
+                          "s0": float, "x0": float, "c_bound": 10.0,
+                          "survival_floor": 1e-12})},
+    "price": {None: _plain({"sigma": float, "m0": 0.0, "m1": 0.0, "rho": 0.0})},
+    "factor": {"family": ("frozen", "factor family", "", _FACTORS)},
+    "gamma": {"family": ("constant", "gamma family", "", _GAMMAS)},
+    "contract": {None: _plain({"maturity": float}),
+                 "survival_payoff": ("zero", "payoff kind", "", _PAYOFFS),
+                 "death_recovery": ("zero", "payoff kind", "recovery_", _PAYOFFS)},
+    "pde_grid": {None: _plain({"n_s": int, "n_x": int, "s_max": float, "x_min": float,
+                               "x_max": float}, PdeGrid)},
+}
 
 
-def _gamma(sec):
-    """The intensity: ``constant`` reads gamma0 (gamma1 = 0), ``linear`` is
-    max(x, 0) and ``affine`` reads both coefficients."""
-    family = sec.get("family", "constant").strip().lower()
-    if family == "linear":
-        return AffineGamma(0.0, 1.0)
-    if family not in ("constant", "affine"):
-        raise ConfigError(f"unknown gamma family '{family}'")
-    gamma1 = sec.get("gamma1", "0") if family == "affine" else "0"
-    return AffineGamma(float(sec.get("gamma0", "0")), float(gamma1))
+def _section(parser, section: str) -> dict:
+    """Each part of one section, built from the keys its spelling reads
+    (keyed by the key that picks it); any other key of the section is refused."""
+    if section not in parser:
+        raise ConfigError(f"missing config section [{section}]")
+    sec = parser[section]
+    built, read, picked = {}, set(), []
+    for pick, (default, noun, prefix, spellings) in _SCHEMA[section].items():
+        spelling = pick and sec.get(pick, default).strip().lower()
+        if spelling not in spellings:
+            raise ConfigError(f"unknown {noun} '{spelling}'")
+        if pick:
+            read.add(pick)
+            picked.append(f"{pick} '{spelling}'")
+        keys, builder = spellings[spelling]
+        values = {}
+        for key, default_value in keys.items():
+            name = prefix + key
+            read.add(name)
+            text = sec.get(name)
+            required = isinstance(default_value, type)
+            if text is None and required:
+                who = f"{spelling} {noun.split()[0]}" if pick else f"[{section}]"
+                raise ConfigError(f"{who} needs '{name}'")
+            kind = default_value if required else type(default_value)
+            try:
+                values[key] = default_value if text is None else kind(text)
+            except ValueError as exc:
+                raise ConfigError(f"bad config value for '{name}' in [{section}]: "
+                                  f"{exc}") from exc
+        built[pick] = builder(**values)
+    for key in sec:
+        if key not in read:
+            by = f" by {' or '.join(picked)}" if picked else ""
+            raise ConfigError(f"key '{key}' in [{section}] is not read{by}")
+    return built
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -94,66 +122,23 @@ def parse_config(text: str) -> ScenarioConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
-
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in _SECTIONS[section]:
-                raise ConfigError(f"unknown key '{key}' in section [{section}]")
-    for section in _REQUIRED_SECTIONS:
-        if section not in parser:
-            raise ConfigError(f"missing config section [{section}]")
+    parts = {section: _section(parser, section) for section in _SCHEMA}
 
-    run = parser["run"]
-    price = parser["price"]
-    contract_sec = parser["contract"]
-    grid_sec = parser["pde_grid"]
-
-    try:
-        coefficients = CoefficientSet(
-            m0=float(price.get("m0", "0")),
-            m1=float(price.get("m1", "0")),
-            sigma0=float(price["sigma"]),
-            factor=_factor(parser["factor"]),
-            gamma=_gamma(parser["gamma"]),
-            rho=float(price.get("rho", "0")),
-            c_bound=float(run.get("c_bound", "10")),
-        )
-        survival = _payoff(contract_sec.get("survival_payoff", "zero").strip().lower(),
-                           contract_sec)
-        recovery = _payoff(contract_sec.get("death_recovery", "zero").strip().lower(),
-                           contract_sec, prefix="recovery_")
-        contract = Contract(
-            maturity=float(contract_sec["maturity"]),
-            survival_payoff=survival,
-            death_recovery=recovery,
-        )
-        grid = PdeGrid(
-            n_s=int(grid_sec["n_s"]),
-            n_x=int(grid_sec["n_x"]),
-            s_max=float(grid_sec["s_max"]),
-            x_min=float(grid_sec["x_min"]),
-            x_max=float(grid_sec["x_max"]),
-        )
-        config = ScenarioConfig(
-            coefficients=coefficients,
-            contract=contract,
-            s0=float(run["s0"]),
-            x0=float(run["x0"]),
-            n_steps=int(run["n_steps"]),
-            n_paths=int(run["n_paths"]),
-            n_particles=int(run["n_particles"]),
-            pde_grid=grid,
-            seed=int(run.get("seed", "0")),
-            survival_floor=float(run.get("survival_floor", "1e-12")),
-            label=run.get("label", ""),
-        )
-    except ConfigError:
-        raise
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
-    return config
+    run, price, contract = parts["run"][None], parts["price"][None], parts["contract"]
+    coefficients = CoefficientSet(
+        m0=price["m0"], m1=price["m1"], sigma0=price["sigma"],
+        factor=parts["factor"]["family"], gamma=parts["gamma"]["family"],
+        rho=price["rho"], c_bound=run.pop("c_bound"))
+    return ScenarioConfig(
+        coefficients=coefficients,
+        contract=Contract(contract[None]["maturity"], contract["survival_payoff"],
+                          contract["death_recovery"]),
+        pde_grid=parts["pde_grid"][None],
+        **run,
+    )
 
 
 def load_config(path) -> ScenarioConfig:
@@ -165,6 +150,28 @@ def load_config(path) -> ScenarioConfig:
     return parse_config(text)
 
 
+# payoff class -> (its INI kind, the one key it reads)
+_PAYOFF_KINDS = {builder: (kind, *keys) for kind, (keys, builder) in _PAYOFFS.items()
+                 if isinstance(builder, type)}
+
+
+def scenario_record(config) -> dict:
+    """The scenario as a nested dict of its dataclass fields; a payoff is its
+    INI kind and its one parameter (call and put at one strike have the same
+    fields, so the kind tells them apart)."""
+    if type(config) in _PAYOFF_KINDS:
+        kind, key = _PAYOFF_KINDS[type(config)]
+        return {"kind": kind, key: getattr(config, key)}
+    record = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        record[f.name] = scenario_record(value) if is_dataclass(value) else value
+    return record
+
+
 def config_hash(config: ScenarioConfig) -> str:
-    """Short stable hash identifying a scenario (stamped into CSV headers)."""
-    return hashlib.sha256(repr(config).encode()).hexdigest()[:12]
+    """Short stable hash identifying a scenario (stamped into CSV headers): of
+    its record in JSON, whose floats are written by ``repr`` and read back to
+    the same bits."""
+    record = json.dumps(scenario_record(config), sort_keys=True)
+    return hashlib.sha256(record.encode()).hexdigest()[:12]

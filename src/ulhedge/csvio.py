@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import floatfmt
-from .config_io import config_hash
+from .config_io import config_hash, scenario_record
 from .errors import ConfigError
 from .models import ScenarioConfig
 
@@ -231,16 +231,16 @@ def _peak_rss_mb() -> dict:
 
 @dataclass
 class RunManifest:
-    """Inventory of one CLI run: config identity, outputs, wall-clock timings,
+    """Inventory of one CLI run: the scenario (``config``, the record that
+    ``config_hash`` is taken of) and its hash, outputs, wall-clock timings,
     the peak resident set at the end of each timed stage (``peak_rss_mb``,
     for the process and for its reaped pool workers), and named blocks of
     numerical-health counters (``blocks[name]`` is written as the top-level
     object ``name``)."""
 
     config_hash: str
-    seed: int
     command: str
-    grids: dict
+    config: dict
     outputs: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
     peak_rss_mb: dict = field(default_factory=dict)
@@ -249,15 +249,8 @@ class RunManifest:
 
     @classmethod
     def start(cls, config: ScenarioConfig, command: str) -> "RunManifest":
-        g = config.pde_grid
-        return cls(
-            config_hash=config_hash(config),
-            seed=config.seed,
-            command=command,
-            grids={"n_steps": config.n_steps, "n_paths": config.n_paths,
-                   "n_particles": config.n_particles, "n_s": g.n_s, "n_x": g.n_x,
-                   "s_max": g.s_max, "x_min": g.x_min, "x_max": g.x_max},
-        )
+        return cls(config_hash=config_hash(config), command=command,
+                   config=scenario_record(config))
 
     def mark(self, label: str) -> None:
         self.timings[label] = round(time.perf_counter() - self._t0, 6)
@@ -271,9 +264,8 @@ class RunManifest:
         path = os.path.join(out_dir, "manifest.json")
         payload = {
             "config_hash": self.config_hash,
-            "seed": self.seed,
             "command": self.command,
-            "grids": self.grids,
+            "config": self.config,
             "outputs": self.outputs,
             "timings": self.timings,
             "peak_rss_mb": self.peak_rss_mb,

@@ -248,7 +248,6 @@ class ScenarioConfig:
     pde_grid: PdeGrid
     seed: int = 0
     survival_floor: float = 1e-12
-    label: str = ""
 
     @property
     def maturity(self) -> float:
@@ -260,11 +259,6 @@ class ScenarioConfig:
     @property
     def dt(self) -> float:
         return self.maturity / self.n_steps
-
-    def with_updates(self, **kw) -> "ScenarioConfig":
-        from dataclasses import replace
-
-        return replace(self, **kw)
 
 
 # ---------------------------------------------------------------------------

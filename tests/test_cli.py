@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import importlib
 import json
 import os
@@ -97,6 +99,10 @@ class TestConfigIO:
     def test_gamma_families_parse_to_one_affine_intensity(self, family, params):
         # gamma1 is read by affine only, gamma0 by constant and affine
         text = SMALL_CONFIG.replace("family = affine", f"family = {family}")
+        if family != "affine":
+            text = text.replace("gamma1 = 1.0\n", "")
+        if family == "linear":
+            text = text.replace("gamma0 = 0.02\n", "")
         assert parse_config(text).coefficients.gamma == uh.AffineGamma(*params)
 
     @pytest.mark.parametrize("family, factor", [
@@ -106,6 +112,8 @@ class TestConfigIO:
     def test_factor_families_parse_to_one_affine_factor(self, family, factor):
         # frozen reads none of kappa, xbar and a
         text = SMALL_CONFIG.replace("family = cir", f"family = {family}")
+        if family == "frozen":
+            text = text.replace("kappa = 1.0\nxbar = 0.05\na = 0.2\n", "")
         assert parse_config(text).coefficients.factor == factor
 
     def test_unknown_factor_family_rejected(self):
@@ -132,6 +140,34 @@ class TestConfigIO:
         payoff = contract.death_recovery if prefix else contract.survival_payoff
         assert type(payoff) is family
 
+    @pytest.mark.parametrize("old, new, key, section", [
+        ("family = cir", "family = frozen", "kappa", "factor"),
+        ("strike = 1.0", "strike = 1.0\nlevel = 7.0", "level", "contract"),
+        ("death_recovery = linear", "death_recovery = zero", "recovery_slope", "contract"),
+        ("seed = 77", "seed = 77\nlabel = smoke", "label", "run")],
+        ids=["frozen-kappa", "call-level", "zero-recovery_slope", "label"])
+    def test_key_the_spelling_does_not_read_is_refused(self, tmp_path, capsys,
+                                                       old, new, key, section):
+        path = tmp_path / "unread.ini"
+        path.write_text(SMALL_CONFIG.replace(old, new))
+        code = main(["hedge", str(path), "--paths", "2", "--particles", "2",
+                     "--out-dir", str(tmp_path / "out"), "--quiet"])
+        assert code == 2
+        assert f"key '{key}' in [{section}] is not read" in capsys.readouterr().err
+
+    def test_hash_reads_the_scenario_not_its_spelling(self):
+        # call and put at one strike have the same fields; the kind parts them
+        call = parse_config(SMALL_CONFIG)
+        put = parse_config(SMALL_CONFIG.replace("payoff = call", "payoff = put"))
+        assert config_hash(call) != config_hash(put)
+        # frozen and ou with kappa = xbar = a = 0 build the same AffineFactor
+        cir = "family = cir\nkappa = 1.0\nxbar = 0.05\na = 0.2"
+        frozen = parse_config(SMALL_CONFIG.replace(cir, "family = frozen"))
+        ou = parse_config(SMALL_CONFIG.replace(cir, "family = ou\nkappa = 0\nxbar = 0\na = 0"))
+        assert config_hash(frozen) == config_hash(ou)
+        # a refactor that moves the hash of an unchanged scenario must do so on purpose
+        assert config_hash(call) == "03b0ab4a109f"
+
 
 class TestArtifacts:
     def test_bundle_round_trip(self, tmp_path):
@@ -145,7 +181,7 @@ class TestArtifacts:
         assert np.allclose(s_back, bundle.S, rtol=0, atol=0)
 
     def test_projection_series_round_trip(self, tmp_path):
-        cfg = parse_config(SMALL_CONFIG).with_updates(n_paths=3)
+        cfg = dataclasses.replace(parse_config(SMALL_CONFIG), n_paths=3)
         bundle = simulate_paths(cfg, "P")
         series = run_filter(cfg, bundle.S, world_indices=bundle.path_indices)
         files = export_projection_series(series, cfg, tmp_path)
@@ -187,7 +223,17 @@ class TestCli:
             assert (out / name).exists(), name
         cfg = load_config(config_file)
         assert manifest["config_hash"] == config_hash(cfg)
-        assert manifest["seed"] == cfg.seed
+        assert manifest["config"]["seed"] == cfg.seed
+
+    def test_manifest_config_hashes_to_its_config_hash(self, config_file, tmp_path):
+        out = tmp_path / "out"
+        assert main(["simulate", config_file, "--paths", "3", "--seed", "5",
+                     "--out-dir", str(out), "--quiet"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        record = manifest["config"]
+        assert (record["n_paths"], record["seed"]) == (3, 5)
+        digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+        assert digest[:12] == manifest["config_hash"]
 
     def test_solve_and_filter_and_closed_form(self, config_file, tmp_path):
         assert main(["solve", config_file, "--out-dir", str(tmp_path / "a"),
@@ -409,7 +455,8 @@ class TestVerifyCommand:
 class TestClosedFormVersusHedge:
     def test_pipelines_agree(self, tmp_path):
         text = SMALL_CONFIG.replace("rho = 0.4", "rho = 0.0") \
-                           .replace("family = affine", "family = linear") \
+                           .replace("family = affine\ngamma0 = 0.02\ngamma1 = 1.0",
+                                    "family = linear") \
                            .replace("n_particles = 50", "n_particles = 3000") \
                            .replace("n_paths = 60", "n_paths = 30") \
                            .replace("n_steps = 40", "n_steps = 80") \

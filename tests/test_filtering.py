@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -36,7 +37,7 @@ def functional_survival() -> SmoothFunctional:
 class TestInitCloud:
     def test_initial_dirac_law(self):
         cfg = make_config(x0=0.07, n_particles=50)
-        b = simulate_paths(cfg.with_updates(n_paths=1), "P")
+        b = simulate_paths(dataclasses.replace(cfg, n_paths=1), "P")
         cloud = ParticleCloud(cfg, b.S[:1])
         assert np.all(cloud.X == 0.07)
         assert np.all(cloud.Y == 1.0)
@@ -56,7 +57,7 @@ class TestInitCloud:
 
     def test_sigma_zero_rejected(self):
         cfg = make_config(n_steps=2, maturity=0.02)
-        bad = cfg.with_updates(coefficients=uh.CoefficientSet(
+        bad = dataclasses.replace(cfg, coefficients=uh.CoefficientSet(
             m0=0.0, m1=0.0, sigma0=0.0, factor=uh.AffineFactor(),
             gamma=uh.AffineGamma(0.0, 0.0), rho=0.0, c_bound=5.0))
         with pytest.raises(uh.NumericalError):
@@ -250,7 +251,7 @@ class TestProjectMu:
     def test_survival_floor_raises(self):
         cfg = make_config(gamma=uh.AffineGamma(40.0, 0.0), maturity=1.0,
                           n_steps=50, n_paths=1, n_particles=16)
-        cfg = cfg.with_updates(survival_floor=1e-6)
+        cfg = dataclasses.replace(cfg, survival_floor=1e-6)
         b = simulate_paths(cfg, "P")
         cloud = ParticleCloud(cfg, b.S[:1])
         with pytest.raises(SurvivalFloorError, match=r"step k=\d+ .*, path 0: mass"):
@@ -367,7 +368,7 @@ class TestKsResidual:
         sizes = np.array([250, 1000, 4000])
         mean_abs = []
         for i, n_part in enumerate(sizes):
-            cfg_n = cfg.with_updates(n_particles=int(n_part))
+            cfg_n = dataclasses.replace(cfg, n_particles=int(n_part))
             reps = [abs(ks_residual(cfg_n, b.S[:1], functional_coord_x(),
                                     world_indices=[1000 * r + i])[0, -1])
                     for r in range(8)]
@@ -397,7 +398,7 @@ class TestFilterInvariants:
         b = simulate_paths(cfg, "P_hat")
         series = run_filter(cfg, b.S, world_indices=b.path_indices)
         pi_y = series.estimates["pi_y"][:, -1]
-        cfg_mc = cfg.with_updates(n_paths=100_000, seed=cfg.seed + 1)
+        cfg_mc = dataclasses.replace(cfg, n_paths=100_000, seed=cfg.seed + 1)
         direct = simulate_paths(cfg_mc, "P_hat").Y[:, -1]
         se = np.hypot(pi_y.std(ddof=1) / np.sqrt(pi_y.size),
                       direct.std(ddof=1) / np.sqrt(direct.size))

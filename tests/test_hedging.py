@@ -77,7 +77,7 @@ class TestPaymentStream:
         died = np.isfinite(simulate_paths(cfg, "P").tau)
         assert np.all(term[died, -1] == 0.0)
 
-        cfg2 = cfg.with_updates(contract=uh.Contract(
+        cfg2 = dataclasses.replace(cfg, contract=uh.Contract(
             1.0, uh.ConstantPayoff(0.0), uh.LinearPayoff(0.2)))
         pure = payment_stream(simulate_paths(cfg2, "P"))
         assert np.all(pure[~died, -1] == 0.0)
@@ -155,8 +155,8 @@ class TestThetaPartial:
         # at rho = 1 the price path fixes the factor: every particle follows
         # the world's own X, so theta* = theta_F and V = V_full
         cfg = load_config(SMOKE)
-        cfg = cfg.with_updates(coefficients=dataclasses.replace(cfg.coefficients, rho=1.0),
-                               n_paths=200, n_particles=4)
+        cfg = dataclasses.replace(cfg, coefficients=dataclasses.replace(cfg.coefficients, rho=1.0),
+                                  n_paths=200, n_particles=4)
         series = hedge_paths(cfg, simulate_paths(cfg, "P"), solve_g(cfg))
         assert np.abs(series.theta_star - series.theta_full).max() <= 1e-12
         assert np.abs(series.V - series.V_full).max() <= 1e-12
@@ -193,14 +193,15 @@ class TestThetaPartial:
 
     def test_closed_form_requires_linear_or_zero_death_benefit(self):
         # a call benefit struck beyond s = 2 vanishes on [0, 2] but is not zero
-        cfg = load_config(os.path.join(CONFIGS, "uncorrelated.ini")).with_updates(n_paths=3)
+        cfg = dataclasses.replace(load_config(os.path.join(CONFIGS, "uncorrelated.ini")),
+                                  n_paths=3)
         b = simulate_paths(cfg, "P")
         for recovery in (uh.CallPayoff(2.5), uh.CallPayoff(1.5)):
-            bad = cfg.with_updates(contract=uh.Contract(1.0, uh.CallPayoff(1.0), recovery))
+            bad = dataclasses.replace(cfg, contract=uh.Contract(1.0, uh.CallPayoff(1.0), recovery))
             with pytest.raises(uh.ConfigError, match="death benefit"):
                 closed_form_theta(bad, b)
         for recovery in (uh.ZeroRecovery, uh.LinearPayoff(0.2)):
-            ok = cfg.with_updates(contract=uh.Contract(1.0, uh.CallPayoff(1.0), recovery))
+            ok = dataclasses.replace(cfg, contract=uh.Contract(1.0, uh.CallPayoff(1.0), recovery))
             theta, _, _ = closed_form_theta(ok, b)
             assert np.isfinite(theta).all()
 
@@ -328,7 +329,7 @@ class TestSurvivalDeposit:
     """The cloud-in-cell deposit projection against the gather reference."""
 
     def test_smoke_cloud_matches_gather(self, smoke_g):
-        cfg = load_config(SMOKE).with_updates(n_paths=120)
+        cfg = dataclasses.replace(load_config(SMOKE), n_paths=120)
         b = simulate_paths(cfg, "P")
         cloud = ParticleCloud(cfg, b.S, b.path_indices)
         for k in range(cfg.n_steps):
@@ -339,7 +340,7 @@ class TestSurvivalDeposit:
             cloud.step()
 
     def test_particles_on_nodes_and_domain_edges(self, smoke_g):
-        cfg = load_config(SMOKE).with_updates(n_paths=40)
+        cfg = dataclasses.replace(load_config(SMOKE), n_paths=40)
         b = simulate_paths(cfg, "P")
         cloud = ParticleCloud(cfg, b.S, b.path_indices)
         for _ in range(20):
@@ -359,7 +360,7 @@ class TestSurvivalDeposit:
         assert np.abs(d_y / total[:, None] - want / want.sum(axis=1, keepdims=True)).max() <= 1e-15
 
     def test_cloud_inside_one_cell(self, smoke_g):
-        cfg = load_config(SMOKE).with_updates(n_paths=30)
+        cfg = dataclasses.replace(load_config(SMOKE), n_paths=30)
         b = simulate_paths(cfg, "P")
         cloud = ParticleCloud(cfg, b.S, b.path_indices)
         for _ in range(5):
@@ -375,7 +376,7 @@ class TestSurvivalDeposit:
     def test_own_state_outside_the_cloud(self, smoke_g):
         # the own state widens its world's window beyond the cloud's cells,
         # above in one world and below in the other
-        cfg = load_config(SMOKE).with_updates(n_paths=2)
+        cfg = dataclasses.replace(load_config(SMOKE), n_paths=2)
         b = simulate_paths(cfg, "P")
         cloud = ParticleCloud(cfg, b.S, b.path_indices)
         for _ in range(5):
@@ -393,7 +394,7 @@ class TestSurvivalDeposit:
         # a world beside one whose particles cover every cell is projected
         # over the whole grid, not over its own narrow window: its V and
         # theta* must not move by a bit
-        cfg = load_config(SMOKE).with_updates(n_paths=2)
+        cfg = dataclasses.replace(load_config(SMOKE), n_paths=2)
         b = simulate_paths(cfg, "P")
         c, grid, k = cfg.coefficients, smoke_g.x_grid, 30
         alone = ParticleCloud(cfg, b.S[:1], b.path_indices[:1])
@@ -439,7 +440,7 @@ class TestSurvivalDeposit:
         assert 2 < want.min() and want.max() < len(g_sol.x_grid)
 
     def test_one_particle(self, smoke_g):
-        cfg = load_config(SMOKE).with_updates(n_paths=25, n_particles=1)
+        cfg = dataclasses.replace(load_config(SMOKE), n_paths=25, n_particles=1)
         b = simulate_paths(cfg, "P")
         cloud = ParticleCloud(cfg, b.S, b.path_indices)
         for k in range(cfg.n_steps):
@@ -451,9 +452,9 @@ class TestSurvivalDeposit:
     @staticmethod
     def _smoke_cloud(n_paths, **coefficients):
         base = load_config(SMOKE)
-        cfg = base.with_updates(coefficients=dataclasses.replace(base.coefficients,
-                                                                 **coefficients),
-                                n_paths=n_paths)
+        cfg = dataclasses.replace(base, coefficients=dataclasses.replace(base.coefficients,
+                                                                         **coefficients),
+                                  n_paths=n_paths)
         b = simulate_paths(cfg, "P")
         return cfg, solve_g(cfg), ParticleCloud(cfg, b.S, b.path_indices)
 
@@ -489,8 +490,8 @@ class TestSurvivalDeposit:
     def test_floor_breach_in_the_hedge_names_step_and_path(self):
         # deterministic survival exp(-40 t) crosses the floor 1e-6 between
         # t = 0.34 and t = 0.36, in every world at once: the first row is named
-        cfg = cir_scenario(gamma=uh.AffineGamma(40.0, 0.0), n_steps=50, n_particles=16,
-                           seed=74).with_updates(survival_floor=1e-6)
+        cfg = dataclasses.replace(cir_scenario(gamma=uh.AffineGamma(40.0, 0.0), n_steps=50,
+                                               n_particles=16, seed=74), survival_floor=1e-6)
         b = simulate_paths(cfg, "P", path_indices=np.arange(40, 46))
         with pytest.raises(uh.SurvivalFloorError) as info:
             hedge_paths(cfg, b, solve_g(cfg))
@@ -679,7 +680,7 @@ class TestBacktest:
         assert s.terminal_gap_max <= 0.01
         # invalid configs are rejected up front
         with pytest.raises(uh.ConfigError):
-            backtest(cfg.with_updates(n_paths=0))
+            backtest(dataclasses.replace(cfg, n_paths=0))
 
     def test_chunks_and_workers_leave_results_identical(self, tmp_path):
         cfg = cir_scenario(recovery=uh.LinearPayoff(0.2), n_steps=20, n_paths=30,
@@ -739,11 +740,11 @@ class TestBacktest:
                 super().__init__(max_workers, *args, **kwargs)
 
         monkeypatch.setattr(hedging, "ProcessPoolExecutor", Recording)
-        backtest(cfg.with_updates(n_paths=2), workers=6)
+        backtest(dataclasses.replace(cfg, n_paths=2), workers=6)
         assert pools == [2]
         # one world has no spread to summarize: refused before any pool forms
         with pytest.raises(uh.ConfigError, match="n_paths >= 2"):
-            backtest(cfg.with_updates(n_paths=1), workers=4)
+            backtest(dataclasses.replace(cfg, n_paths=1), workers=4)
         assert pools == [2]
 
     def test_chunk_keys_each_world_stream_once(self, monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,11 +52,11 @@ class TestValidation:
 
     @pytest.mark.parametrize("floor", [2.0, 1.0, 0.0, -1.0])
     def test_survival_floor_outside_unit_interval_fails(self, floor):
-        rep = uh.validate(make_config().with_updates(survival_floor=floor))
+        rep = uh.validate(dataclasses.replace(make_config(), survival_floor=floor))
         assert rep.violations == ["survival_floor must lie in (0, 1)"]
 
     def test_count_violations(self):
-        cfg = make_config().with_updates(n_paths=0, n_steps=1)
+        cfg = dataclasses.replace(make_config(), n_paths=0, n_steps=1)
         rep = uh.validate(cfg)
         assert any("n_paths must be >= 1" in v for v in rep.violations)
         assert any("n_steps must be >= 2" in v for v in rep.violations)
@@ -67,7 +69,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("field, cfg", [
         ("coefficients.c_bound", make_config(c_bound=np.nan)),
-        ("survival_floor", make_config().with_updates(survival_floor=np.nan)),
+        ("survival_floor", dataclasses.replace(make_config(), survival_floor=np.nan)),
         ("coefficients.gamma.gamma0", make_config(gamma=uh.AffineGamma(np.nan, 0.0))),
         ("coefficients.sigma0", make_config(sigma=np.nan)),
         ("coefficients.sigma0", make_config(sigma=np.inf)),

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import tracemalloc
 
@@ -453,7 +454,7 @@ class TestFeynmanKac:
         sol = solve_gtilde(cfg)
         # 1D probe via the 2D entry point requires the full solve
         g2 = solve_g(bs_config(factor=uh.AffineFactor(1.0, 0.05, 0.1), x0=0.05))
-        res = feynman_kac_check(cfg.with_updates(), g2, [(1.0, 1.5, 0.05)])
+        res = feynman_kac_check(dataclasses.replace(cfg), g2, [(1.0, 1.5, 0.05)])
         assert res[0].z == 0.0 and res[0].mc_value == res[0].pde_value
 
     def test_zero_hazard_reduces_to_martingale_pricing(self):

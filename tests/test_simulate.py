@@ -232,7 +232,7 @@ class TestDeterminismAndRefinement:
             factor = 512 // n
             dW_c = dW.reshape(400, n, factor).sum(axis=2)
             dB_c = dB.reshape(400, n, factor).sum(axis=2)
-            cfg_n = cfg_fine.with_updates(n_steps=n)
+            cfg_n = dataclasses.replace(cfg_fine, n_steps=n)
             S_n, X_n = advance_market(cfg_n, dW_c, dB_c, "P")
             err = np.mean(np.abs(S_n[:, -1] - S_ref[:, -1])
                           + np.abs(X_n[:, -1] - X_ref[:, -1]))
