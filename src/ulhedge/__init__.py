@@ -18,16 +18,12 @@ from .errors import (
 from .models import (
     AffineFactor,
     AffineGamma,
-    CallPayoff,
     CoefficientSet,
-    ConstantPayoff,
     Contract,
-    LinearPayoff,
+    Payoff,
     PdeGrid,
-    PutPayoff,
     ScenarioConfig,
     ValidationReport,
-    ZeroRecovery,
     validate,
 )
 from .simulate import PathBundle, simulate_paths

@@ -23,16 +23,13 @@ from .measure import density_path
 from .models import (
     AffineFactor,
     AffineGamma,
-    CallPayoff,
     CoefficientSet,
-    ConstantPayoff,
     Contract,
-    LinearPayoff,
+    Payoff,
     PdeGrid,
     ScenarioConfig,
 )
-from .pde import (_strike_of, feynman_kac_check, solve_g, solve_gtilde, solve_phi,
-                  stretched_s_grid)
+from .pde import feynman_kac_check, solve_g, solve_gtilde, solve_phi, stretched_s_grid
 from .simulate import observed_increments, simulate_paths
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
@@ -73,7 +70,7 @@ def criterion_measure_change(seed: int) -> CriterionResult:
             m0=0.04, m1=0.6, sigma0=0.2,
             factor=AffineFactor(kappa=1.0, xbar=0.05, a_vol=0.15),
             gamma=AffineGamma(0.0, 0.0), rho=0.5, c_bound=5.0),
-        contract=Contract(1.0, CallPayoff(1.0)),
+        contract=Contract(1.0, Payoff(strike=1.0)),
         s0=1.0, x0=0.05, n_steps=64, n_paths=100_000, n_particles=1,
         pde_grid=_grid(), seed=seed)
     K = 1.0
@@ -118,7 +115,7 @@ def criterion_mortality(seed: int) -> CriterionResult:
         coefficients=CoefficientSet(m0=0.0, m1=0.0, sigma0=0.2,
                                     factor=AffineFactor(),
                                     gamma=AffineGamma(gamma0, 0.0), rho=0.0, c_bound=5.0),
-        contract=Contract(T, ConstantPayoff(1.0)),
+        contract=Contract(T, Payoff(level=1.0)),
         s0=1.0, x0=0.0, n_steps=100, n_paths=100_000, n_particles=1,
         pde_grid=_grid(), seed=seed)
     # only the death times are read: the paths go as soon as they are built
@@ -134,7 +131,7 @@ def criterion_mortality(seed: int) -> CriterionResult:
     cfg2 = ScenarioConfig(
         coefficients=CoefficientSet(m0=0.0, m1=0.0, sigma0=0.2, factor=factor,
                                     gamma=gamma, rho=0.0, c_bound=5.0),
-        contract=Contract(1.0, ConstantPayoff(1.0)),
+        contract=Contract(1.0, Payoff(level=1.0)),
         s0=1.0, x0=0.06, n_steps=200, n_paths=100_000, n_particles=1,
         pde_grid=_grid(x_min=-0.1), seed=seed + 1)
     tau2 = simulate_paths(cfg2, "P").tau
@@ -159,7 +156,7 @@ def criterion_pde(seed: int) -> CriterionResult:
     cfg = ScenarioConfig(
         coefficients=CoefficientSet(m0=0.0, m1=0.0, sigma0=0.2, factor=AffineFactor(),
                                     gamma=AffineGamma(0.0, 0.0), rho=0.0, c_bound=5.0),
-        contract=Contract(1.0, CallPayoff(1.0)),
+        contract=Contract(1.0, Payoff(strike=1.0)),
         s0=1.0, x0=0.0, n_steps=200, n_paths=1, n_particles=1,
         pde_grid=_grid(n_s=1000, n_x=40), seed=seed)
     gt = solve_gtilde(cfg)
@@ -173,7 +170,7 @@ def criterion_pde(seed: int) -> CriterionResult:
         coefficients=CoefficientSet(m0=0.02, m1=1.0, sigma0=0.2,
                                     factor=AffineFactor(1.0, 0.05, 0.2, square_root=True),
                                     gamma=AffineGamma(0.01, 1.0), rho=0.3, c_bound=5.0),
-        contract=Contract(1.0, LinearPayoff(0.5), LinearPayoff(0.5)),
+        contract=Contract(1.0, Payoff(slope=0.5), Payoff(slope=0.5)),
         s0=1.0, x0=0.05, n_steps=100, n_paths=1, n_particles=1,
         pde_grid=_grid(n_s=200, n_x=60, s_max=4.0, x_min=-0.08, x_max=0.4), seed=seed)
     g_aff = solve_g(cfg_aff)
@@ -185,7 +182,7 @@ def criterion_pde(seed: int) -> CriterionResult:
     cfg_phi = ScenarioConfig(
         coefficients=CoefficientSet(m0=0.0, m1=0.0, sigma0=0.2, factor=factor,
                                     gamma=AffineGamma(0.0, 1.0), rho=0.0, c_bound=5.0),
-        contract=Contract(1.0, ConstantPayoff(1.0)),
+        contract=Contract(1.0, Payoff(level=1.0)),
         s0=1.0, x0=0.06, n_steps=200, n_paths=1, n_particles=1,
         pde_grid=_grid(n_s=100, n_x=200, x_min=-0.05, x_max=0.6), seed=seed)
     phi = solve_phi(cfg_phi)
@@ -199,7 +196,7 @@ def criterion_pde(seed: int) -> CriterionResult:
     cfg_fk = ScenarioConfig(
         coefficients=CoefficientSet(m0=0.02, m1=0.5, sigma0=0.2, factor=factor,
                                     gamma=AffineGamma(0.01, 1.0), rho=0.4, c_bound=5.0),
-        contract=Contract(1.0, CallPayoff(1.0), LinearPayoff(0.1)),
+        contract=Contract(1.0, Payoff(strike=1.0), Payoff(slope=0.1)),
         s0=1.0, x0=0.06, n_steps=200, n_paths=1, n_particles=1,
         pde_grid=_grid(n_s=400, n_x=60, x_min=-0.08, x_max=0.5), seed=seed)
     g_fk = solve_g(cfg_fk)
@@ -224,7 +221,7 @@ def criterion_filter(seed: int) -> CriterionResult:
     cfg = ScenarioConfig(
         coefficients=CoefficientSet(m0=0.03, m1=0.4, sigma0=0.2, factor=factor,
                                     gamma=AffineGamma(0.05, 0.0), rho=0.5, c_bound=5.0),
-        contract=Contract(1.0, CallPayoff(1.0)),
+        contract=Contract(1.0, Payoff(strike=1.0)),
         s0=1.0, x0=0.08, n_steps=100, n_paths=1, n_particles=10_000,
         pde_grid=_grid(), seed=seed)
     bundle = simulate_paths(cfg, "P")
@@ -320,7 +317,7 @@ def criterion_strategy(seed: int) -> CriterionResult:
     cfg = ScenarioConfig(
         coefficients=CoefficientSet(m0=0.03, m1=0.5, sigma0=0.2, factor=factor,
                                     gamma=AffineGamma(0.0, 1.0), rho=0.0, c_bound=5.0),
-        contract=Contract(1.0, CallPayoff(1.0), LinearPayoff(0.2)),
+        contract=Contract(1.0, Payoff(strike=1.0), Payoff(slope=0.2)),
         s0=1.0, x0=0.06, n_steps=100, n_paths=50, n_particles=4000,
         pde_grid=_grid(n_s=500, n_x=60, s_max=6.0, x_min=-0.08, x_max=0.6), seed=seed)
     bundle = simulate_paths(cfg, "P")
@@ -348,7 +345,7 @@ def criterion_strategy(seed: int) -> CriterionResult:
     cfg_aff = dataclasses.replace(cfg,
         coefficients=CoefficientSet(m0=0.02, m1=0.8, sigma0=0.25, factor=factor,
                                     gamma=AffineGamma(0.02, 1.0), rho=0.4, c_bound=5.0),
-        contract=Contract(1.0, LinearPayoff(0.5), LinearPayoff(0.5)),
+        contract=Contract(1.0, Payoff(slope=0.5), Payoff(slope=0.5)),
         n_paths=50, n_particles=300,
         pde_grid=_grid(n_s=200, n_x=50, s_max=6.0, x_min=-0.08, x_max=0.5))
     b_aff = simulate_paths(cfg_aff, "P")
@@ -370,7 +367,7 @@ def criterion_optimality(seed: int) -> CriterionResult:
     cfg = ScenarioConfig(
         coefficients=CoefficientSet(m0=0.02, m1=0.8, sigma0=0.25, factor=factor,
                                     gamma=AffineGamma(0.02, 1.0), rho=0.4, c_bound=5.0),
-        contract=Contract(1.0, CallPayoff(1.0), LinearPayoff(0.2)),
+        contract=Contract(1.0, Payoff(strike=1.0), Payoff(slope=0.2)),
         s0=1.0, x0=0.05, n_steps=400, n_paths=10_000, n_particles=300,
         pde_grid=_grid(n_s=300, n_x=50, s_max=6.0, x_min=-0.08, x_max=0.5), seed=seed)
     rep = backtest(cfg, workers=min(2, os.cpu_count() or 1))
@@ -401,7 +398,7 @@ def criterion_optimality(seed: int) -> CriterionResult:
 
 def _strike_cell_bound(rep) -> float:
     """Worst chord error of the terminal payoff over one strike cell."""
-    strike = _strike_of(rep.config.contract.survival_payoff)
+    strike = rep.config.contract.survival_payoff.strike
     if strike is None:
         return 1e-10
     grid = rep.config.pde_grid
@@ -425,7 +422,7 @@ def criterion_determinism(seed: int) -> CriterionResult:
     cfg = ScenarioConfig(
         coefficients=CoefficientSet(m0=0.03, m1=0.5, sigma0=0.2, factor=factor,
                                     gamma=AffineGamma(0.05, 0.0), rho=0.4, c_bound=5.0),
-        contract=Contract(1.0, CallPayoff(1.0), LinearPayoff(0.2)),
+        contract=Contract(1.0, Payoff(strike=1.0), Payoff(slope=0.2)),
         s0=1.0, x0=0.05, n_steps=50, n_paths=400, n_particles=100,
         pde_grid=_grid(n_s=200, n_x=40, s_max=5.0, x_min=-0.4, x_max=0.55), seed=seed)
 

@@ -4,10 +4,12 @@ The on-disk format is INI: one section per block, plain ``key = value``
 pairs.  ``_SCHEMA`` names, for each section and each family or payoff
 spelling in it, the keys that spelling reads, with their defaults, and the
 builder it calls; ``parse_config`` refuses every other key by name, so typos
-and leftovers fail loudly.  ``scenario_record`` renders a parsed scenario as
-a nested dict of its dataclass fields, each payoff as its kind and its one
-parameter; ``config_hash`` is taken of that record, and the run manifest
-writes it as its ``config`` object.  See README for the schema.
+and leftovers fail loudly.  Every payoff spelling builds the one ``Payoff``
+(level + slope s, plus max(s - strike, 0) when it has a strike).
+``scenario_record`` renders a parsed scenario as a nested dict of its
+dataclass fields, a payoff as its level, slope and strike (null without a
+kink); ``config_hash`` is taken of that record, and the run manifest writes
+it as its ``config`` object.  See README for the schema.
 """
 
 from __future__ import annotations
@@ -21,15 +23,11 @@ from .errors import ConfigError
 from .models import (
     AffineFactor,
     AffineGamma,
-    CallPayoff,
     CoefficientSet,
-    ConstantPayoff,
     Contract,
-    LinearPayoff,
+    Payoff,
     PdeGrid,
-    PutPayoff,
     ScenarioConfig,
-    ZeroRecovery,
 )
 
 # Each spelling: ({key it reads: default, or the key's type when it is
@@ -47,11 +45,11 @@ _GAMMAS = {
     "affine": ({"gamma0": 0.0, "gamma1": 0.0}, AffineGamma),
 }
 _PAYOFFS = {
-    "zero": ({}, lambda: ZeroRecovery),
-    "constant": ({"level": float}, ConstantPayoff),
-    "linear": ({"slope": float}, LinearPayoff),
-    "call": ({"strike": float}, CallPayoff),
-    "put": ({"strike": float}, PutPayoff),
+    "zero": ({}, Payoff),
+    "constant": ({"level": float}, Payoff),
+    "linear": ({"slope": float}, Payoff),
+    "call": ({"strike": float}, Payoff),
+    "put": ({"strike": float}, lambda strike: Payoff(level=strike, slope=-1.0, strike=strike)),
 }
 
 
@@ -150,18 +148,8 @@ def load_config(path) -> ScenarioConfig:
     return parse_config(text)
 
 
-# payoff class -> (its INI kind, the one key it reads)
-_PAYOFF_KINDS = {builder: (kind, *keys) for kind, (keys, builder) in _PAYOFFS.items()
-                 if isinstance(builder, type)}
-
-
 def scenario_record(config) -> dict:
-    """The scenario as a nested dict of its dataclass fields; a payoff is its
-    INI kind and its one parameter (call and put at one strike have the same
-    fields, so the kind tells them apart)."""
-    if type(config) in _PAYOFF_KINDS:
-        kind, key = _PAYOFF_KINDS[type(config)]
-        return {"kind": kind, key: getattr(config, key)}
+    """The scenario as a nested dict of its dataclass fields."""
     record = {}
     for f in fields(config):
         value = getattr(config, f.name)

@@ -47,7 +47,7 @@ import numpy as np
 from . import csvio
 from .errors import ConfigError, DomainExcursionError
 from .filtering import Deposit, ParticleCloud, node_sums
-from .models import LinearPayoff, ScenarioConfig, ZeroRecovery, validate
+from .models import ScenarioConfig, validate
 from .pde import PdeSolution, interp_rows, solve_g, solve_gtilde, solve_phi
 from .simulate import PathBundle, draw_worlds, simulate_paths
 
@@ -260,8 +260,7 @@ def _assert_uncorrelated_homogeneous(config: ScenarioConfig) -> None:
     if c.rho != 0.0:
         raise ConfigError("closed-form pipeline requires rho = 0")
     recovery = config.contract.death_recovery
-    if not (isinstance(recovery, LinearPayoff)
-            or recovery == ZeroRecovery):
+    if recovery.strike is not None or recovery.level:
         raise ConfigError("closed-form pipeline needs a linear (or zero) death benefit")
 
 
@@ -276,8 +275,7 @@ def closed_form_theta(config: ScenarioConfig, bundle: PathBundle):
     """
     _assert_uncorrelated_homogeneous(config)
     gtilde, phi = solve_gtilde(config), solve_phi(config)
-    recovery = config.contract.death_recovery
-    delta = recovery.slope if isinstance(recovery, LinearPayoff) else 0.0
+    delta = config.contract.death_recovery.slope
     n = config.n_steps
     m = np.array([phi.value(n - k, x=np.array([config.x0]))[0] for k in range(n + 1)])
     gs = np.stack([gtilde.value_ds(k, s=bundle.S[:, k]) for k in range(n)], axis=1)

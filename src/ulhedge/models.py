@@ -14,7 +14,8 @@ the constant ``sigma0``, the drift is affine in the factor,
 ``a_vol sqrt(max(x, 0))`` (square root), frozen at kappa = a = 0; the
 intensity is the one affine family
 ``gamma = gamma0 + gamma1 max(x, 0)``, which the affine-transform oracles
-solve in closed form; payoffs read the price alone.  The value PDEs rely on
+solve in closed form; the one payoff formula, piecewise linear with at
+most one kink, reads the price alone.  The value PDEs rely on
 this: one operator serves every time step.  All coefficient callables accept
 and broadcast numpy arrays, and each returns a fresh array, formed in place
 with the arithmetic of its formula.
@@ -32,11 +33,6 @@ __all__ = [
     "AffineFactor",
     "AffineGamma",
     "Payoff",
-    "ConstantPayoff",
-    "LinearPayoff",
-    "CallPayoff",
-    "PutPayoff",
-    "ZeroRecovery",
     "Contract",
     "PdeGrid",
     "CoefficientSet",
@@ -113,44 +109,27 @@ class AffineGamma:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ConstantPayoff:
-    level: float
+class Payoff:
+    """level + slope s, plus max(s - strike, 0) when a strike is given.
 
+    One formula for every payoff the contracts use: the zero payoff (the
+    default), a constant ``level``, a linear ``slope``, the call (strike)
+    and the put (level = strike, slope = -1, strike).  The terms are added
+    in this order, which gives each of those the bits of its textbook
+    formula (a put's K - s and s - K cancel exactly above K).
+    """
 
-    def __call__(self, s):
-        return np.full_like(np.asarray(s, dtype=float), self.level)
-
-
-@dataclass(frozen=True)
-class LinearPayoff:
-    slope: float
-
-
-    def __call__(self, s):
-        return self.slope * np.asarray(s, dtype=float)
-
-
-@dataclass(frozen=True)
-class CallPayoff:
-    strike: float
-
+    level: float = 0.0
+    slope: float = 0.0
+    strike: float | None = None
 
     def __call__(self, s):
-        return np.maximum(np.asarray(s, dtype=float) - self.strike, 0.0)
-
-
-@dataclass(frozen=True)
-class PutPayoff:
-    strike: float
-
-
-    def __call__(self, s):
-        return np.maximum(self.strike - np.asarray(s, dtype=float), 0.0)
-
-
-ZeroRecovery = ConstantPayoff(0.0)
-
-Payoff = ConstantPayoff | LinearPayoff | CallPayoff | PutPayoff
+        s = np.asarray(s, dtype=float)
+        out = self.slope * s
+        out += self.level
+        if self.strike is not None:
+            out += np.maximum(s - self.strike, 0.0)
+        return out
 
 
 @dataclass(frozen=True)
@@ -163,7 +142,7 @@ class Contract:
 
     maturity: float
     survival_payoff: Payoff
-    death_recovery: Payoff = ZeroRecovery
+    death_recovery: Payoff = Payoff()
 
     def __post_init__(self):
         if self.maturity <= 0:

@@ -13,8 +13,8 @@ def make_config(
     """One-stop scenario builder with plain defaults for the unit tests."""
     factor = factor if factor is not None else uh.AffineFactor()
     gamma = gamma if gamma is not None else uh.AffineGamma(0.0, 0.0)
-    survival = survival if survival is not None else uh.CallPayoff(1.0)
-    recovery = recovery if recovery is not None else uh.ZeroRecovery
+    survival = survival if survival is not None else uh.Payoff(strike=1.0)
+    recovery = recovery if recovery is not None else uh.Payoff()
     grid = grid if grid is not None else uh.PdeGrid(n_s=200, n_x=40, s_max=5.0,
                                                     x_min=-0.5, x_max=0.6)
     return uh.ScenarioConfig(

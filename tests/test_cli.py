@@ -23,7 +23,7 @@ from ulhedge.csvio import (
 )
 from ulhedge.filtering import run_filter
 from ulhedge.hedging import backtest, hedge_paths
-from ulhedge.pde import solve_g, solve_gtilde, solve_phi
+from ulhedge.pde import solve_g, solve_gtilde, solve_phi, stretched_s_grid
 from ulhedge.simulate import simulate_paths
 
 SMALL_CONFIG = """
@@ -84,14 +84,16 @@ class TestConfigIO:
         assert cfg.coefficients.factor.square_root
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(uh.ConfigError):
-            parse_config(SMALL_CONFIG + "\n[run]\nbogus = 1\n")
-        with pytest.raises(uh.ConfigError):
+        with pytest.raises(uh.ConfigError, match=re.escape("key 'bogus' in [run] is not read")):
+            parse_config(SMALL_CONFIG.replace("seed = 77\n", "seed = 77\nbogus = 1\n"))
+        with pytest.raises(uh.ConfigError, match=re.escape("unknown config section [prices]")):
             parse_config(SMALL_CONFIG.replace("[price]", "[prices]"))
 
     def test_missing_section_rejected(self):
-        text = SMALL_CONFIG.replace("[factor]", "[gamma]").replace("family = cir", "family = constant")
-        with pytest.raises(uh.ConfigError):
+        factor = "[factor]\nfamily = cir\nkappa = 1.0\nxbar = 0.05\na = 0.2\n"
+        text = SMALL_CONFIG.replace(factor, "")
+        assert "[factor]" not in text
+        with pytest.raises(uh.ConfigError, match=re.escape("missing config section [factor]")):
             parse_config(text)
 
     @pytest.mark.parametrize("family, params", [
@@ -125,10 +127,14 @@ class TestConfigIO:
             parse_config(SMALL_CONFIG.replace("family = affine", "family = quadratic"))
 
     @pytest.mark.parametrize("prefix", ["", "recovery_"])
-    @pytest.mark.parametrize("kind, key, family", [
-        ("constant", "level", uh.ConstantPayoff), ("linear", "slope", uh.LinearPayoff),
-        ("call", "strike", uh.CallPayoff), ("put", "strike", uh.PutPayoff)])
-    def test_payoff_missing_key_named(self, kind, key, family, prefix):
+    @pytest.mark.parametrize("kind, key, payoff", [
+        ("constant", "level", uh.Payoff(level=0.5)),
+        ("linear", "slope", uh.Payoff(slope=0.5)),
+        ("call", "strike", uh.Payoff(strike=0.5)),
+        ("put", "strike", uh.Payoff(level=0.5, slope=-1.0, strike=0.5))],
+        ids=["constant-level-ConstantPayoff", "linear-slope-LinearPayoff",
+             "call-strike-CallPayoff", "put-strike-PutPayoff"])
+    def test_payoff_missing_key_named(self, kind, key, payoff, prefix):
         leg = "death_recovery" if prefix else "survival_payoff"
         text = re.sub(r"\[contract\][^\[]*",
                       f"[contract]\nmaturity = 1.0\n{leg} = {kind}\n\n", SMALL_CONFIG)
@@ -137,8 +143,23 @@ class TestConfigIO:
             parse_config(text)
         contract = parse_config(text.replace(f"{leg} = {kind}\n",
                                              f"{leg} = {kind}\n{prefix}{key} = 0.5\n")).contract
-        payoff = contract.death_recovery if prefix else contract.survival_payoff
-        assert type(payoff) is family
+        assert (contract.death_recovery if prefix else contract.survival_payoff) == payoff
+
+    @pytest.mark.parametrize("spelling, textbook", [
+        ("zero", lambda s: np.zeros_like(s)),
+        ("constant\nlevel = 0.7", lambda s: np.full_like(s, 0.7)),
+        ("linear\nslope = 0.3", lambda s: 0.3 * s),
+        ("call\nstrike = 1.3", lambda s: np.maximum(s - 1.3, 0.0)),
+        ("put\nstrike = 1.3", lambda s: np.maximum(1.3 - s, 0.0))],
+        ids=["zero", "constant", "linear", "call", "put"])
+    def test_payoff_spelling_has_the_bits_of_its_formula(self, spelling, textbook):
+        text = SMALL_CONFIG.replace("survival_payoff = call\nstrike = 1.0",
+                                    f"survival_payoff = {spelling}")
+        payoff = parse_config(text).contract.survival_payoff
+        draws = np.random.default_rng(27).uniform(0.0, 6.0, 10_000)
+        s = np.concatenate([[0.0, 1.3], stretched_s_grid(150, 6.0, 1.3),
+                            np.linspace(0.0, 6.0, 151), draws])
+        assert np.array_equal(payoff(s), textbook(s))
 
     @pytest.mark.parametrize("old, new, key, section", [
         ("family = cir", "family = frozen", "kappa", "factor"),
@@ -156,17 +177,23 @@ class TestConfigIO:
         assert f"key '{key}' in [{section}] is not read" in capsys.readouterr().err
 
     def test_hash_reads_the_scenario_not_its_spelling(self):
-        # call and put at one strike have the same fields; the kind parts them
+        # a call and a put at one strike are different numbers
         call = parse_config(SMALL_CONFIG)
         put = parse_config(SMALL_CONFIG.replace("payoff = call", "payoff = put"))
         assert config_hash(call) != config_hash(put)
+        # zero, constant 0 and linear 0 build the same Payoff
+        recovery = "death_recovery = linear\nrecovery_slope = 0.2"
+        zeros = [parse_config(SMALL_CONFIG.replace(recovery, spelling)) for spelling in (
+            "death_recovery = zero", "death_recovery = constant\nrecovery_level = 0",
+            "death_recovery = linear\nrecovery_slope = 0")]
+        assert len({config_hash(cfg) for cfg in zeros}) == 1
         # frozen and ou with kappa = xbar = a = 0 build the same AffineFactor
         cir = "family = cir\nkappa = 1.0\nxbar = 0.05\na = 0.2"
         frozen = parse_config(SMALL_CONFIG.replace(cir, "family = frozen"))
         ou = parse_config(SMALL_CONFIG.replace(cir, "family = ou\nkappa = 0\nxbar = 0\na = 0"))
         assert config_hash(frozen) == config_hash(ou)
         # a refactor that moves the hash of an unchanged scenario must do so on purpose
-        assert config_hash(call) == "03b0ab4a109f"
+        assert config_hash(call) == "dac9361465d8"
 
 
 class TestArtifacts:

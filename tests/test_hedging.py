@@ -52,8 +52,8 @@ def cir_scenario(**kw):
 
 class TestPaymentStream:
     def test_structure(self):
-        cfg = cir_scenario(survival=uh.CallPayoff(1.0),
-                           recovery=uh.LinearPayoff(0.2),
+        cfg = cir_scenario(survival=uh.Payoff(strike=1.0),
+                           recovery=uh.Payoff(slope=0.2),
                            gamma=uh.AffineGamma(0.4, 0.0), maturity=2.0,
                            n_steps=50, n_paths=3000, seed=51)
         b = simulate_paths(cfg, "P")
@@ -71,22 +71,22 @@ class TestPaymentStream:
                            np.maximum(b.S[surv, -1] - 1.0, 0.0))
 
     def test_degenerate_contracts(self):
-        cfg = cir_scenario(survival=uh.CallPayoff(1.0), recovery=uh.ZeroRecovery,
+        cfg = cir_scenario(survival=uh.Payoff(strike=1.0), recovery=uh.Payoff(),
                            gamma=uh.AffineGamma(0.3, 0.0), n_paths=500, seed=52)
         term = payment_stream(simulate_paths(cfg, "P"))
         died = np.isfinite(simulate_paths(cfg, "P").tau)
         assert np.all(term[died, -1] == 0.0)
 
         cfg2 = dataclasses.replace(cfg, contract=uh.Contract(
-            1.0, uh.ConstantPayoff(0.0), uh.LinearPayoff(0.2)))
+            1.0, uh.Payoff(level=0.0), uh.Payoff(slope=0.2)))
         pure = payment_stream(simulate_paths(cfg2, "P"))
         assert np.all(pure[~died, -1] == 0.0)
 
 
 class TestThetaFull:
     def test_affine_contract_constant_slope(self):
-        cfg = cir_scenario(survival=uh.LinearPayoff(0.5),
-                           recovery=uh.LinearPayoff(0.5), n_paths=40, seed=53)
+        cfg = cir_scenario(survival=uh.Payoff(slope=0.5),
+                           recovery=uh.Payoff(slope=0.5), n_paths=40, seed=53)
         b = simulate_paths(cfg, "P")
         th = hedge_paths(cfg, b, solve_g(cfg)).theta_full
         assert np.abs(th[b.alive_mask() > 0] - 0.5).max() <= 1e-10
@@ -112,7 +112,7 @@ class TestThetaFull:
         cfg = make_config(m0=0.03, m1=0.5, sigma=0.2, rho=0.0,
                           factor=uh.AffineFactor(1.2, 0.06, 0.25, square_root=True),
                           gamma=uh.AffineGamma(0.0, 1.0),
-                          recovery=uh.LinearPayoff(0.2), x0=0.06,
+                          recovery=uh.Payoff(slope=0.2), x0=0.06,
                           grid=uh.PdeGrid(500, 60, 6.0, -0.08, 0.6),
                           n_paths=50, seed=55)
         b = simulate_paths(cfg, "P")
@@ -144,7 +144,7 @@ class TestThetaPartial:
         cfg = make_config(m0=0.03, m1=0.5, sigma=0.2, rho=0.0,
                           factor=uh.AffineFactor(),
                           gamma=uh.AffineGamma(0.05, 0.0),
-                          recovery=uh.LinearPayoff(0.2), x0=0.04,
+                          recovery=uh.Payoff(slope=0.2), x0=0.04,
                           grid=uh.PdeGrid(400, 8, 5.0, -0.1, 0.1),
                           n_paths=50, n_particles=64, seed=57)
         b = simulate_paths(cfg, "P")
@@ -162,8 +162,8 @@ class TestThetaPartial:
         assert np.abs(series.V - series.V_full).max() <= 1e-12
 
     def test_affine_contract_constant_slope(self):
-        cfg = cir_scenario(survival=uh.LinearPayoff(0.5),
-                           recovery=uh.LinearPayoff(0.5),
+        cfg = cir_scenario(survival=uh.Payoff(slope=0.5),
+                           recovery=uh.Payoff(slope=0.5),
                            n_paths=40, n_particles=200, seed=58)
         b = simulate_paths(cfg, "P")
         series = hedge_paths(cfg, b, solve_g(cfg))
@@ -174,7 +174,7 @@ class TestThetaPartial:
         cfg = make_config(m0=0.03, m1=0.5, sigma=0.2, rho=0.0,
                           factor=uh.AffineFactor(1.2, 0.06, 0.25, square_root=True),
                           gamma=uh.AffineGamma(0.0, 1.0),
-                          recovery=uh.LinearPayoff(0.2), x0=0.06,
+                          recovery=uh.Payoff(slope=0.2), x0=0.06,
                           grid=uh.PdeGrid(500, 60, 6.0, -0.08, 0.6),
                           n_paths=50, n_steps=100, n_particles=4000, seed=59)
         b = simulate_paths(cfg, "P")
@@ -196,12 +196,13 @@ class TestThetaPartial:
         cfg = dataclasses.replace(load_config(os.path.join(CONFIGS, "uncorrelated.ini")),
                                   n_paths=3)
         b = simulate_paths(cfg, "P")
-        for recovery in (uh.CallPayoff(2.5), uh.CallPayoff(1.5)):
-            bad = dataclasses.replace(cfg, contract=uh.Contract(1.0, uh.CallPayoff(1.0), recovery))
+        call = uh.Payoff(strike=1.0)
+        for recovery in (uh.Payoff(strike=2.5), uh.Payoff(strike=1.5)):
+            bad = dataclasses.replace(cfg, contract=uh.Contract(1.0, call, recovery))
             with pytest.raises(uh.ConfigError, match="death benefit"):
                 closed_form_theta(bad, b)
-        for recovery in (uh.ZeroRecovery, uh.LinearPayoff(0.2)):
-            ok = dataclasses.replace(cfg, contract=uh.Contract(1.0, uh.CallPayoff(1.0), recovery))
+        for recovery in (uh.Payoff(), uh.Payoff(slope=0.2)):
+            ok = dataclasses.replace(cfg, contract=uh.Contract(1.0, call, recovery))
             theta, _, _ = closed_form_theta(ok, b)
             assert np.isfinite(theta).all()
 
@@ -238,7 +239,7 @@ class TestThetaPartial:
     def test_batch_matches_worlds_one_at_a_time(self):
         # the flat-index gathers offset each world's rows: a batch of worlds
         # must hedge exactly as the same worlds run alone
-        cfg = cir_scenario(recovery=uh.LinearPayoff(0.2), n_steps=30,
+        cfg = cir_scenario(recovery=uh.Payoff(slope=0.2), n_steps=30,
                            n_particles=40, seed=69)
         g_sol = solve_g(cfg)
         idx = np.array([7, 2, 31, 3, 18])
@@ -420,7 +421,7 @@ class TestSurvivalDeposit:
         assert pair.max_window[1] == len(grid)
 
     def test_max_window_is_the_widest_window_needed(self):
-        cfg = cir_scenario(recovery=uh.LinearPayoff(0.2), n_steps=20, n_particles=16,
+        cfg = cir_scenario(recovery=uh.Payoff(slope=0.2), n_steps=20, n_particles=16,
                            seed=76)
         b = simulate_paths(cfg, "P", path_indices=np.arange(9))
         g_sol = solve_g(cfg)
@@ -499,7 +500,7 @@ class TestSurvivalDeposit:
                          str(info.value)), str(info.value)
 
     def test_min_mass_is_the_smallest_checked_mass(self):
-        cfg = cir_scenario(recovery=uh.LinearPayoff(0.2), n_steps=20, n_particles=40,
+        cfg = cir_scenario(recovery=uh.Payoff(slope=0.2), n_steps=20, n_particles=40,
                            seed=75)
         b = simulate_paths(cfg, "P", path_indices=np.arange(12))
         series = hedge_paths(cfg, b, solve_g(cfg))
@@ -530,7 +531,7 @@ class TestValueAndCost:
         assert np.abs(series.V[:, 0] - zeta0).max() <= 1e-12
 
     def test_full_information_leg_is_the_point_lookups(self):
-        cfg = cir_scenario(recovery=uh.LinearPayoff(0.2), n_steps=30,
+        cfg = cir_scenario(recovery=uh.Payoff(slope=0.2), n_steps=30,
                            n_paths=40, n_particles=40, seed=72)
         b = simulate_paths(cfg, "P")
         g_sol = solve_g(cfg)
@@ -617,7 +618,7 @@ class TestBacktest:
         cfg = make_config(m0=0.0, sigma=0.2, rho=0.0,
                           factor=uh.AffineFactor(1.0, 0.05, 0.15),
                           gamma=uh.AffineGamma(0.02, 0.5), x0=0.05,
-                          recovery=uh.LinearPayoff(0.2),
+                          recovery=uh.Payoff(slope=0.2),
                           grid=uh.PdeGrid(300, 60, 6.0, -0.85, 0.95),
                           n_steps=100, n_paths=3000, n_particles=150, seed=65)
         rep = backtest(cfg, out_dir=tmp_path)
@@ -629,8 +630,8 @@ class TestBacktest:
                          label="driftless trading gains")
 
     def test_exact_strategy_residual(self, tmp_path):
-        cfg = cir_scenario(survival=uh.LinearPayoff(0.5),
-                           recovery=uh.LinearPayoff(0.5),
+        cfg = cir_scenario(survival=uh.Payoff(slope=0.5),
+                           recovery=uh.Payoff(slope=0.5),
                            n_paths=2000, n_particles=100, seed=66)
         rep = backtest(cfg, out_dir=tmp_path)
         C, = _exported(tmp_path, "C")
@@ -643,7 +644,7 @@ class TestBacktest:
     def test_degenerate_factor_columns_identical(self, tmp_path):
         cfg = make_config(m0=0.03, m1=0.5, sigma=0.2, rho=0.0,
                           factor=uh.AffineFactor(), gamma=uh.AffineGamma(0.05, 0.0),
-                          recovery=uh.LinearPayoff(0.2), x0=0.04,
+                          recovery=uh.Payoff(slope=0.2), x0=0.04,
                           grid=uh.PdeGrid(400, 8, 5.0, -0.1, 0.1),
                           n_steps=60, n_paths=300, n_particles=32, seed=67)
         backtest(cfg, out_dir=tmp_path)
@@ -658,17 +659,17 @@ class TestBacktest:
         base = dict(gamma=uh.AffineGamma(0.3, 0.0), maturity=2.0, n_steps=100,
                     n_paths=2000, n_particles=100,
                     grid=uh.PdeGrid(300, 50, 8.0, -0.08, 0.5))
-        term = cir_scenario(survival=uh.CallPayoff(1.0),
-                            recovery=uh.ZeroRecovery, seed=71, **base)
-        pure = cir_scenario(survival=uh.ConstantPayoff(0.0),
-                            recovery=uh.LinearPayoff(0.2), seed=72, **base)
+        term = cir_scenario(survival=uh.Payoff(strike=1.0),
+                            recovery=uh.Payoff(), seed=71, **base)
+        pure = cir_scenario(survival=uh.Payoff(level=0.0),
+                            recovery=uh.Payoff(slope=0.2), seed=72, **base)
         for cfg in (term, pure):
             rep = backtest(cfg)
             assert abs(rep.summary.price_z) <= 3.0
             assert np.abs(rep.summary.cost_z).max() <= 3.5
 
     def test_generic_scenario_summary(self):
-        cfg = cir_scenario(recovery=uh.LinearPayoff(0.2),
+        cfg = cir_scenario(recovery=uh.Payoff(slope=0.2),
                            n_steps=200, n_paths=4000, n_particles=200, seed=68)
         rep = backtest(cfg)
         s = rep.summary
@@ -683,7 +684,7 @@ class TestBacktest:
             backtest(dataclasses.replace(cfg, n_paths=0))
 
     def test_chunks_and_workers_leave_results_identical(self, tmp_path):
-        cfg = cir_scenario(recovery=uh.LinearPayoff(0.2), n_steps=20, n_paths=30,
+        cfg = cir_scenario(recovery=uh.Payoff(slope=0.2), n_steps=20, n_paths=30,
                            n_particles=16, seed=73)
         runs, dirs = [], []
         for size, workers in ((4000, 1), (7, 1), (7, 2)):
@@ -722,7 +723,7 @@ class TestBacktest:
     def test_filter_health_is_independent_of_chunks_and_workers(self):
         # the manifest's filter block is a min and a max over per-world
         # columns, so no chunk split or worker count moves it
-        cfg = cir_scenario(recovery=uh.LinearPayoff(0.2), n_steps=20, n_paths=30,
+        cfg = cir_scenario(recovery=uh.Payoff(slope=0.2), n_steps=20, n_paths=30,
                            n_particles=16, seed=73)
         health = [backtest(cfg, chunk_size=size, workers=workers).filter_health
                   for size, workers in ((4000, 1), (7, 1), (7, 2))]
@@ -766,7 +767,7 @@ class TestBacktest:
     def test_chunks_return_no_per_step_series(self):
         # what crosses from a chunk to the parent is a few numbers per world:
         # no (n_worlds, n_steps) array, whatever the worker count
-        cfg = cir_scenario(recovery=uh.LinearPayoff(0.2), n_steps=20, n_paths=30,
+        cfg = cir_scenario(recovery=uh.Payoff(slope=0.2), n_steps=20, n_paths=30,
                            n_particles=16, seed=73)
         n_blocks = _block_edges(cfg.n_steps).size - 1
         g_sol = solve_g(cfg)

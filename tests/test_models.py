@@ -216,18 +216,23 @@ class TestFamilyProperties:
 
 class TestContract:
     def test_payoff_kinds(self):
-        s = np.array([0.5, 1.0, 2.0])
-        assert np.allclose(uh.CallPayoff(1.0)(s), [0.0, 0.0, 1.0])
-        assert np.allclose(uh.PutPayoff(1.0)(s), [0.5, 0.0, 0.0])
-        assert np.allclose(uh.LinearPayoff(0.3)(s), 0.3 * s)
-        assert np.allclose(uh.ConstantPayoff(2.0)(s), 2.0)
+        s = np.array([0.0, 0.5, 1.0, 2.0])
+        assert np.array_equal(uh.Payoff(strike=1.0)(s), [0.0, 0.0, 0.0, 1.0])
+        put = uh.Payoff(level=1.0, slope=-1.0, strike=1.0)
+        assert np.array_equal(put(s), [1.0, 0.5, 0.0, 0.0])
+        assert np.array_equal(uh.Payoff(slope=0.3)(s), 0.3 * s)
+        assert np.array_equal(uh.Payoff(level=2.0)(s), np.full(4, 2.0))
+        assert np.array_equal(uh.Payoff()(s), np.zeros(4))
 
     def test_maturity_positive(self):
         with pytest.raises(uh.ConfigError):
-            uh.Contract(0.0, uh.CallPayoff(1.0))
+            uh.Contract(0.0, uh.Payoff(strike=1.0))
 
     def test_contract_taxonomy(self):
-        term = uh.Contract(1.0, uh.CallPayoff(1.0), uh.ZeroRecovery)
-        assert float(term.U(np.array([1.0]))[0]) == 0.0
-        endow = uh.Contract(1.0, uh.ConstantPayoff(0.0), uh.LinearPayoff(0.2))
-        assert float(endow.G(np.array([3.0]))[0]) == 0.0
+        # the death benefit defaults to the zero payoff
+        term = uh.Contract(1.0, uh.Payoff(strike=1.0))
+        assert term.death_recovery == uh.Payoff()
+        assert np.array_equal(term.U(np.array([0.0, 1.0, 3.0])), np.zeros(3))
+        endow = uh.Contract(1.0, uh.Payoff(), uh.Payoff(slope=0.2))
+        assert np.array_equal(endow.G(np.array([0.0, 3.0])), np.zeros(2))
+        assert np.array_equal(endow.U(np.array([3.0])), [0.2 * 3.0])

@@ -42,12 +42,12 @@ class TestGtilde:
         assert abs(atm - BS_CALL_ATM) / BS_CALL_ATM <= 0.005
 
     def test_linear_payoff_exact(self):
-        cfg = bs_config(survival=uh.LinearPayoff(0.7))
+        cfg = bs_config(survival=uh.Payoff(slope=0.7))
         gt = solve_gtilde(cfg)
         assert np.abs(gt.values - 0.7 * gt.s_grid[None, :]).max() <= 1e-10
 
     def test_constant_payoff_exact(self):
-        gt = solve_gtilde(bs_config(survival=uh.ConstantPayoff(3.0)))
+        gt = solve_gtilde(bs_config(survival=uh.Payoff(level=3.0)))
         assert np.abs(gt.values - 3.0).max() <= 1e-10
 
     def test_terminal_slice_is_payoff(self):
@@ -55,13 +55,52 @@ class TestGtilde:
         assert np.array_equal(gt.values[-1], np.maximum(gt.s_grid - 1.0, 0.0))
 
 
+class TestTerminalSeed:
+    """``_cell_average`` against the cell means of max(s - K, 0) and
+    max(K - s, 0), each written out on its own as the reference."""
+
+    STRIKES = (1.0, 1.3)
+
+    @staticmethod
+    def cells(strike):
+        grid = stretched_s_grid(300, 6.0, strike)
+        mid = 0.5 * (grid[:-1] + grid[1:])
+        return grid, np.concatenate([[grid[0]], mid]), np.concatenate([mid, [grid[-1]]])
+
+    def test_call_seed_is_the_call_formula(self):
+        for strike in self.STRIKES:
+            grid, lo, hi = self.cells(strike)
+            a = np.maximum(lo, strike)
+            num = np.where(hi > strike,
+                           (hi - strike) ** 2 - np.maximum(a - strike, 0.0) ** 2, 0.0)
+            seed = pde._cell_average(uh.Payoff(strike=strike), grid)
+            assert np.array_equal(seed, num / (2.0 * (hi - lo)))
+
+    def test_put_seed_is_the_put_formula(self):
+        # a put is K - s plus the call; its affine part is averaged over the
+        # cell too (seeded pointwise it sits 0.02 below zero at s_max)
+        for strike in self.STRIKES:
+            grid, lo, hi = self.cells(strike)
+            b = np.minimum(hi, strike)
+            num = np.where(lo < strike,
+                           (strike - lo) ** 2 - np.maximum(strike - b, 0.0) ** 2, 0.0)
+            put = uh.Payoff(level=strike, slope=-1.0, strike=strike)
+            seed = pde._cell_average(put, grid)
+            assert np.abs(seed - num / (2.0 * (hi - lo))).max() <= 1e-13
+
+    def test_payoff_without_a_kink_is_seeded_pointwise(self):
+        grid, _, _ = self.cells(1.0)
+        affine = uh.Payoff(level=0.4, slope=0.7)
+        assert np.array_equal(pde._cell_average(affine, grid), affine(grid))
+
+
 class TestSolveG:
     def test_affine_contract_exact(self):
         cfg = make_config(m0=0.02, m1=1.0, sigma=0.2, rho=0.3,
                           factor=uh.AffineFactor(1.0, 0.05, 0.2, square_root=True),
                           gamma=uh.AffineGamma(0.01, 1.0),
-                          survival=uh.LinearPayoff(0.5),
-                          recovery=uh.LinearPayoff(0.5),
+                          survival=uh.Payoff(slope=0.5),
+                          recovery=uh.Payoff(slope=0.5),
                           grid=uh.PdeGrid(200, 60, 4.0, -0.08, 0.4))
         sol = solve_g(cfg)
         assert np.abs(sol.values - 0.5 * sol.s_grid[None, :, None]).max() <= 1e-8
@@ -81,7 +120,7 @@ class TestSolveG:
     def test_constant_hazard_constant_payoff(self):
         cfg = make_config(gamma=uh.AffineGamma(0.1, 0.0),
                           factor=uh.AffineFactor(1.0, 0.05, 0.1),
-                          survival=uh.ConstantPayoff(1.0),
+                          survival=uh.Payoff(level=1.0),
                           grid=uh.PdeGrid(100, 40, 4.0, -0.5, 0.6), n_steps=200)
         sol = solve_g(cfg)
         exact = np.exp(-0.1 * (1.0 - sol.t_grid))[:, None, None]
@@ -90,8 +129,8 @@ class TestSolveG:
     def test_max_principle_bounded_payoffs(self):
         cfg = make_config(gamma=uh.AffineGamma(0.05, 1.0),
                           factor=uh.AffineFactor(1.0, 0.06, 0.25, square_root=True),
-                          survival=uh.PutPayoff(1.0),
-                          recovery=uh.ConstantPayoff(0.5),
+                          survival=uh.Payoff(level=1.0, slope=-1.0, strike=1.0),
+                          recovery=uh.Payoff(level=0.5),
                           grid=uh.PdeGrid(300, 50, 5.0, -0.08, 0.5), n_steps=200)
         sol = solve_g(cfg)
         assert sol.max_principle_gap <= 1e-9
@@ -102,7 +141,7 @@ class TestSolveG:
         base = dict(m0=0.02, m1=0.5, sigma=0.2, rho=0.4,
                     factor=uh.AffineFactor(1.2, 0.06, 0.25, square_root=True),
                     gamma=uh.AffineGamma(0.01, 1.0),
-                    recovery=uh.LinearPayoff(0.1), x0=0.06)
+                    recovery=uh.Payoff(slope=0.1), x0=0.06)
         cfg1 = make_config(grid=uh.PdeGrid(200, 40, 5.0, -0.08, 0.5),
                            n_steps=100, **base)
         cfg2 = make_config(grid=uh.PdeGrid(400, 80, 5.0, -0.08, 0.5),
@@ -394,7 +433,7 @@ def test_two_slice_solve_matches_full_surface(name, monkeypatch):
 
 def test_march_names_the_step_of_a_non_finite_value():
     cfg = make_config(grid=uh.PdeGrid(40, 10, 5.0, -0.5, 0.6), n_steps=10,
-                      survival=uh.LinearPayoff(float("nan")))
+                      survival=uh.Payoff(slope=float("nan")))
     with pytest.raises(uh.NumericalError, match="non-finite values at time step 10"):
         solve_g(cfg, surface=False)
 
@@ -405,7 +444,7 @@ REDUCTION_GRID = uh.PdeGrid(100, 60, 4.0, -0.08, 0.5)
 def g_against_phi(factor):
     """Constant survival payoff 1, no recovery, m0 = m1 = rho = 0: g = Phi at every s."""
     cfg = make_config(factor=factor, gamma=uh.AffineGamma(0.01, 1.0),
-                      survival=uh.ConstantPayoff(1.0), grid=REDUCTION_GRID)
+                      survival=uh.Payoff(level=1.0), grid=REDUCTION_GRID)
     return solve_g(cfg).values, solve_phi(cfg).values[:, None, :]
 
 
@@ -468,7 +507,7 @@ class TestFeynmanKac:
         factor = uh.AffineFactor(1.2, 0.06, 0.25, square_root=True)
         cfg = make_config(m0=0.02, m1=0.5, sigma=0.2, rho=0.4, factor=factor,
                           gamma=uh.AffineGamma(0.01, 1.0),
-                          recovery=uh.LinearPayoff(0.1), x0=0.06,
+                          recovery=uh.Payoff(slope=0.1), x0=0.06,
                           grid=uh.PdeGrid(400, 60, 5.0, -0.08, 0.5),
                           n_steps=200, seed=31)
         sol = solve_g(cfg)
