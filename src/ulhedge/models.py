@@ -136,8 +136,9 @@ class Payoff:
 class Contract:
     """Endowment insurance: pays G(S_T) on survival, U(S_tau) at death.
 
-    Zero recovery with nonzero G is a term insurance; zero G with nonzero U a
-    pure endowment; both nonzero the combined endowment insurance.
+    Zero recovery with nonzero G is a pure endowment (it pays only on
+    survival); zero G with nonzero U a term insurance (it pays only at
+    death); both nonzero the combined endowment insurance.
     """
 
     maturity: float

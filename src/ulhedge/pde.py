@@ -13,14 +13,15 @@ Three problems are solved on tensor-product grids:
 
 One stencil and one march serve all three: ``_axis_stencil`` discretizes one
 axis (nonuniform second differences, upwinded drift; edge rows drop the
-diffusion and difference the drift one-sided into the domain), ``_operator``
-sums the axis stencils into one sparse matrix, and ``_march`` steps backward
-with Crank-Nicolson from a Rannacher start (two implicit half-steps reusing
-the CN factor) to damp the payoff kink, integrating killing and source
-exactly over each step (g <- U + (g - U) exp(-gamma dt)) so spatially
-constant and affine solutions stay exact.  The 2D problem adds its mixed
-derivative, lagged one level; ``_mixed_term`` forms its coefficient and
-s-weights once per solve.
+diffusion and difference the drift one-sided into the domain), an operator
+is one such stencil per axis (s, x), applied by slicing (``_apply``), and
+``_march`` steps backward with Crank-Nicolson from a Rannacher start (two
+implicit half-steps reusing the CN factor) to damp the payoff kink,
+integrating killing and source exactly over each step
+(g <- U + (g - U) exp(-gamma dt)) so spatially constant and affine solutions
+stay exact.  A 1D problem is the 2D one with one node on its absent axis.
+The 2D problem adds its mixed derivative, lagged one level; ``_mixed_term``
+forms its coefficient and s-weights once per solve.
 The march writes slice k into ``out[k % len(out)]``, so one loop serves two
 storage plans: the backtest and the closed-form strategy keep every slice
 (they read the solutions at each rebalancing date), while ``ulhedge solve``,
@@ -29,14 +30,16 @@ slices and keeps t = 0 alone (``surface=False``).
 The march forms the extrema behind the max-principle gap and the finiteness
 check from every slice it writes, the terminal slice included, so both plans
 report the same health counters.
-The march's one factorization orders the columns by minimum degree on the
-pattern of A + A^T (SuperLU's ``MMD_AT_PLUS_A``; George & Liu, SIAM Review
-31, 1989).  The operators are structurally symmetric stencils, and on them
-this ordering fills the factor about half as much as the default COLAMD
-(on the 401 x 81 spatial grid of the benchmark's ``solve-fine``: 1.36
-against 2.63 million stored entries in L and U, 3.1 against 7.0 ms per
-solve, 125 against 167 ms to factor, 2-core Xeon, scipy 1.17.1), and the
-triangular solves are nearly all of the march.
+Sigma is the constant sigma0 and the factor's coefficients read x alone, so
+the s weights are constant along x and the x weights along s: A is the
+Kronecker sum A_s (x) I + I (x) A_x, and the march's one factorization of
+I - (dt/2) A (``splu``, ``_Factor``) is the tensor-product method of Lynch,
+Rice & Thomas (Numer. Math. 6, 1964) in numpy alone: a dense inverse for
+the two s edge rows, where A_s vanishes, the eigenvectors of the
+symmetrized interior s block, and one Thomas sweep over x for all its
+modes.  On the 401 x 81 spatial grid of the benchmark's ``solve-fine`` it
+stores 230,482 entries, against the 1.36 million of the SuperLU L and U it
+replaced; of the commands only ``verify`` imports scipy, for its oracles.
 When the survival payoff has a kink the s-grid is sinh-stretched around its
 strike (cells near the kink are ~alpha/n wide) and the terminal condition is
 seeded with its cell averages; the stored terminal slice remains the
@@ -61,8 +64,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from . import rng
 from .errors import DomainExcursionError, NumericalError
@@ -75,7 +76,6 @@ __all__ = ["PdeSolution", "solve_g", "solve_gtilde", "solve_phi",
 _EDGE_TOL = 1e-9
 _STRETCH_ALPHA = 0.4      # sinh cluster width as a fraction of the strike
 _RANNACHER_STEPS = 2
-_ORDERING = "MMD_AT_PLUS_A"   # SuperLU column ordering (see the module docstring)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +148,7 @@ class PdeSolution:
     s_grid: np.ndarray | None = None
     x_grid: np.ndarray | None = None
     max_principle_gap: float = 0.0
-    factor_nnz: int = 0       # entries stored for L and U by the march's factorization
+    factor_nnz: int = 0       # entries stored by the march's factorization
     _stencils: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def health(self) -> dict:
@@ -390,13 +390,13 @@ def interp_rows(rows: np.ndarray, grid: np.ndarray, q: np.ndarray, lo) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# operator assembly
+# operator assembly and factorization
 # ---------------------------------------------------------------------------
 
-def _axis_stencil(grid: np.ndarray, diff, drift, axis: int):
-    """Lower, centre and upper weights of diff q_qq + drift q_q along ``axis``.
+def _axis_stencil(grid: np.ndarray, diff, drift):
+    """Lower, centre and upper weights of diff q_qq + drift q_q on ``grid``.
 
-    ``diff`` and ``drift`` are coefficient arrays over the whole grid (the
+    ``diff`` and ``drift`` are coefficient arrays over the grid's nodes (the
     drift may be a scalar).  Second differences use the three-point weights
     of the possibly nonuniform ``grid``, exact on linear functions for any
     spacing (the affine-contract tests rely on this); the drift is upwinded.
@@ -407,48 +407,141 @@ def _axis_stencil(grid: np.ndarray, diff, drift, axis: int):
     h = np.diff(grid)
     hm = np.append(h[0], h)      # spacing to the lower neighbour
     hp = np.append(h, h[-1])     # spacing to the upper neighbour
-    weights = [2.0 / (hm * (hm + hp)), -2.0 / (hm * hp), 2.0 / (hp * (hm + hp))]
-    for w in weights:
+    wl, wc, wr = 2.0 / (hm * (hm + hp)), -2.0 / (hm * hp), 2.0 / (hp * (hm + hp))
+    for w in (wl, wc, wr):
         w[[0, -1]] = 0.0
-    along = (-1,) + (1,) * (np.ndim(diff) - axis - 1)
-    wl, wc, wr = (w.reshape(along) for w in weights)
     drift = np.broadcast_to(drift, np.shape(diff))
     up, down = np.maximum(drift, 0.0), np.maximum(-drift, 0.0)
-    first, last = (slice(None),) * axis + (0,), (slice(None),) * axis + (-1,)
-    up[first], down[first] = drift[first], 0.0
-    up[last], down[last] = 0.0, -drift[last]
-    up /= hp.reshape(along)
-    down /= hm.reshape(along)
+    up[0], down[0] = drift[0], 0.0
+    up[-1], down[-1] = 0.0, -drift[-1]
+    up /= hp
+    down /= hm
     return diff * wl + down, diff * wc - up - down, diff * wr + up
 
 
-def _operator(*stencils) -> sp.csc_matrix:
-    """Sparse operator of the summed axis stencils on the C-ordered grid.
-
-    Axis k couples nodes at stride prod(shape[k+1:]) as flattened diagonals;
-    no wrap from the end of one row to the start of the next appears,
-    because an edge node's outward weight is zero.  Zero weights are not
-    stored.
-    """
-    shape = stencils[0][1].shape
-    diagonals, offsets = [sum(c for _, c, _ in stencils).ravel()], [0]
-    for axis, (lower, _, upper) in enumerate(stencils):
-        stride = int(np.prod(shape[axis + 1:]))
-        diagonals += [lower.ravel()[stride:], upper.ravel()[:-stride]]
-        offsets += [-stride, stride]
-    A = sp.diags(diagonals, offsets, format="csc")
-    A.eliminate_zeros()
-    return A
+# the stencil of an absent axis: one node, no coupling
+_NO_AXIS = (np.zeros(1),) * 3
 
 
-def _assemble_2d(s_grid, x_grid, sig: float, aa, drift) -> sp.csc_matrix:
+def _assemble_2d(s_grid, x_grid, sig: float, aa, drift):
     """Spatial operator (diffusions + upwinded x-drift), no reaction, no mixed.
 
     ``sig`` is the constant price volatility; ``aa`` and ``drift`` are the
-    factor's volatility and martingale-measure drift over the whole grid."""
-    half_s = np.broadcast_to(0.5 * (sig * sig) * s_grid[:, None] ** 2, aa.shape)
-    return _operator(_axis_stencil(s_grid, half_s, 0.0, axis=0),
-                     _axis_stencil(x_grid, 0.5 * aa**2, drift, axis=1))
+    factor's volatility and martingale-measure drift over the x nodes.  The
+    operator is the pair of axis stencils (s, x): the s weights depend on s
+    alone and the x weights on x alone, so A = A_s (x) I + I (x) A_x."""
+    return (_axis_stencil(s_grid, 0.5 * (sig * sig) * s_grid**2, 0.0),
+            _axis_stencil(x_grid, 0.5 * aa**2, drift))
+
+
+def _apply(operator, w: np.ndarray) -> np.ndarray:
+    """A w on the C-ordered (s, x) grid, each axis stencil applied by slicing
+    along its axis; an edge node's outward weight is never read."""
+    (sl, sc, su), (xl, xc, xu) = operator
+    out = (sc[:, None] + xc) * w
+    out[1:] += sl[1:, None] * w[:-1]
+    out[:-1] += su[:-1, None] * w[1:]
+    out[:, 1:] += xl[1:] * w[:, :-1]
+    out[:, :-1] += xu[:-1] * w[:, 1:]
+    return out
+
+
+class _Factor:
+    """I - (dt/2) A factored for the march's repeated solves, for A = A_s (x) I
+    + I (x) A_x (a Kronecker sum: ``_assemble_2d``'s pair of axis stencils).
+
+    The tensor-product ("fast diagonalization") method (Lynch, Rice & Thomas,
+    Numer. Math. 6, 1964), exact up to rounding:
+
+    * the edge rows of A_s are zero, so the s = 0 and s = s_max rows solve
+      (I - (dt/2) A_x) alone, by its dense inverse (the x axis is short),
+      and are folded into the right-hand side of the interior rows;
+    * the interior s block is a tridiagonal matrix with positive
+      off-diagonals, D^-1 T D for a diagonal ``scale`` D and a symmetric
+      tridiagonal T = Q diag(lam) Q^T (one ``eigh``); Q^T D takes the
+      interior rows to modes, and D^-1 Q brings them back;
+    * mode m then solves the tridiagonal ((1 - lam_m) I - (dt/2) A_x), all
+      modes in one Thomas sweep over the x nodes, with the coefficients laid
+      out x-node-major (one row of modes per x node).
+
+    An absent axis is ``_NO_AXIS``: with no x axis the dense inverse is 1,
+    and with no s axis the one row is an edge row and the dense inverse is
+    the whole solve.  ``nnz`` counts the entries the factorization stores.
+    A singular edge-row matrix, or a zero or non-finite pivot (an x drift
+    pointing out of the domain lowers an edge row's diagonal), raises
+    NumericalError.
+    """
+
+    def __init__(self, operator, dt: float):
+        (sl, sc, su), (xl, xc, xu) = ([0.5 * dt * w for w in axis] for axis in operator)
+        n_s, n_x = self.shape = len(sc), len(xc)
+        self.ends = [0, n_s - 1] if n_s > 1 else [0]
+        try:
+            self.dense = np.linalg.inv(np.diag(1.0 - xc) - np.diag(xl[1:], -1)
+                                       - np.diag(xu[:-1], 1))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"PDE linear solve failed: {exc}") from exc
+        self.nnz = self.dense.size
+        if n_s < 3:
+            return
+        # D^-1 T D has T's off-diagonal sqrt(upper_i lower_i+1) when
+        # d_i+1 / d_i = sqrt(upper_i / lower_i+1)
+        upper, lower = su[1:-2], sl[2:-1]
+        self.scale = np.cumprod(np.append(1.0, np.sqrt(upper / lower)))
+        n_m = n_s - 2
+        tri = np.zeros((n_m, n_m))
+        tri.flat[::n_m + 1] = sc[1:-1]
+        tri.flat[n_m::n_m + 1] = np.sqrt(upper * lower)     # eigh reads the lower triangle
+        lam, self.q = np.linalg.eigh(tri)
+        del tri
+        # the couplings of the first and last interior rows to the edge rows
+        self.fold = np.array([self.scale[0] * sl[1], self.scale[-1] * su[-2]])
+        pivot = np.empty((n_x, n_m))
+        self.mult = np.empty((n_x - 1, n_m))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pivot[0] = (1.0 - xc[0]) - lam
+            for j in range(1, n_x):
+                np.divide(xl[j], pivot[j - 1], out=self.mult[j - 1])
+                pivot[j] = (1.0 - xc[j]) - lam - self.mult[j - 1] * xu[j - 1]
+        if not (np.isfinite(pivot).all() and pivot.all()):
+            raise NumericalError("PDE linear solve failed: zero or non-finite pivot")
+        self.inv_pivot = 1.0 / pivot
+        self.upper = xu[:-1]
+        self.nnz += sum(a.size for a in (self.q, self.scale, self.fold, self.mult,
+                                         self.inv_pivot, self.upper))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """(I - (dt/2) A)^-1 rhs for one right-hand side on the (s, x) grid,
+        into a fresh array (``rhs`` is left as it is)."""
+        out = np.empty(self.shape)
+        out[self.ends] = rhs[self.ends] @ self.dense.T
+        if self.shape[0] < 3:
+            return out
+        z = rhs[1:-1] * self.scale[:, None]
+        z[0] += self.fold[0] * out[0]
+        z[-1] += self.fold[1] * out[-1]
+        y = z.T @ self.q             # mode coefficients, one row per x node
+        rows, buffer = list(y), np.empty(y.shape[1])
+        for mult, below, row in zip(self.mult, rows, rows[1:]):
+            row += np.multiply(mult, below, out=buffer)
+        rows[-1] *= self.inv_pivot[-1]
+        for upper, inv_pivot, above, row in zip(self.upper[::-1], self.inv_pivot[-2::-1],
+                                                rows[::-1], rows[-2::-1]):
+            row += np.multiply(upper, above, out=buffer)
+            row *= inv_pivot
+        interior = out[1:-1]
+        np.matmul(self.q, y.T, out=interior)
+        interior /= self.scale[:, None]
+        return out
+
+
+def splu(operator, dt: float) -> _Factor:
+    """The march's one factorization: ``_Factor`` of I - (dt/2) A.
+
+    The name is that of the sparse LU this replaced, kept because
+    perfbench/layers.py wraps ``pde.splu`` as the ``pde.factor`` layer and
+    its traced runs count one call per march."""
+    return _Factor(operator, dt)
 
 
 def _mixed_term(sig, aa, SS, rho, s_grid, x_grid):
@@ -459,6 +552,7 @@ def _mixed_term(sig, aa, SS, rho, s_grid, x_grid):
     s-derivative rows and their centered x-difference, in np.gradient's
     order of operations.  (On an s grid with exactly equal spacings
     np.gradient takes its uniform formula, which differs only by rounding.)
+    The coefficients broadcast to the (s, x) grid.
     """
     coef = (rho * aa * sig * SS)[1:-1, 1:-1]
     two_hx = 2.0 * (x_grid[1] - x_grid[0])
@@ -479,48 +573,44 @@ def _march(out, n_t: int, A, seed, dt: float, gamma, source, explicit=None):
     Slice k goes to ``out[k % len(out)]``: ``out`` holds either every slice
     (length n_t + 1) or a ring of two, where slice k overwrites slice k + 2
     once step k + 1 has read it.  On entry ``out[n_t % len(out)]`` holds the
-    stored terminal slice.  Returns the factor's fill (the entries SuperLU
-    stores for L and U) and the smallest and largest value over the terminal
-    slice and every slice written; a non-finite value raises NumericalError
-    naming its time step.
+    stored terminal slice.  ``A`` is a pair of axis stencils (s, x), and the
+    march works on the slices as (s, x) grids, a 1D problem's with one node
+    on its absent axis.  Returns the factorization's stored entries and the
+    smallest and largest value over the terminal slice and every slice
+    written; a non-finite value raises NumericalError naming its time step.
 
     Each step solves dw/dt + A w + explicit(w) = gamma (w - source):
     Crank-Nicolson in A, except for a Rannacher start of two implicit
     half-steps that reuse the CN factor; the lagged ``explicit`` term enters
     the right-hand side; killing and source are integrated exactly over the
     step (w <- source + (w - source) exp(-gamma dt)), so spatially constant
-    and affine solutions stay exact.  The one factorization orders the
-    columns by minimum degree on the pattern of A + A^T (``_ORDERING``).
+    and affine solutions stay exact.
     """
-    try:
-        lu = splu(sp.identity(A.shape[0], format="csc") - 0.5 * dt * A,
-                  permc_spec=_ORDERING)
-    except RuntimeError as exc:
-        raise NumericalError(f"PDE linear solve failed: {exc}") from exc
+    factor = splu(A, dt)
+    slices = out.reshape(out.shape[:1] + factor.shape)
     decay = np.exp(-gamma * dt)
-    lo, hi = _extrema(out[n_t % len(out)], n_t)
-    work = seed
+    lo, hi = _extrema(slices[n_t % len(out)], n_t)
+    work = seed.reshape(factor.shape)
     for step in range(n_t - 1, -1, -1):
-        rhs = work.ravel()
+        rhs = work
         if explicit is not None:
-            rhs = explicit(work).ravel()
+            rhs = explicit(work)
             rhs *= dt
-            rhs += work.ravel()
+            rhs += work
         if step >= n_t - _RANNACHER_STEPS:
-            solved = lu.solve(lu.solve(rhs))
+            solved = factor.solve(factor.solve(rhs))
         else:
-            cn = A.dot(work.ravel())
+            cn = _apply(A, work)
             cn *= 0.5 * dt
             cn += rhs
-            solved = lu.solve(cn)
-        work = out[step % len(out)]
-        np.subtract(solved.reshape(work.shape), source, out=work)
+            solved = factor.solve(cn)
+        work = slices[step % len(out)]
+        np.subtract(solved, source, out=work)
         work *= decay
         work += source
         step_lo, step_hi = _extrema(work, step)
         lo, hi = min(lo, step_lo), max(hi, step_hi)
-    # lu.nnz counts the factor in place; lu.L and lu.U would copy it
-    return lu.nnz, lo, hi
+    return factor.nnz, lo, hi
 
 
 def _extrema(values, step: int) -> tuple[float, float]:
@@ -553,19 +643,21 @@ def solve_g(config: ScenarioConfig, surface: bool = True) -> PdeSolution:
     n_t = config.n_steps
     s_grid = stretched_s_grid(grid.n_s, grid.s_max, contract.survival_payoff.strike)
     x_grid = np.linspace(grid.x_min, grid.x_max, grid.n_x + 1)
-    SS, XX = np.meshgrid(s_grid, x_grid, indexing="ij")
+    s_column = s_grid[:, None]
 
     values = np.empty((n_t + 1 if surface else 2, grid.n_s + 1, grid.n_x + 1))
     values[n_t % len(values)] = contract.G(s_grid)[:, None]
     seed = np.broadcast_to(_cell_average(contract.survival_payoff, s_grid)[:, None],
-                           SS.shape)
+                           values.shape[1:])
     # the coefficient, mortality and payoff families take no t: one operator,
-    # one factorization and one killing factor serve every step
-    aa = c.factor.a(XX)
-    drift = c.martingale_factor_drift(XX, aa, c.market_price_of_risk(XX))
-    mixed = None if c.rho == 0.0 else _mixed_term(c.sigma0, aa, SS, c.rho, s_grid, x_grid)
+    # one factorization and one killing factor serve every step; sigma is
+    # constant and the factor's coefficients and the mortality read x alone
+    aa = c.factor.a(x_grid)
+    drift = c.martingale_factor_drift(x_grid, aa, c.market_price_of_risk(x_grid))
+    mixed = None if c.rho == 0.0 else _mixed_term(c.sigma0, aa, s_column, c.rho,
+                                                   s_grid, x_grid)
     nnz, lo, hi = _march(values, n_t, _assemble_2d(s_grid, x_grid, c.sigma0, aa, drift),
-                         seed, T / n_t, c.gamma(XX), contract.U(SS), mixed)
+                         seed, T / n_t, c.gamma(x_grid), contract.U(s_column), mixed)
 
     t_grid = np.linspace(0.0, T, n_t + 1)
     if not surface:
@@ -577,18 +669,21 @@ def solve_g(config: ScenarioConfig, surface: bool = True) -> PdeSolution:
                        x_grid=x_grid, max_principle_gap=gap, factor_nnz=nnz)
 
 
-def _solve_1d(config: ScenarioConfig, grid, terminal_payoff, terminal_seed,
+def _solve_1d(config: ScenarioConfig, grid, axis: int, terminal_payoff, terminal_seed,
               diff_coef, drift, gamma, source, surface: bool):
     """Shared backward march for the 1D problems: the 2D problem's stencil
-    and march on one axis.  The coefficients are arrays over the grid or
-    scalars: no family takes t.  Returns the values (every slice, or with
-    ``surface=False`` the t = 0 slice alone from a two-slice ring) and the
-    factor's fill."""
+    and march with only the s (``axis`` 0) or x (``axis`` 1) axis present.
+    The coefficients are arrays over the grid or scalars: no family takes t.
+    Returns the values (every slice, or with ``surface=False`` the t = 0
+    slice alone from a two-slice ring) and the factorization's stored
+    entries."""
     n_t = config.n_steps
     values = np.empty((n_t + 1 if surface else 2, len(grid)))
     values[n_t % len(values)] = terminal_payoff
-    nnz, _, _ = _march(values, n_t, _operator(_axis_stencil(grid, diff_coef, drift, axis=0)),
-                       terminal_seed, config.contract.maturity / n_t, gamma, source)
+    operator = [_NO_AXIS, _NO_AXIS]
+    operator[axis] = _axis_stencil(grid, diff_coef, drift)
+    nnz, _, _ = _march(values, n_t, operator, terminal_seed,
+                       config.contract.maturity / n_t, gamma, source)
     return (values if surface else values[:1]), nnz
 
 
@@ -601,7 +696,7 @@ def solve_gtilde(config: ScenarioConfig, surface: bool = True) -> PdeSolution:
     payoff = config.contract.survival_payoff
     s_grid = stretched_s_grid(grid.n_s, grid.s_max, payoff.strike)
     values, nnz = _solve_1d(
-        config, s_grid,
+        config, s_grid, 0,
         terminal_payoff=payoff(s_grid),
         terminal_seed=_cell_average(payoff, s_grid),
         diff_coef=0.5 * (c.sigma0 * c.sigma0) * s_grid**2,
@@ -628,7 +723,7 @@ def solve_phi(config: ScenarioConfig, surface: bool = True) -> PdeSolution:
     x_grid = np.linspace(grid.x_min, grid.x_max, grid.n_x + 1)
     ones = np.ones_like(x_grid)
     values, nnz = _solve_1d(
-        config, x_grid,
+        config, x_grid, 1,
         terminal_payoff=ones,
         terminal_seed=ones,
         diff_coef=0.5 * c.factor.a(x_grid) ** 2,

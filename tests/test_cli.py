@@ -362,9 +362,11 @@ class TestCli:
         assert all(v > 0 for v in peaks["backtest"].values())
 
     def test_cli_import_leaves_verify_modules_unloaded(self):
-        # only verify needs the acceptance suite and its scipy oracles
+        # only verify needs the acceptance suite and its scipy oracles; the
+        # PDE march factors with numpy alone
         assert _loaded_by_import("ulhedge.cli", (
-            "ulhedge.acceptance", "ulhedge.oracles", "scipy.stats", "scipy.integrate")) == ""
+            "ulhedge.acceptance", "ulhedge.oracles", "scipy.stats", "scipy.integrate",
+            "scipy.sparse", "scipy.sparse.linalg", "scipy.linalg")) == ""
 
     def test_acceptance_import_leaves_scipy_stats_unloaded(self):
         # the oracles' normal CDF is scipy.special.ndtr, and their affine

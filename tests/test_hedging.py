@@ -654,16 +654,17 @@ class TestBacktest:
         assert np.abs(C - C_full).max() <= 1e-10
 
     def test_degenerate_contracts_hedge_cleanly(self):
-        # pure term insurance (zero recovery) and pure endowment-at-death
-        # (zero survival benefit) both run the full pipeline and price right
+        # a pure endowment (zero recovery: it pays only on survival) and a
+        # term insurance (zero survival benefit: it pays only at death) both
+        # run the full pipeline and price right
         base = dict(gamma=uh.AffineGamma(0.3, 0.0), maturity=2.0, n_steps=100,
                     n_paths=2000, n_particles=100,
                     grid=uh.PdeGrid(300, 50, 8.0, -0.08, 0.5))
-        term = cir_scenario(survival=uh.Payoff(strike=1.0),
-                            recovery=uh.Payoff(), seed=71, **base)
-        pure = cir_scenario(survival=uh.Payoff(level=0.0),
+        endowment = cir_scenario(survival=uh.Payoff(strike=1.0),
+                                 recovery=uh.Payoff(), seed=71, **base)
+        term = cir_scenario(survival=uh.Payoff(level=0.0),
                             recovery=uh.Payoff(slope=0.2), seed=72, **base)
-        for cfg in (term, pure):
+        for cfg in (endowment, term):
             rep = backtest(cfg)
             assert abs(rep.summary.price_z) <= 3.0
             assert np.abs(rep.summary.cost_z).max() <= 3.5

@@ -230,9 +230,9 @@ class TestContract:
 
     def test_contract_taxonomy(self):
         # the death benefit defaults to the zero payoff
-        term = uh.Contract(1.0, uh.Payoff(strike=1.0))
-        assert term.death_recovery == uh.Payoff()
-        assert np.array_equal(term.U(np.array([0.0, 1.0, 3.0])), np.zeros(3))
-        endow = uh.Contract(1.0, uh.Payoff(), uh.Payoff(slope=0.2))
-        assert np.array_equal(endow.G(np.array([0.0, 3.0])), np.zeros(2))
-        assert np.array_equal(endow.U(np.array([3.0])), [0.2 * 3.0])
+        endow = uh.Contract(1.0, uh.Payoff(strike=1.0))
+        assert endow.death_recovery == uh.Payoff()
+        assert np.array_equal(endow.U(np.array([0.0, 1.0, 3.0])), np.zeros(3))
+        term = uh.Contract(1.0, uh.Payoff(), uh.Payoff(slope=0.2))
+        assert np.array_equal(term.G(np.array([0.0, 3.0])), np.zeros(2))
+        assert np.array_equal(term.U(np.array([3.0])), [0.2 * 3.0])

@@ -1,9 +1,13 @@
 import dataclasses
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 import ulhedge as uh
 from ulhedge import pde
@@ -11,7 +15,7 @@ from ulhedge.config_io import load_config
 from ulhedge.errors import DomainExcursionError
 from ulhedge.oracles import affine_survival, black_scholes_call, black_scholes_delta
 from ulhedge.hedging import hedge_paths
-from ulhedge.pde import (PdeSolution, _assemble_2d, _mixed_term,
+from ulhedge.pde import (PdeSolution, _NO_AXIS, _apply, _assemble_2d, _axis_stencil, _mixed_term,
                          feynman_kac_check, interp_rows, solve_g, solve_gtilde, solve_phi,
                          stretched_s_grid)
 from ulhedge.simulate import simulate_paths
@@ -169,8 +173,10 @@ class TestSolveG:
         assert err.value.index == (0, 2)
 
     def test_smoke_factor_fill(self):
-        # the minimum-degree ordering on A + A^T stores 542,871 entries for
-        # L and U on this grid; the COLAMD default stores 1,058,233
+        # the tensor-product factorization stores 122,552 entries on this
+        # grid, most of them the 299 x 299 eigenvectors of the interior s
+        # block; SuperLU's L and U stored 542,871 (minimum degree on A + A^T)
+        # and 1,058,233 (its COLAMD default)
         path = os.path.join(os.path.dirname(__file__), "..", "configs", "smoke.ini")
         assert 0 < solve_g(load_config(path)).factor_nnz < 600_000
 
@@ -413,7 +419,7 @@ def test_two_slice_solve_matches_full_surface(name, monkeypatch):
     assert t0.time_index(0.0) == 0
     with pytest.raises(ValueError):
         t0.time_index(full.t_grid[1])
-    # two slices in the march, not the surface (SuperLU's factor is not traced)
+    # two slices in the march and the factorization's arrays, not the surface
     assert peak < 0.5 * full.values.nbytes
 
     # the 1D solves that ``solve`` exports take the same ring
@@ -467,24 +473,115 @@ def test_1d_and_2d_problems_share_one_operator(reduction):
     assert np.abs(g - reduced).max() <= 1e-12
 
 
+def operator_of(cfg):
+    """The 2D operator ``solve_g`` assembles for ``cfg``."""
+    g, c = cfg.pde_grid, cfg.coefficients
+    s_grid = stretched_s_grid(g.n_s, g.s_max, cfg.contract.survival_payoff.strike)
+    x_grid = np.linspace(g.x_min, g.x_max, g.n_x + 1)
+    aa = c.factor.a(x_grid)
+    drift = c.martingale_factor_drift(x_grid, aa, c.market_price_of_risk(x_grid))
+    return _assemble_2d(s_grid, x_grid, c.sigma0, aa, drift)
+
+
+def kronecker_sum(operator):
+    """A = A_s (x) I + I (x) A_x as a scipy sparse matrix, from the axis stencils."""
+    axes = [sp.diags([lower[1:], centre, upper[:-1]], [-1, 0, 1],
+                     shape=(len(centre), len(centre)))
+            for lower, centre, upper in operator]
+    (n_s, n_x) = (axis.shape[0] for axis in axes)
+    return (sp.kron(axes[0], sp.identity(n_x)) + sp.kron(sp.identity(n_s), axes[1])).tocsc()
+
+
 def test_assembly_has_no_row_wrap_and_annihilates_constants():
     # the P-hat drift b - rho a mu/sigma = 0.05 + 3.5 x points out of both x edges
     cfg = make_config(m1=2.0, rho=-0.9, factor=uh.AffineFactor(1.0, 0.05, 0.5), c_bound=10.0)
-    g = cfg.pde_grid
+    operator = operator_of(cfg)
+    shape = tuple(len(centre) for _, centre, _ in operator)
+    # an edge node has no outward weight: applied by slicing such a weight
+    # would be dropped, and on the flattened grid it would couple the end of
+    # one row to the start of the next
+    for lower, _, upper in operator:
+        assert lower[0] == 0.0 and upper[-1] == 0.0
+    # the sliced product is the Kronecker sum, which couples grid neighbours only
+    A = kronecker_sum(operator)
+    w = np.random.default_rng(12).standard_normal(shape)
+    assert np.abs(_apply(operator, w).ravel() - A @ w.ravel()).max() \
+        <= 1e-14 * (abs(A) @ np.abs(w.ravel())).max()
+    ones = np.ones(shape)
+    absolute = [[np.abs(weights) for weights in stencil] for stencil in operator]
+    assert np.all(np.abs(_apply(operator, ones)) <= 1e-14 * _apply(absolute, ones))
+
+
+def reference_operators():
+    """(operator, dt): the smoke grid (its s grid stretched at the
+    strike), an OU-factor grid, and the g~ and Phi operators of the smoke
+    scenario."""
+    smoke = load_config(os.path.join(CONFIGS, "smoke.ini"))
+    ou = make_config(m0=0.02, m1=0.5, sigma=0.3, rho=-0.5,
+                     factor=uh.AffineFactor(1.5, 0.05, 0.3), x0=0.05,
+                     grid=uh.PdeGrid(80, 30, 4.0, -0.6, 0.7), n_steps=50)
+    g, c = smoke.pde_grid, smoke.coefficients
     s_grid = stretched_s_grid(g.n_s, g.s_max, 1.0)
     x_grid = np.linspace(g.x_min, g.x_max, g.n_x + 1)
-    SS, XX = np.meshgrid(s_grid, x_grid, indexing="ij")
-    c = cfg.coefficients
-    aa = c.factor.a(XX)
-    drift = c.martingale_factor_drift(XX, aa, c.market_price_of_risk(XX))
-    A = _assemble_2d(s_grid, x_grid, c.sigma0, aa, drift).tocoo()
-    (ri, rj), (ci, cj) = np.divmod(A.row, g.n_x + 1), np.divmod(A.col, g.n_x + 1)
-    # the stride-1 diagonals run across row ends: (i, n_x) and (i+1, 0) must not couple
-    assert not np.any((rj == g.n_x) & (ci == ri + 1) & (cj == 0))
-    assert not np.any((rj == 0) & (ci == ri - 1) & (cj == g.n_x))
-    assert np.all(np.abs(ri - ci) + np.abs(rj - cj) <= 1)
-    ones = np.ones(A.shape[0])
-    assert np.all(np.abs(A @ ones) <= 1e-14 * (abs(A) @ ones))
+    return [
+        pytest.param(operator_of(smoke), smoke.dt, id="smoke"),
+        pytest.param(operator_of(ou), ou.dt, id="ou"),
+        pytest.param([_axis_stencil(s_grid, 0.5 * c.sigma0**2 * s_grid**2, 0.0), _NO_AXIS],
+                     smoke.dt, id="gtilde"),
+        pytest.param([_NO_AXIS, _axis_stencil(x_grid, 0.5 * c.factor.a(x_grid)**2,
+                                              c.factor.b(x_grid))], smoke.dt, id="phi"),
+    ]
+
+
+@pytest.mark.parametrize("operator, dt", reference_operators())
+def test_factorization_solves_like_a_sparse_direct_solve(operator, dt):
+    factor = pde.splu(operator, dt)
+    matrix = sp.identity(factor.shape[0] * factor.shape[1], format="csc") \
+        - 0.5 * dt * kronecker_sum(operator)
+    rng = np.random.default_rng(13)
+    for rhs in (rng.standard_normal(factor.shape), np.ones(factor.shape)):
+        kept = rhs.copy()
+        got = factor.solve(rhs)
+        ref = spsolve(matrix, rhs.ravel()).reshape(factor.shape)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(rhs, kept)
+
+
+def test_singular_or_zero_pivot_system_is_a_numerical_error():
+    # an x drift pointing out of the domain lowers the edge row's diagonal;
+    # at dt = 2 a centre weight of 1 zeroes it.  With one node on the s axis
+    # the edge-row matrix diag(0, 1) is singular.  With three s nodes and no
+    # s coupling the one mode's eigenvalue is 0, so the first pivot is
+    # 1 - 1 - 0 = 0, while the edge-row matrix [[0, -1], [-1, 1]] is not
+    # singular.
+    zero = np.zeros(2)
+    with pytest.raises(uh.NumericalError, match="PDE linear solve failed"):
+        pde.splu([_NO_AXIS, (zero, np.array([1.0, 0.0]), zero)], 2.0)
+    s_axis = (np.zeros(3),) * 3
+    x_axis = (np.array([0.0, 1.0]), np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    with pytest.raises(uh.NumericalError, match="zero or non-finite pivot"):
+        pde.splu([s_axis, x_axis], 2.0)
+    x_axis = (np.array([0.0, 0.1]), np.array([1.0, np.nan]), np.array([0.1, 0.0]))
+    with pytest.raises(uh.NumericalError, match="zero or non-finite pivot"):
+        pde.splu([s_axis, x_axis], 0.01)
+
+
+def test_solution_is_stable_across_blas_thread_counts(tmp_path):
+    # the factorization's transforms are BLAS products, whose last bits may
+    # depend on whether OpenBLAS runs threaded
+    probe = ("import sys, numpy as np; from ulhedge import pde;"
+             " from ulhedge.config_io import load_config;"
+             " np.save(sys.argv[2], pde.solve_g(load_config(sys.argv[1]), surface=False).values)")
+    src = os.path.dirname(os.path.dirname(uh.__file__))
+    solutions = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        path = tmp_path / f"g{threads}.npy"
+        subprocess.run([sys.executable, "-c", probe, os.path.join(CONFIGS, "smoke.ini"),
+                        str(path)], env=env, check=True)
+        solutions.append(np.load(path))
+    assert np.abs(solutions[0] - solutions[1]).max() <= 1e-13 * np.abs(solutions[0]).max()
 
 
 class TestFeynmanKac:
